@@ -39,12 +39,12 @@ from .polynomial import Polynomial, WeightSystem, parse_polynomial
 from .quasihom import analyze_weights, classify_invertible
 from .statespace import StateSpace, assemble_diamond, verify_theorem
 from .symmetry import (
-    DiagonalGroup,
     GroupElement,
     diagonal_symmetries,
     format_element,
     generate_group,
     make_jf,
+    sl_diagonal_symmetries,
 )
 
 COMMANDS = ("analyze", "symmetries", "jacobian", "diamond")
@@ -294,23 +294,13 @@ def parse_job(text: str) -> Job:
 # -- generator resolution ------------------------------------------------------
 
 
-def _sl_diagonal(gd: DiagonalGroup) -> list[GroupElement]:
-    return [
-        GroupElement.diagonal(v)
-        for v in gd.elements()
-        if sum(v, Fraction(0)) % 1 == 0
-    ]
-
-
 def _resolve_generators(job: Job, f: Polynomial, w: WeightSystem):
     out = []
     for atoms in job.generators:
         if atoms[0][0] in ("Gd", "SLd"):
-            gd = diagonal_symmetries(f)
-            if atoms[0][0] == "Gd":
-                out.extend(GroupElement.diagonal(p) for p in gd.generators)
-            else:
-                out.extend(_sl_diagonal(gd))
+            full = atoms[0][0] == "Gd"
+            gd = diagonal_symmetries(f) if full else sl_diagonal_symmetries(f)
+            out.extend(GroupElement.diagonal(p) for p in gd.generators)
             continue
         g = GroupElement.identity(f.nvars)
         for atom in atoms:
@@ -368,7 +358,6 @@ def _run_symmetries(f: Polynomial, names) -> dict:
     _, _, w = analyze_weights(f)
     gd = diagonal_symmetries(f)
     jf = make_jf(w)
-    sl = _sl_diagonal(gd)
     return {
         "weights": _weights_payload(w),
         "diagonal_group": {
@@ -383,7 +372,7 @@ def _run_symmetries(f: Polynomial, names) -> dict:
             "order": jf.order(),
             "det_one": jf.is_sl(),
         },
-        "sl_diagonal_order": len(sl),
+        "sl_diagonal_order": sl_diagonal_symmetries(f).order,
     }
 
 

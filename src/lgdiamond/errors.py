@@ -48,10 +48,6 @@ class NotASymmetry(LgError):
     """A monomial matrix does not preserve the polynomial."""
 
 
-class NotInGraphGroup(LgError):
-    """A symmetry's permutation part does not preserve the singularity graph."""
-
-
 class ClosureCapExceeded(LgError):
     """Group generation exceeded the configured element cap."""
 

@@ -117,11 +117,15 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
         lms.append(leading_monomial(basis[-1]))
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
-    # minimalize: drop elements whose leading term another one divides
+    # minimalize: drop elements whose leading term another one divides;
+    # of several equal leading terms the lowest-index element stays
     keep = [
         i
         for i in range(len(basis))
-        if not any(k != i and _divides(lms[k], lms[i]) for k in range(len(basis)))
+        if not any(
+            _divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
+            for k in range(len(basis))
+        )
     ]
     minimal = [basis[i] for i in keep]
     # reduce tails against the other elements
@@ -181,14 +185,6 @@ class JacobianRing:
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         return normal_form(p, list(self.groebner))
-
-    def vector(self, p: Polynomial) -> list[CycNum]:
-        """Coordinates of [p] in the standard monomial basis."""
-        nf = self.normal_form(p.lift(self.n) if p.n != self.n else p)
-        out = [CycNum.zero(self.n)] * self.mu
-        for mono, c in nf.terms.items():
-            out[self.basis_index[mono]] = c
-        return out
 
     def monomial_degree(self, mono: Monomial) -> Fraction:
         return sum((e * qk for e, qk in zip(mono, self.weights.q)), _ZERO)

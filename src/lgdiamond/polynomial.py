@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .cyclotomic import CycNum, root_of_unity
@@ -76,9 +75,6 @@ class Polynomial:
 
     def monomials(self) -> list[Monomial]:
         return sorted(self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def weighted_degrees(self, weights) -> set:
         """Set of weighted degrees sum(e_k * w_k) over the support."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import det, frac_matrix, mat_vec, solve
+from ._linalg import det, frac_matrix, solve
 from .errors import (
     NoGraphMonomial,
     NotQuasihomogeneous,
@@ -35,23 +35,6 @@ class SingularityGraph:
     @property
     def nvars(self) -> int:
         return len(self.kappa)
-
-    def roots(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.nvars) if self.kappa[j] == j)
-
-
-@dataclass(frozen=True)
-class GraphDecomposition:
-    """f = f0 + trees + f_add: cycle monomials, tree parts, and the rest."""
-
-    f0: Polynomial
-    trees: tuple[Polynomial, ...]
-    f_add: Polynomial
-    is_star_shaped: bool
-
-    @property
-    def p(self) -> int:
-        return len(self.trees)
 
 
 @dataclass(frozen=True)
@@ -152,53 +135,6 @@ def build_graph(f: Polynomial) -> SingularityGraph:
     return SingularityGraph(tuple(kappa), tuple(chosen), components, tuple(cycles))
 
 
-def decompose(f: Polynomial, graph: SingularityGraph) -> GraphDecomposition:
-    """Split f into cycle monomials, hanging trees, and the remainder."""
-    nv = f.nvars
-    cycle_vertices = {v for cyc in graph.cycles for v in cyc}
-
-    def monomial_part(vertices) -> Polynomial:
-        out = Polynomial.zero(nv, f.n)
-        for v in sorted(vertices):
-            mono = graph.monomial_of[v]
-            out = out + Polynomial.monomial(mono, f.terms[mono], nv, f.n)
-        return out
-
-    f0 = monomial_part(cycle_vertices)
-
-    # trees: components of the non-cycle vertices under undirected adjacency
-    tree_vertices = [j for j in range(nv) if j not in cycle_vertices]
-    assigned: dict[int, int] = {}
-    for j in tree_vertices:
-        if j in assigned:
-            continue
-        stack, members = [j], []
-        assigned[j] = j
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            neighbors = [graph.kappa[v]] + [u for u in tree_vertices if graph.kappa[u] == v]
-            for u in neighbors:
-                if u in tree_vertices and u not in assigned:
-                    assigned[u] = j
-                    stack.append(u)
-    roots_of_trees = sorted({assigned[j] for j in tree_vertices})
-    trees = tuple(
-        monomial_part([j for j in tree_vertices if assigned[j] == r]) for r in roots_of_trees
-    )
-
-    used = set(graph.monomial_of)
-    f_add = Polynomial(nv, f.n, {m: c for m, c in f.terms.items() if m not in used})
-
-    star = (
-        nv >= 2
-        and len(graph.components) == 1
-        and len(graph.cycles[0]) == 1
-        and all(graph.kappa[j] == graph.cycles[0][0] for j in range(nv))
-    )
-    return GraphDecomposition(f0, trees, f_add, star)
-
-
 def exponent_matrix(graph: SingularityGraph) -> ExponentMatrix:
     rows = graph.monomial_of
     d = det(frac_matrix(rows))
@@ -293,7 +229,3 @@ def transpose_polynomial(e: ExponentMatrix, coeffs=None) -> TransposeResult:
 def jf_order(w: WeightSystem) -> int:
     """Multiplicative order of the grading symmetry: lcm of weight denominators."""
     return lcm(*(qk.denominator for qk in w.q))
-
-
-def weighted_degree(mono: Monomial, w: WeightSystem) -> Fraction:
-    return sum((e * qk for e, qk in zip(mono, w.q)), Fraction(0))

@@ -61,9 +61,7 @@ class InvariantBlock:
     """Invariant classes of one conjugacy class at one internal degree.
 
     Vectors are written over the standard monomials of the class
-    representative's sector ring; trace_dimension is the dimension
-    predicted by averaging traces over the centralizer, kept separate
-    from the computed basis as a cross-check.
+    representative's sector ring.
     """
 
     class_index: int
@@ -73,7 +71,6 @@ class InvariantBlock:
     q_right: Fraction
     monomials: tuple[Monomial, ...]
     basis: tuple[tuple[CycNum, ...], ...]
-    trace_dimension: int
 
     @property
     def dimension(self) -> int:
@@ -218,8 +215,6 @@ class StateSpace:
     ) -> InvariantBlock:
         index_of = {m: k for k, m in enumerate(monos)}
         count = len(monos)
-        zero = CycNum.zero(self.n)
-        trace_total = zero
         matrices = []
         monomial_action = True
         for hi in centralizer:
@@ -236,13 +231,6 @@ class StateSpace:
                     monomial_action = False
                 cols.append(col)
             matrices.append(cols)
-            trace_total = trace_total + sum(
-                (cols[k].get(k, zero) for k in range(count)), zero
-            )
-        average = trace_total / len(centralizer)
-        if not average.is_rational() or average.as_fraction().denominator != 1:
-            raise LgError(f"invariant trace average {average} is not an integer")
-        trace_dimension = int(average.as_fraction())
         if monomial_action:
             basis = _orbit_invariants(matrices, count, self.n)
         else:
@@ -257,7 +245,6 @@ class StateSpace:
             q_right=q_right,
             monomials=monos,
             basis=tuple(basis),
-            trace_dimension=trace_dimension,
         )
 
     # -- summaries ----------------------------------------------------------
@@ -383,41 +370,6 @@ def invariant_basis(state: StateSpace, bidegree) -> list:
     return out
 
 
-def invariants_dim_oracle(state: StateSpace, bidegree) -> int:
-    """Invariant dimension at a bidegree from centralizer trace averages."""
-    a, b = Fraction(bidegree[0]), Fraction(bidegree[1])
-    return sum(
-        block.trace_dimension
-        for block in state.blocks()
-        if block.q_left == a and block.q_right == b
-    )
-
-
-def action_matrix(state: StateSpace, hi: int, bidegree):
-    """Matrix of h on the full bidegree slice across all sectors.
-
-    Returns (labels, rows) where labels[k] = (sector index, monomial)
-    names the k-th coordinate and rows is the square matrix sending
-    coordinate vectors of the slice to their images under h.
-    """
-    a, b = Fraction(bidegree[0]), Fraction(bidegree[1])
-    labels: list[tuple[int, Monomial]] = []
-    for gi in range(state.group.order):
-        sector = state.sectors[gi]
-        for mono in sector.ring.basis:
-            if sector.charges(sector.ring.monomial_degree(mono)) == (a, b):
-                labels.append((gi, mono))
-    index = {lab: k for k, lab in enumerate(labels)}
-    zero = CycNum.zero(state.n)
-    size = len(labels)
-    rows = [[zero] * size for _ in range(size)]
-    for k, (gi, mono) in enumerate(labels):
-        gpi, nf = state.apply_to_monomial(hi, gi, mono)
-        for mono2, c in nf.terms.items():
-            rows[index[(gpi, mono2)]][k] = c
-    return labels, rows
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -457,34 +409,18 @@ def _reduce_in_span(basis, vec) -> bool:
 
 def _pairing_gram(ring: JacobianRing, v_monos, v_vecs, w_polys):
     """Residue pairings between invariant vectors and transported partners."""
-    n = ring.n
-    zero = CycNum.zero(n)
-    b_monos = sorted({m for p in w_polys for m in p.terms})
-    table: dict[Monomial, list[tuple[Monomial, CycNum]]] = {}
-    for a in v_monos:
-        row = []
-        for b in b_monos:
-            prod = tuple(x + y for x, y in zip(a, b))
-            nf = ring.normal_form(Polynomial(ring.nvars, n, {prod: CycNum.one(n)}))
-            c = nf.terms.get(ring.top_monomial)
-            if c:
-                row.append((b, c / ring.hess_coefficient))
-        if row:
-            table[a] = row
-    gram = []
-    for vec in v_vecs:
-        out_row = []
-        for p in w_polys:
-            acc = zero
-            for a, ca in zip(v_monos, vec):
-                if ca and a in table:
-                    for b, e in table[a]:
-                        cb = p.terms.get(b)
-                        if cb:
-                            acc = acc + ca * cb * e
-            out_row.append(acc)
-        gram.append(out_row)
-    return gram
+    v_polys = [
+        Polynomial(ring.nvars, ring.n, dict(zip(v_monos, vec))) for vec in v_vecs
+    ]
+    return [[ring.residue(v, w) for w in w_polys] for v in v_polys]
+
+
+def _both(name: str, first: CheckResult, second: CheckResult) -> CheckResult:
+    """One check that passes when both parts pass; witness of the first failure."""
+    failed = next((c for c in (first, second) if not c.passed), None)
+    if failed is not None:
+        return CheckResult(name, False, failed.witness)
+    return CheckResult(name, True, f"{first.witness}; {second.witness}")
 
 
 def verify_theorem(state: StateSpace) -> VerificationReport:
@@ -592,25 +528,13 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     id_ring = state.sectors[group.classes[id_class][0]].ring
     c1 = corner_check(0, 0, id_class, (0,) * state.f.nvars, "corner-unit")
     c2 = corner_check(top, top, id_class, id_ring.top_monomial, "corner-hessian")
-    checks.append(
-        CheckResult(
-            "identity-corners",
-            c1.passed and c2.passed,
-            c1.witness if not c1.passed else (c2.witness if not c2.passed else f"{c1.witness}; {c2.witness}"),
-        )
-    )
+    checks.append(_both("identity-corners", c1, c2))
 
     jf_idx = group.index[jf.key()]
     jinv_idx = group.inv[jf_idx]
     c3 = corner_check(0, top, group.class_of[jf_idx], None, "corner-j")
     c4 = corner_check(top, 0, group.class_of[jinv_idx], None, "corner-j-inverse")
-    checks.append(
-        CheckResult(
-            "grading-corners",
-            c3.passed and c4.passed,
-            c3.witness if not c3.passed else (c4.witness if not c4.passed else f"{c3.witness}; {c4.witness}"),
-        )
-    )
+    checks.append(_both("grading-corners", c3, c4))
 
     passed, witness = transpose_check(state)
     checks.append(CheckResult("transpose-symmetry", passed, witness))
@@ -619,6 +543,33 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     checks.append(CheckResult("residue-duality", passed, witness))
 
     return VerificationReport(tuple(checks), group.all_sl)
+
+
+def _inverse_partner(state: StateSpace, block_at, b: InvariantBlock, degree):
+    """The block of the inverse class at a degree, with a conjugating element.
+
+    Returns (partner, hi, inv): partner is the block of the class of
+    g^{-1} at the given internal degree (None when there is none), inv
+    indexes g^{-1}, and h g^{-1} h^{-1} is the representative of its class.
+    """
+    group = state.group
+    inv = group.inv[b.rep]
+    inverse_class = group.class_of[inv]
+    rep_star = group.classes[inverse_class][0]
+    hi = next(h for h in range(group.order) if group.conj[h][inv] == rep_star)
+    return block_at.get((inverse_class, degree)), hi, inv
+
+
+def _transport(state: StateSpace, hi: int, gi: int, monomials, vec) -> Polynomial:
+    """Image under h of a vector over standard monomials of sector g."""
+    zero = CycNum.zero(state.n)
+    out: dict[Monomial, CycNum] = {}
+    for mono, c in zip(monomials, vec):
+        if c:
+            _, img = state.apply_to_monomial(hi, gi, mono)
+            for mono2, c2 in img.terms.items():
+                out[mono2] = out.get(mono2, zero) + c * c2
+    return Polynomial(state.sectors[gi].locus.n_g, state.n, out)
 
 
 def transpose_check(state: StateSpace) -> tuple[bool, str]:
@@ -633,10 +584,10 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     group = state.group
     blocks = [b for b in state.blocks() if b.dimension]
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    zero = CycNum.zero(state.n)
     psi_failure = None
     for b in blocks:
-        inverse_class = group.class_of[group.inv[b.rep]]
-        partner = block_at.get((inverse_class, b.degree))
+        partner, hi, inv = _inverse_partner(state, block_at, b, b.degree)
         pdim = partner.dimension if partner else 0
         if pdim != b.dimension:
             psi_failure = (
@@ -645,20 +596,11 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
                 f"class has {pdim}"
             )
             break
-        inv_rep = group.inv[b.rep]
-        rep_star = group.classes[inverse_class][0]
-        hi = next(
-            h for h in range(group.order) if group.conj[h][inv_rep] == rep_star
-        )
         pindex = {m: k for k, m in enumerate(partner.monomials)}
-        zero = CycNum.zero(state.n)
         for vec in b.basis:
             image = [zero] * len(partner.monomials)
-            for mono, c in zip(b.monomials, vec):
-                if c:
-                    _, img = state.apply_to_monomial(hi, inv_rep, mono)
-                    for mono2, c2 in img.terms.items():
-                        image[pindex[mono2]] = image[pindex[mono2]] + c * c2
+            for mono, c in _transport(state, hi, inv, b.monomials, vec).terms.items():
+                image[pindex[mono]] = c
             if not _reduce_in_span(partner.basis, image):
                 psi_failure = (
                     "sector-inversion image of an invariant of the class of "
@@ -695,7 +637,7 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
         if key in done_pairs:
             continue
         done_pairs.add(key)
-        partner = block_at.get((inverse_class, dual_degree))
+        partner, hi, _ = _inverse_partner(state, block_at, b, dual_degree)
         if partner is None or partner.dimension != b.dimension:
             got = partner.dimension if partner else 0
             failure = (
@@ -703,19 +645,12 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
                 f"degree {dual_degree} has dimension {got}, expected {b.dimension}"
             )
             break
-        rep_star = group.classes[inverse_class][0]
-        target = group.inv[b.rep]
-        hi = next(
-            h for h in range(group.order) if group.conj[h][rep_star] == target
-        )
-        w_polys = []
-        for vec in partner.basis:
-            acc = Polynomial.zero(state.sectors[target].locus.n_g, state.n)
-            for mono, c in zip(partner.monomials, vec):
-                if c:
-                    _, img = state.apply_to_monomial(hi, rep_star, mono)
-                    acc = acc + img * c
-            w_polys.append(acc)
+        # h^{-1} carries the representative of the inverse class to g^{-1}
+        hinv = group.inv[hi]
+        w_polys = [
+            _transport(state, hinv, partner.rep, partner.monomials, vec)
+            for vec in partner.basis
+        ]
         ring = state.sectors[b.rep].ring
         gram = _pairing_gram(ring, b.monomials, b.basis, w_polys)
         if not det(gram):

@@ -13,18 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import det, inverse, mat_mul, solve, smith_normal_form
+from ._linalg import det, inverse, mat_mul, smith_normal_form
 from .cyclotomic import CycNum, root_of_unity
 from .errors import (
     ClosureCapExceeded,
     LgError,
     MissingJ,
     NotASymmetry,
-    NotInGraphGroup,
     NotInSL,
 )
 from .polynomial import Polynomial, WeightSystem
-from .quasihom import ExponentMatrix
 
 _ZERO = Fraction(0)
 
@@ -267,27 +265,13 @@ def diagonal_symmetries(f: Polynomial) -> DiagonalGroup:
     return diagonal_symmetries_of_rows(sorted(f.terms))
 
 
-def graph_diagonal_symmetries(e: ExponentMatrix) -> DiagonalGroup:
-    """Diagonal symmetries of the graph monomials only."""
-    return diagonal_symmetries_of_rows(e.rows)
+def sl_diagonal_symmetries(f: Polynomial) -> DiagonalGroup:
+    """The determinant-one diagonal symmetries of f.
 
-
-def column_generators(e: ExponentMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns of E^{-1} reduced mod 1; they generate the graph group."""
-    nv = len(e.rows)
-    inv = inverse([[Fraction(x) for x in row] for row in e.rows])
-    return tuple(tuple(inv[j][i] % 1 for j in range(nv)) for i in range(nv))
-
-
-def age_via_matrix(gbar, e: ExponentMatrix) -> Fraction:
-    """Age of a diagonal element from the integer vector s = E*gbar."""
-    nv = len(e.rows)
-    gbar = [Fraction(x) for x in gbar]
-    s = [sum(e.rows[i][j] * gbar[j] for j in range(nv)) for i in range(nv)]
-    if any(x.denominator != 1 for x in s):
-        raise NotInGraphGroup(f"E*gbar = {s} is not an integer vector")
-    sol = solve([[Fraction(x) for x in row] for row in e.rows], s)
-    return sum(sol, _ZERO)
+    det(diag(e[v])) = e[sum v], so determinant one is the extra
+    constraint that the all-ones row pairs v to an integer.
+    """
+    return diagonal_symmetries_of_rows(sorted(f.terms) + [(1,) * f.nvars])
 
 
 # -- closed groups -----------------------------------------------------------
@@ -327,9 +311,6 @@ class FiniteGroup:
         self.class_of = tuple(class_of)
         self.is_sl_element = tuple(g.is_sl() for g in self.elements)
         self.all_sl = all(self.is_sl_element)
-
-    def compose_idx(self, i: int, j: int) -> int:
-        return self.mult[i][j]
 
     def contains(self, g: GroupElement) -> bool:
         return g.key() in self.index

@@ -16,8 +16,16 @@ from lgdiamond.jacobian import (
     poincare_dimensions,
     quotient_ring,
 )
+from lgdiamond.cli import parse_job, run
 from lgdiamond.polynomial import Polynomial, WeightSystem, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
+from lgdiamond.statespace import StateSpace, assemble_diamond
+from lgdiamond.symmetry import (
+    GroupElement,
+    generate_group,
+    make_jf,
+    restricted_weights,
+)
 
 F = Fraction
 
@@ -25,6 +33,12 @@ MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 STAR = "x1^4 + x1*x2^3 + x1*x3^3 + x1*x4^3 + x2^2*x3^2 + x2^2*x4^2 + x3^2*x4^2"
 CONE = "x1^3 + x1*x2^2 + x1*x3^2 + x1*x4^2"
+HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
+# partial derivatives that share a leading monomial, with their Milnor numbers
+SHARED_LEADS = {
+    "4*x1^5 + 5*x2^5 + 2*x1^4*x2": 16,
+    "x1^4 + 5*x2^4 + 5*x3^4 + 5*x1*x2^3 + 5*x1*x2^2*x3": 27,
+}
 
 
 def ring_of(text: str):
@@ -74,6 +88,65 @@ def test_groebner_chain_example():
     # x1^2 carries the tail x2^2/3
     tail = gb[1] - Polynomial.monomial((2, 0), 1, 2, 1)
     assert tail == Polynomial.monomial((0, 2), 1, 2, 1) * F(1, 3)
+
+
+@pytest.mark.parametrize("text, mu", SHARED_LEADS.items())
+def test_groebner_shared_leading_monomial(text, mu):
+    report = run(parse_job(f"f = {text}\ncommand = jacobian"))
+    assert report.payload["mu"] == mu
+    assert report.payload["oracle_agrees"]
+
+
+def hesse_swap_state():
+    f, names = parse_polynomial(HESSE)
+    w = analyze_weights(f)[2]
+    swap = GroupElement((1, 0, 2), (F(0),) * 3)
+    return StateSpace(f, w, generate_group([make_jf(w), swap], f), names)
+
+
+def test_hesse_cubic_swap_sectors():
+    state = hesse_swap_state()
+    for sector in state.sectors:
+        weights = restricted_weights(sector.locus, state.weights)
+        assert sector.ring.graded == poincare_dimensions(weights)
+    # E/(x1 <-> x2) has genus 0: the swap fixes four points of the cubic
+    # curve, the line x1 = x2 meets it three times and (1 : -1 : 0) lies on it
+    assert assemble_diamond(state)[1] == [[1, 0], [0, 1]]
+
+
+def sympy_leading_monomials(f: Polynomial):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{f.nvars + 1}")
+    expr = 0
+    for mono, c in f.terms.items():
+        q = c.as_fraction()
+        term = sympy.Rational(q.numerator, q.denominator)
+        for x, e in zip(xs, mono):
+            term *= x**e
+        expr += term
+    partials = [sympy.diff(expr, x) for x in xs]
+    gb = sympy.groebner(partials, *xs, order="grevlex")
+    return sorted(sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in gb.exprs)
+
+
+@pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN])
+def test_leading_monomials_match_sympy(text):
+    f = poly(text)
+    gb = groebner_basis(
+        [f.partial_derivative(i) for i in range(f.nvars)], f.nvars, f.n
+    )
+    assert sorted(leading_monomial(b) for b in gb) == sympy_leading_monomials(f)
+
+
+def test_hesse_swap_sector_leading_monomials_match_sympy():
+    state = hesse_swap_state()
+    for sector in state.sectors:
+        ring = sector.ring
+        if not ring.nvars:
+            continue
+        assert all(c.is_rational() for c in ring.f.terms.values())
+        got = sorted(leading_monomial(b) for b in ring.groebner)
+        assert got == sympy_leading_monomials(ring.f)
 
 
 def test_normal_form_idempotent_and_kernel():

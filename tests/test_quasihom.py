@@ -12,7 +12,6 @@ from lgdiamond.quasihom import (
     analyze_weights,
     build_graph,
     classify_invertible,
-    decompose,
     exponent_matrix,
     jf_order,
     solve_weights,
@@ -101,11 +100,9 @@ def test_branching_component_is_not_invertible():
 def test_quintic_classification_and_decomposition():
     f, _ = parse_polynomial(QUINTIC)
     graph = build_graph(f)
-    dec = decompose(f, graph)
     assert len(graph.components) == 5
-    assert dec.p == 0
-    assert dec.f_add.is_zero()
-    assert dec.f0 == f
+    assert graph.cycles == tuple((j,) for j in range(5))
+    assert set(graph.monomial_of) == set(f.terms)
     cls = classify_invertible(f, graph)
     assert cls.atoms is not None
     assert [a[0] for a in cls.atoms] == ["fermat"] * 5
@@ -114,28 +111,25 @@ def test_quintic_classification_and_decomposition():
 def test_isolated_vertices_with_nongraph_monomial():
     f, _ = parse_polynomial("x1^3 + x2^3 + x3^3 + x1*x2*x3")
     graph = build_graph(f)
-    dec = decompose(f, graph)
     assert graph.kappa == (0, 1, 2)
-    assert dec.f_add == parse_polynomial("x1*x2*x3", variables=["x1", "x2", "x3"])[0]
+    assert set(f.terms) - set(graph.monomial_of) == {(1, 1, 1)}
     assert not classify_invertible(f, graph).is_invertible
 
 
 def test_cone_decomposition_and_star_flag():
     f, _ = parse_polynomial(CONE)
     graph, _, w = analyze_weights(f)
-    dec = decompose(f, graph)
-    assert dec.is_star_shaped
-    assert dec.f0 == parse_polynomial("x1^3", variables=["x1", "x2", "x3", "x4"])[0]
-    assert dec.p == 3
+    assert graph.kappa == (0, 0, 0, 0)
+    assert graph.cycles == ((0,),)
+    assert graph.monomial_of[0] == (3, 0, 0, 0)
     assert w.q == (Fraction(1, 3),) * 4
 
 
 def test_star_example_weights_and_transpose():
     f, _ = parse_polynomial(STAR)
     graph, e, w = analyze_weights(f)
-    dec = decompose(f, graph)
-    assert dec.is_star_shaped
-    assert len(dec.f_add.terms) == 3
+    assert graph.kappa == (0, 0, 0, 0)
+    assert len(set(f.terms) - set(graph.monomial_of)) == 3
     assert w.q == (Fraction(1, 4),) * 4
     assert w.is_calabi_yau
     t = transpose_polynomial(e)

@@ -14,10 +14,8 @@ from lgdiamond.statespace import (
     StateSpace,
     _orbit_invariants,
     _reynolds_invariants,
-    action_matrix,
     assemble_diamond,
     invariant_basis,
-    invariants_dim_oracle,
     verify_theorem,
 )
 from lgdiamond.symmetry import (
@@ -26,6 +24,8 @@ from lgdiamond.symmetry import (
     generate_group,
     make_jf,
 )
+
+from oracles import action_matrix, trace_dimension
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -114,13 +114,22 @@ def test_main_verification():
 
 def test_main_trace_oracle_agrees():
     for b in MAIN_STATE.blocks():
-        assert b.dimension == b.trace_dimension
+        assert b.dimension == trace_dimension(MAIN_STATE, b)
+
+
+def oracle_dimension(state, bidegree):
+    a, b = F(bidegree[0]), F(bidegree[1])
+    return sum(
+        trace_dimension(state, blk)
+        for blk in state.blocks()
+        if (blk.q_left, blk.q_right) == (a, b)
+    )
 
 
 def test_main_invariant_api():
-    assert invariants_dim_oracle(MAIN_STATE, (1, 1)) == 20
+    assert oracle_dimension(MAIN_STATE, (1, 1)) == 20
     assert len(invariant_basis(MAIN_STATE, (1, 1))) == 20
-    assert invariants_dim_oracle(MAIN_STATE, (0, 2)) == 1
+    assert oracle_dimension(MAIN_STATE, (0, 2)) == 1
     assert invariant_basis(MAIN_STATE, (2, 2))[0][0].class_index == 0
 
 
@@ -135,7 +144,7 @@ def test_quintic_s3_diamond():
     ]
     assert S3_STATE.total_dimension() == 80
     for b in S3_STATE.blocks():
-        assert b.dimension == b.trace_dimension
+        assert b.dimension == trace_dimension(S3_STATE, b)
 
 
 def test_quintic_s3_not_sl():
@@ -159,7 +168,7 @@ def test_quintic_a3_diamond_and_verification():
     report = verify_theorem(A3_STATE)
     assert report.passed
     for b in A3_STATE.blocks():
-        assert b.dimension == b.trace_dimension
+        assert b.dimension == trace_dimension(A3_STATE, b)
 
 
 def test_quintic_a3_three_cycle_blocks():

@@ -12,7 +12,6 @@ from lgdiamond.errors import (
     LgError,
     MissingJ,
     NotASymmetry,
-    NotInGraphGroup,
     NotInSL,
 )
 from lgdiamond.polynomial import Polynomial, parse_polynomial
@@ -21,21 +20,21 @@ from lgdiamond.symmetry import (
     DiagonalGroup,
     FiniteGroup,
     GroupElement,
-    age_via_matrix,
     diagonal_symmetries,
     diagonal_symmetries_of_rows,
     fixed_locus,
     format_element,
     generate_group,
-    graph_diagonal_symmetries,
     group_conductor,
     is_symmetry,
-    column_generators,
     make_jf,
     restrict,
     restricted_weights,
     rho_constant,
+    sl_diagonal_symmetries,
 )
+
+from oracles import age_via_matrix, column_generators
 
 F = Fraction
 
@@ -197,7 +196,7 @@ def test_diagonal_symmetries_main():
 
 def test_graph_group_order_is_determinant():
     e = analyze_weights(MAIN_F)[1]
-    assert graph_diagonal_symmetries(e).order == 144 == e.det
+    assert diagonal_symmetries_of_rows(e.rows).order == 144 == e.det
 
 
 def test_diagonal_symmetries_small_cases():
@@ -221,6 +220,40 @@ def test_trivial_diagonal_group():
     assert group.elements() == [(F(0), F(0))]
 
 
+@pytest.mark.parametrize(
+    "text, order, gens",
+    [
+        ("x1^4 + x2^4 + x3^4 + x4^4", 64, 3),
+        ("x1^3 + x2^3 + x3^3", 9, 2),
+        ("x1^5 + x2^5 + x3^5 + x4^5 + x5^5", 625, 4),
+        (MAIN, 12, 1),
+    ],
+)
+def test_sl_diagonal_symmetries(text, order, gens):
+    f, _ = parse_polynomial(text)
+    sl = sl_diagonal_symmetries(f)
+    det_one = {v for v in diagonal_symmetries(f).elements() if sum(v) % 1 == 0}
+    assert set(sl.elements()) == det_one
+    assert sl.order == len(det_one) == order
+    assert len(sl.generators) == gens
+
+
+def span_mod_one(vectors, nvars):
+    """Every Z-combination of the phase vectors, reduced mod 1."""
+    seen = {(F(0),) * nvars}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in vectors:
+                w = tuple((a + b) % 1 for a, b in zip(v, g))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def test_column_generators_main():
     e = analyze_weights(MAIN_F)[1]
     rho = column_generators(e)
@@ -232,6 +265,8 @@ def test_column_generators_main():
     )
     total = tuple(sum(col) % 1 for col in zip(*rho))
     assert total == MAIN_JF.phase
+    # the columns generate the Smith-normal-form graph group
+    assert span_mod_one(rho, 4) == set(diagonal_symmetries_of_rows(e.rows).elements())
 
 
 def test_column_generators_chain2():
@@ -240,15 +275,19 @@ def test_column_generators_chain2():
     assert rho == ((F(1, 2), F(0)), (F(5, 6), F(1, 3)))
     total = tuple(sum(col) % 1 for col in zip(*rho))
     assert total == (F(1, 3), F(1, 3))
+    assert span_mod_one(rho, 2) == set(diagonal_symmetries_of_rows(e.rows).elements())
 
 
 def test_age_via_matrix():
     e2 = analyze_weights(CHAIN2_F)[1]
     assert age_via_matrix((F(5, 6), F(1, 3)), e2) == F(7, 6)
-    with pytest.raises(NotInGraphGroup):
+    with pytest.raises(ValueError):
         age_via_matrix((F(1, 2), F(1, 2)), e2)
     e4 = analyze_weights(MAIN_F)[1]
     assert age_via_matrix(MAIN_JF.phase, e4) == 1
+    for g in MAIN_G.elements:
+        assert g.is_diagonal
+        assert age_via_matrix(g.phase, e4) == g.age()
 
 
 # -- group closure ------------------------------------------------------------
@@ -260,7 +299,7 @@ def test_main_group_structure():
     assert len(MAIN_G.classes) == 12
     assert MAIN_G.elements[MAIN_G.identity_index].is_identity
     for i in range(MAIN_G.order):
-        assert MAIN_G.compose_idx(i, MAIN_G.inv[i]) == MAIN_G.identity_index
+        assert MAIN_G.mult[i][MAIN_G.inv[i]] == MAIN_G.identity_index
     assert MAIN_G.contains(MAIN_JF.power(7))
 
 
