@@ -68,7 +68,11 @@ class Job:
 
 @dataclass(frozen=True)
 class Report:
-    """Structured command result; `ok` is False on failed verification."""
+    """Structured command result; `ok` is False on a failed check.
+
+    The checks are the diamond verification and, for `jacobian`, the
+    weight-series oracle.
+    """
 
     command: str
     payload: dict
@@ -376,17 +380,17 @@ def _run_symmetries(f: Polynomial, names) -> dict:
     }
 
 
-def _run_jacobian(f: Polynomial, names) -> dict:
+def _run_jacobian(f: Polynomial, names) -> tuple[dict, bool]:
     _, _, w = analyze_weights(f)
     ring = quotient_ring(f, w)
-    oracle = poincare_dimensions(w)
+    agrees = ring.graded == poincare_dimensions(w)
     return {
         "weights": _weights_payload(w),
         "mu": ring.mu,
         "c_hat": _frac(ring.c_hat),
         "graded": [[_frac(d), ring.graded[d]] for d in sorted(ring.graded)],
-        "oracle_agrees": ring.graded == oracle,
-    }
+        "oracle_agrees": agrees,
+    }, agrees
 
 
 def _run_diamond(f: Polynomial, names, job: Job) -> tuple[dict, bool]:
@@ -447,7 +451,8 @@ def run(job: Job) -> Report:
     elif job.command == "symmetries":
         payload.update(_run_symmetries(f, names))
     elif job.command == "jacobian":
-        payload.update(_run_jacobian(f, names))
+        body, ok = _run_jacobian(f, names)
+        payload.update(body)
     else:
         body, ok = _run_diamond(f, names, job)
         payload.update(body)

@@ -200,11 +200,6 @@ class JacobianRing:
             return CycNum.zero(self.n)
         return top / self.hess_coefficient
 
-    def hessian_class(self) -> Polynomial:
-        return Polynomial(
-            self.nvars, self.n, {self.top_monomial: self.hess_coefficient}
-        )
-
 
 _RING_CACHE: dict[tuple, JacobianRing] = {}
 

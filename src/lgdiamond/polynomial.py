@@ -73,13 +73,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> CycNum:
         return self.terms.get(tuple(mono), CycNum.zero(self.n))
 
-    def monomials(self) -> list[Monomial]:
-        return sorted(self.terms)
-
-    def weighted_degrees(self, weights) -> set:
-        """Set of weighted degrees sum(e_k * w_k) over the support."""
-        return {sum(e * w for e, w in zip(mono, weights)) for mono in self.terms}
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from ._linalg import det, frac_matrix, solve
 from .errors import (
@@ -224,8 +223,3 @@ def transpose_polynomial(e: ExponentMatrix, coeffs=None) -> TransposeResult:
     if qt is None:
         raise SingularExponentMatrix("transpose system is singular")
     return TransposeResult(ft, tuple(qt), all(x > 0 for x in qt))
-
-
-def jf_order(w: WeightSystem) -> int:
-    """Multiplicative order of the grading symmetry: lcm of weight denominators."""
-    return lcm(*(qk.denominator for qk in w.q))

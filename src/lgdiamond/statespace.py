@@ -129,9 +129,10 @@ class StateSpace:
         """Coordinate data of h mapping sector g into sector hgh^{-1}.
 
         Returns (g', s, rows): the target sector index, the transition
-        scalar rho_{h,g}, and per fixed cycle c of g a pair (j, scale)
+        scalar rho_{h,g}, and per fixed cycle c of g a pair (j, phase)
         meaning the c-th coordinate of Fix(g) pulls back to
-        scale * (j-th coordinate of Fix(g')) under h^{-1}.
+        e[phase] * (j-th coordinate of Fix(g')) under h^{-1}.  h carries
+        the fixed cycles of g one-to-one onto those of g'.
         """
         cached = self._transports.get((hi, gi))
         if cached is not None:
@@ -140,21 +141,11 @@ class StateSpace:
         hinv = self.group.elements[self.group.inv[hi]]
         lg, lgp = self.loci[gi], self.loci[gpi]
         rows = []
-        used = set()
         for i_c in lg.i_fixed:
-            r = hinv.sigma[i_c]
-            row = lgp.l_matrix[r]
-            hits = [(j, row[j]) for j in range(lgp.n_g) if row[j]]
-            if len(hits) != 1:
-                raise LgError("fixed-locus transport is not a monomial map")
-            j, val = hits[0]
-            rows.append((j, root_of_unity(hinv.phase[i_c], self.n) * val))
-            used.add(j)
-        if len(used) != lg.n_g:
-            raise LgError("fixed-locus transport is not invertible")
+            j, a = lgp.fixed[hinv.sigma[i_c]]
+            rows.append((j, hinv.phase[i_c] + a))
         scalar = rho_constant(self.group.elements[hi], lg, lgp)
-        pows = [[CycNum.one(self.n), s] for _, s in rows]
-        result = (gpi, scalar, tuple(rows), pows)
+        result = (gpi, scalar, tuple(rows))
         self._transports[(hi, gi)] = result
         return result
 
@@ -162,17 +153,13 @@ class StateSpace:
         self, hi: int, gi: int, mono: Monomial
     ) -> tuple[int, Polynomial]:
         """Image of the class of a sector monomial under h, in normal form."""
-        gpi, scalar, rows, pows = self.transport(hi, gi)
-        coeff = scalar
+        gpi, scalar, rows = self.transport(hi, gi)
         out = [0] * len(rows)
-        for c, e in enumerate(mono):
-            if e:
-                j, _ = rows[c]
-                out[j] += e
-                cache = pows[c]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * cache[1])
-                coeff = coeff * cache[e]
+        phase = _ZERO
+        for (j, a), e in zip(rows, mono):
+            out[j] += e
+            phase += e * a
+        coeff = scalar * root_of_unity(phase, self.n)
         ring = self.sectors[gpi].ring
         target = tuple(out)
         poly = Polynomial(len(rows), self.n, {target: coeff})

@@ -1,10 +1,12 @@
 """Monomial-matrix symmetries of a quasihomogeneous polynomial.
 
 A GroupElement is the matrix M with M[i, sigma(i)] = e[phase_i]; it
-substitutes x_i -> e[phase_i] * x_{sigma(i)} into polynomials.  All
-group arithmetic stays in exact rational phases; cyclotomic numbers
-appear only when eigenvectors or matrix entries are materialized at a
-chosen conductor.
+substitutes x_i -> e[phase_i] * x_{sigma(i)} into polynomials.  Group
+arithmetic and fixed loci stay in exact rational phases: every
+eigenvector of a monomial matrix lives on one sigma-cycle and has
+root-of-unity entries.  Cyclotomic numbers appear only in restricted
+coefficients, transition constants and the scalars of sector
+transports, at a chosen conductor.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import det, inverse, mat_mul, smith_normal_form
+from ._linalg import smith_normal_form
+# unused here; the benchmark tracer wraps these names in this module
+from ._linalg import det, inverse, mat_mul  # noqa: F401
 from .cyclotomic import CycNum, root_of_unity
 from .errors import (
     ClosureCapExceeded,
@@ -100,10 +104,6 @@ class GroupElement:
         phase = tuple(-self.phase[inv_sigma[i]] for i in range(self.nvars))
         return GroupElement(tuple(inv_sigma), phase)
 
-    def conjugate_by(self, h: "GroupElement") -> "GroupElement":
-        """h * self * h^{-1}."""
-        return h.compose(self).compose(h.inverse())
-
     def power(self, k: int) -> "GroupElement":
         if k < 0:
             return self.inverse().power(-k)
@@ -135,9 +135,6 @@ class GroupElement:
     def is_sl(self) -> bool:
         return self.det_phase() == 0
 
-    def determinant(self, n: int) -> CycNum:
-        return root_of_unity(self.det_phase(), n)
-
     def age(self) -> Fraction:
         """Sum of the fractional eigenvalue phases of the monomial matrix."""
         total = _ZERO
@@ -146,14 +143,6 @@ class GroupElement:
             a = sum(self.phase[i] for i in cyc) % 1
             total += a + Fraction(k - 1, 2)
         return total
-
-    def eigenvalue_phases(self) -> tuple[Fraction, ...]:
-        out = []
-        for cyc in self.cycles():
-            k = len(cyc)
-            a = sum(self.phase[i] for i in cyc) % 1
-            out.extend(Fraction(a + m, k) for m in range(k))
-        return tuple(sorted(out))
 
     def conductor(self) -> int:
         n = 1
@@ -165,13 +154,6 @@ class GroupElement:
         return n
 
     # -- action ----------------------------------------------------------
-
-    def matrix(self, n: int) -> list[list[CycNum]]:
-        zero = CycNum.zero(n)
-        m = [[zero] * self.nvars for _ in range(self.nvars)]
-        for i in range(self.nvars):
-            m[i][self.sigma[i]] = root_of_unity(self.phase[i], n)
-        return m
 
     def apply(self, f: Polynomial) -> Polynomial:
         """f(M x): substitute x_i -> e[phase_i] x_{sigma(i)}."""
@@ -370,111 +352,88 @@ def group_conductor(group: FiniteGroup, extra: int = 1) -> int:
 
 @dataclass(frozen=True)
 class FixedLocus:
-    """Eigen-data of one group element at a fixed conductor n.
+    """Eigenvectors of one group element as phases, at a fixed conductor n.
 
-    l_matrix columns parametrize Fix(g) (eigenvalue 1), one column per
-    sigma-cycle with integral total phase, normalized to 1 at the
-    cycle's minimal index and ordered by that index.  w_matrix columns
-    are the remaining eigenvectors, ordered by (cycle minimal index,
-    ascending eigenvalue phase); their wedge fixes the sector letter
-    xi_g.  i_fixed holds the minimal index of each fixed cycle.
+    Every eigenvector lives on one sigma-cycle, has phase 0 at the
+    cycle's minimal index, and has root-of-unity entries.  Fix(g) has
+    one coordinate per cycle with integral total phase, ordered by
+    minimal index (i_fixed); fixed[i] = (column, phase) for each index
+    i of such a cycle, so x_i restricts to e[phase] * y_column.  moved
+    lists the other eigenvectors as (cycle minimal index, theta,
+    {index: phase}) with eigenvalue e[theta], ordered by (minimal
+    index, ascending theta); their wedge fixes the sector letter xi_g.
+    The locus holds no CycNum: those appear only in restricted
+    coefficients, rho and transport scalars.
     """
 
     g: GroupElement
     n: int
-    n_g: int
     i_fixed: tuple[int, ...]
-    l_matrix: tuple[tuple[CycNum, ...], ...]
-    w_matrix: tuple[tuple[CycNum, ...], ...]
-    w_phases: tuple[Fraction, ...]
+    fixed: dict[int, tuple[int, Fraction]]
+    moved: tuple[tuple[int, Fraction, dict[int, Fraction]], ...]
+
+    @property
+    def n_g(self) -> int:
+        return len(self.i_fixed)
 
     @property
     def d_g(self) -> int:
-        return self.g.nvars - self.n_g
+        return len(self.moved)
+
+    @property
+    def w_phases(self) -> tuple[Fraction, ...]:
+        return tuple(theta for _, theta, _ in self.moved)
 
     def complement_indices(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.g.nvars) if k not in self.i_fixed)
 
-    def basis_matrix(self) -> list[list[CycNum]]:
-        """[L | W] as a full N x N change-of-basis matrix."""
-        rows = []
-        for i in range(self.g.nvars):
-            rows.append(list(self.l_matrix[i]) + list(self.w_matrix[i]))
-        return rows
-
 
 def fixed_locus(g: GroupElement, n: int) -> FixedLocus:
     """Diagonalize g cycle by cycle and split eigenvectors by eigenvalue 1."""
-    nv = g.nvars
-    fixed_cols: list[list[CycNum]] = []
-    comp_cols: list[tuple[Fraction, list[CycNum]]] = []
     i_fixed: list[int] = []
-    zero = CycNum.zero(n)
+    fixed: dict[int, tuple[int, Fraction]] = {}
+    moved = []
     for cyc in g.cycles():
         k = len(cyc)
         total = sum(g.phase[i] for i in cyc) % 1
         for m in range(k):
             theta = (total + m) / k
-            col = [zero] * nv
-            val = CycNum.one(n)
-            col[cyc[0]] = val
             # walk the cycle: v[sigma(i)] = e[theta - phase_i] * v[i]
-            i = cyc[0]
-            for _ in range(k - 1):
-                val = val * root_of_unity((theta - g.phase[i]) % 1, n)
-                i = g.sigma[i]
-                col[i] = val
+            phases = {}
+            a = _ZERO
+            for i in cyc:
+                phases[i] = a
+                a = (a + theta - g.phase[i]) % 1
             if theta == 0:
-                fixed_cols.append(col)
+                fixed.update((i, (len(i_fixed), p)) for i, p in phases.items())
                 i_fixed.append(cyc[0])
             else:
-                comp_cols.append((theta, col))
-    # complement columns arrive grouped by cycle (min-index order) and with
-    # ascending eigenvalue phase within each cycle, fixing the xi_g wedge
-    l_rows = tuple(
-        tuple(fixed_cols[j][i] for j in range(len(fixed_cols))) for i in range(nv)
-    )
-    w_rows = tuple(
-        tuple(col[i] for _, col in comp_cols) for i in range(nv)
-    )
-    return FixedLocus(
-        g,
-        n,
-        len(fixed_cols),
-        tuple(i_fixed),
-        l_rows,
-        w_rows,
-        tuple(theta for theta, _ in comp_cols),
-    )
+                moved.append((cyc[0], theta, phases))
+    return FixedLocus(g, n, tuple(i_fixed), fixed, tuple(moved))
 
 
 def restrict(f: Polynomial, locus: FixedLocus) -> Polynomial:
-    """f composed with the Fix(g) parametrization, in N_g variables."""
-    if locus.n_g == 0:
-        return Polynomial.zero(0, f.n)
-    g = f.lift(lcm(f.n, locus.n))
-    cols = locus.n_g
-    out = Polynomial.zero(cols, g.n)
-    for mono, coeff in g.terms.items():
-        piece = Polynomial.constant(coeff, cols, g.n)
+    """f on Fix(g) in N_g variables: x_i -> e[phase] * y_column.
+
+    A term that touches a moved index vanishes on Fix(g).
+    """
+    n = lcm(f.n, locus.n)
+    terms: dict[tuple[int, ...], CycNum] = {}
+    for mono, coeff in f.lift(n).terms.items():
+        out = [0] * locus.n_g
+        phase = _ZERO
         for i, e in enumerate(mono):
-            if not e:
-                continue
-            row = Polynomial(
-                cols,
-                g.n,
-                {
-                    tuple(1 if j == c else 0 for j in range(cols)): locus.l_matrix[i][c]
-                    for c in range(cols)
-                    if locus.l_matrix[i][c]
-                },
-            )
-            if row.is_zero():
-                piece = Polynomial.zero(cols, g.n)
-                break
-            piece = piece * row**e
-        out = out + piece
-    return out
+            if e:
+                if i not in locus.fixed:
+                    break
+                col, a = locus.fixed[i]
+                out[col] += e
+                phase += e * a
+        else:
+            key = tuple(out)
+            term = coeff * root_of_unity(phase, n)
+            terms[key] = terms[key] + term if key in terms else term
+    return Polynomial(locus.n_g, n, terms)
 
 
 def restricted_weights(locus: FixedLocus, w: WeightSystem) -> WeightSystem:
@@ -491,16 +450,21 @@ def rho_constant(
 ) -> CycNum:
     """Determinant of the map Lambda(g) -> Lambda(hgh^{-1}) induced by h.
 
-    Lambda(g) is C^N/Fix(g) with the basis fixed by the w_matrix of the
-    locus; the constant is the determinant of h's action in these bases.
+    Lambda(g) is C^N/Fix(g) with the basis of moved eigenvectors of the
+    locus.  h carries the eigenvector (C, theta) of g to a multiple of
+    the eigenvector (sigma_h^{-1}(C), theta) of hgh^{-1}; with i0 the
+    minimal index of sigma_h^{-1}(C), the multiple is
+    e[phase_h(i0) + phase_v(sigma_h(i0))].  The determinant is the sign
+    of this matching times the product of the multiples.
     """
-    n = locus_g.n
-    d = locus_g.d_g
-    if d == 0:
-        return CycNum.one(n)
-    basis = inverse(locus_conj.basis_matrix())
-    mh = h.matrix(n)
-    w_cols = [[row[j] for j in range(d)] for row in locus_g.w_matrix]
-    image = mat_mul(mat_mul(basis, mh), w_cols)
-    block = [image[locus_conj.n_g + i] for i in range(d)]
-    return det(block)
+    target = {(c, theta): k for k, (c, theta, _) in enumerate(locus_conj.moved)}
+    match = []
+    total = _ZERO
+    for _, theta, phases in locus_g.moved:
+        i0 = min(i for i, s in enumerate(h.sigma) if s in phases)
+        match.append(target[(i0, theta)])
+        total += h.phase[i0] + phases[h.sigma[i0]]
+    rho = root_of_unity(total, locus_g.n)
+    # negate instead of adding 1/2 to the phase: e[1/2] needs an even conductor
+    odd = sum(a > b for k, a in enumerate(match) for b in match[k + 1 :]) % 2
+    return -rho if odd else rho

@@ -6,9 +6,11 @@ from the command line or the public API.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from lgdiamond._linalg import inverse, solve
-from lgdiamond.cyclotomic import CycNum
+from lgdiamond._linalg import det, inverse, mat_mul, solve
+from lgdiamond.cyclotomic import CycNum, root_of_unity
+from lgdiamond.polynomial import Polynomial
 
 
 def trace_dimension(state, block) -> int:
@@ -24,7 +26,7 @@ def trace_dimension(state, block) -> int:
     centralizer = state.centralizer(block.rep)
     total = zero
     for hi in centralizer:
-        _, _, rows, _ = state.transport(hi, block.rep)
+        _, _, rows = state.transport(hi, block.rep)
         for mono in block.monomials:
             target = [0] * len(mono)
             for (j, _), e in zip(rows, mono):
@@ -86,3 +88,80 @@ def age_via_matrix(gbar, e) -> Fraction:
         raise ValueError(f"E*gbar = {s} is not an integer vector")
     sol = solve([[Fraction(x) for x in row] for row in e.rows], s)
     return sum(sol, Fraction(0))
+
+
+# -- group elements and fixed loci as matrices -----------------------------------
+
+
+def element_matrix(g, n: int):
+    """The monomial matrix M[i][sigma(i)] = e[phase_i] at conductor n."""
+    zero = CycNum.zero(n)
+    m = [[zero] * g.nvars for _ in range(g.nvars)]
+    for i in range(g.nvars):
+        m[i][g.sigma[i]] = root_of_unity(g.phase[i], n)
+    return m
+
+
+def conjugate(g, h):
+    """h * g * h^{-1}, composed directly rather than read off a table."""
+    return h.compose(g).compose(h.inverse())
+
+
+def eigenvalue_phases(g) -> tuple:
+    """Sorted eigenvalue phases: (a + m)/k for each k-cycle of total phase a."""
+    out = []
+    for cyc in g.cycles():
+        k = len(cyc)
+        a = sum(g.phase[i] for i in cyc) % 1
+        out.extend(Fraction(a + m, k) for m in range(k))
+    return tuple(sorted(out))
+
+
+def eigenvector_matrices(locus):
+    """(L, W): the fixed and moved eigenvectors of a locus as N x N_g and N x d_g.
+
+    Column c of L is e[phase] at every index of the c-th fixed cycle;
+    the columns of W are the moved eigenvectors in the locus's order.
+    """
+    nv, n = locus.g.nvars, locus.n
+    zero = CycNum.zero(n)
+    l_rows = [[zero] * locus.n_g for _ in range(nv)]
+    for i, (c, a) in locus.fixed.items():
+        l_rows[i][c] = root_of_unity(a, n)
+    w_rows = [[zero] * locus.d_g for _ in range(nv)]
+    for c, (_, _, phases) in enumerate(locus.moved):
+        for i, a in phases.items():
+            w_rows[i][c] = root_of_unity(a, n)
+    return l_rows, w_rows
+
+
+def rho_via_matrices(h, locus_g, locus_conj):
+    """rho_{h,g} as det of h on C^N/Fix(g), in the bases [L | W] of both loci."""
+    n = locus_g.n
+    if locus_g.d_g == 0:
+        return CycNum.one(n)
+    l_conj, w_conj = eigenvector_matrices(locus_conj)
+    basis = inverse([lr + wr for lr, wr in zip(l_conj, w_conj)])
+    _, w_g = eigenvector_matrices(locus_g)
+    image = mat_mul(mat_mul(basis, element_matrix(h, n)), w_g)
+    return det([image[locus_conj.n_g + i] for i in range(locus_g.d_g)])
+
+
+def restrict_via_matrices(f, locus):
+    """f composed with the columns of L: x_i -> sum_c L[i][c] * y_c."""
+    n = lcm(f.n, locus.n)
+    cols = locus.n_g
+    l_rows, _ = eigenvector_matrices(locus)
+    g = f.lift(n)
+    out = Polynomial.zero(cols, n)
+    for mono, coeff in g.terms.items():
+        piece = Polynomial.constant(coeff, cols, n)
+        for i, e in enumerate(mono):
+            if e:
+                row = Polynomial(cols, n, {
+                    tuple(int(j == c) for j in range(cols)): l_rows[i][c].lift(n)
+                    for c in range(cols)
+                })
+                piece = piece * row**e
+        out = out + piece
+    return out

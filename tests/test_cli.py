@@ -268,6 +268,17 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     assert "non-integer charge" in err
 
 
+def test_cli_jacobian_oracle_exit_code(tmp_path, capsys, monkeypatch):
+    job = "f = x1^3 + x2^3 + x3^3\ncommand = jacobian\n"
+    code, out, _ = run_cli(tmp_path, capsys, job)
+    assert code == 0 and "DISAGREES" not in out
+    # a weight-series oracle that disagrees fails the job like a failed check
+    monkeypatch.setattr("lgdiamond.cli.poincare_dimensions", lambda w: {})
+    code, out, _ = run_cli(tmp_path, capsys, job)
+    assert code == 2
+    assert "DISAGREES" in out
+
+
 def test_cli_closure_cap(tmp_path, capsys):
     code, out, err = run_cli(
         tmp_path, capsys,

@@ -276,7 +276,8 @@ def test_residue_one_variable():
     one = Polynomial.constant(1, 1, 1)
     x = Polynomial.monomial((1,), 1, 1, 1)
     assert ring.residue(x, one) == CycNum.rational(F(1, 6), 1)
-    assert ring.residue(one, ring.hessian_class()) == CycNum.one(1)
+    hessian = Polynomial.monomial(ring.top_monomial, ring.hess_coefficient, 1, 1)
+    assert ring.residue(one, hessian) == CycNum.one(1)
     # degree mismatch pairs to zero
     assert ring.residue(x, x) == CycNum.zero(1)
 
@@ -284,7 +285,8 @@ def test_residue_one_variable():
 def test_residue_normalization_main():
     ring = ring_of(MAIN)
     one = Polynomial.constant(1, 4, ring.n)
-    assert ring.residue(one, ring.hessian_class()) == CycNum.one(ring.n)
+    hessian = Polynomial.monomial(ring.top_monomial, ring.hess_coefficient, 4, ring.n)
+    assert ring.residue(one, hessian) == CycNum.one(ring.n)
 
 
 def test_residue_gram_nondegenerate():

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from lgdiamond._linalg import det, frac_matrix
-from lgdiamond.errors import NoGraphMonomial, NotQuasihomogeneous
+from lgdiamond.errors import (
+    NoGraphMonomial,
+    NotQuasihomogeneous,
+    SingularExponentMatrix,
+    WeightOutOfRange,
+)
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import (
     ExponentMatrix,
@@ -13,10 +18,10 @@ from lgdiamond.quasihom import (
     build_graph,
     classify_invertible,
     exponent_matrix,
-    jf_order,
     solve_weights,
     transpose_polynomial,
 )
+from lgdiamond.symmetry import make_jf
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -34,7 +39,7 @@ def test_main_example_graph_and_weights():
     assert w.d == (36, 72, 12, 24)
     assert w.d0 == 144
     assert w.is_calabi_yau
-    assert jf_order(w) == 12
+    assert make_jf(w).order() == 12
 
 
 def test_main_example_tie_break_prefers_smaller_exponent():
@@ -170,6 +175,13 @@ def test_not_quasihomogeneous_error():
     e = exponent_matrix(graph)
     with pytest.raises(NotQuasihomogeneous):
         solve_weights(f, e)
+    # the other two ways solving for weights fails
+    singular, _ = parse_polynomial("x1*x2", allow_mixed_quadratics=True)
+    with pytest.raises(SingularExponentMatrix, match="determinant 0"):
+        analyze_weights(singular)
+    heavy, _ = parse_polynomial("x1*x2 + x2^3", allow_mixed_quadratics=True)
+    with pytest.raises(WeightOutOfRange, match="q_1 = 2/3"):
+        analyze_weights(heavy)
 
 
 def test_weights_always_in_range_on_examples():

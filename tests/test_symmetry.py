@@ -34,7 +34,16 @@ from lgdiamond.symmetry import (
     sl_diagonal_symmetries,
 )
 
-from oracles import age_via_matrix, column_generators
+from oracles import (
+    age_via_matrix,
+    column_generators,
+    conjugate,
+    eigenvalue_phases,
+    eigenvector_matrices,
+    element_matrix,
+    restrict_via_matrices,
+    rho_via_matrices,
+)
 
 F = Fraction
 
@@ -82,8 +91,8 @@ def test_compose_matches_matrix_product():
     for _ in range(25):
         a = random_element(rng, 4, 12)
         b = random_element(rng, 4, 12)
-        lhs = a.compose(b).matrix(12)
-        rhs = mat_mul(a.matrix(12), b.matrix(12))
+        lhs = element_matrix(a.compose(b), 12)
+        rhs = mat_mul(element_matrix(a, 12), element_matrix(b, 12))
         assert lhs == rhs
 
 
@@ -121,14 +130,14 @@ def test_cycles_and_sign():
 def test_conjugation_of_diagonal_by_swap():
     h = swap(3, 0, 1)
     g = diag(F(1, 2), F(1, 3), F(1, 7))
-    assert g.conjugate_by(h) == diag(F(1, 3), F(1, 2), F(1, 7))
+    assert conjugate(g, h) == diag(F(1, 3), F(1, 2), F(1, 7))
 
 
 def test_determinants():
     t = swap(2, 0, 1)
     assert t.det_phase() == F(1, 2)
     assert not t.is_sl()
-    assert t.determinant(2) == CycNum.rational(-1, 2)
+    assert root_of_unity(t.det_phase(), 2) == CycNum.rational(-1, 2)
     sl_swap = t.compose(diag(F(1, 2), 0))
     assert sl_swap.det_phase() == 0
     assert sl_swap.is_sl()
@@ -138,7 +147,7 @@ def test_determinants():
     rng = random.Random(19)
     for _ in range(15):
         g = random_element(rng, 4, 12)
-        assert g.determinant(12) == det(g.matrix(12))
+        assert root_of_unity(g.det_phase(), 12) == det(element_matrix(g, 12))
 
 
 def test_age_and_eigenvalue_phases():
@@ -147,8 +156,8 @@ def test_age_and_eigenvalue_phases():
     assert MAIN_JF.age() == 1
     assert QUINTIC_JF.age() == 1
     assert QUINTIC_JF.power(4).age() == 4
-    assert swap(2, 0, 1).eigenvalue_phases() == (F(0), F(1, 2))
-    assert diag(F(1, 4), F(3, 4)).eigenvalue_phases() == (F(1, 4), F(3, 4))
+    assert eigenvalue_phases(swap(2, 0, 1)) == (F(0), F(1, 2))
+    assert eigenvalue_phases(diag(F(1, 4), F(3, 4))) == (F(1, 4), F(3, 4))
 
 
 def test_age_duality_against_fixed_dimension():
@@ -314,7 +323,7 @@ def test_quintic_group_structure():
     for _ in range(30):
         hi = rng.randrange(30)
         gi = rng.randrange(30)
-        direct = QUINTIC_G.elements[gi].conjugate_by(QUINTIC_G.elements[hi])
+        direct = conjugate(QUINTIC_G.elements[gi], QUINTIC_G.elements[hi])
         assert QUINTIC_G.conj[hi][gi] == QUINTIC_G.index[direct.key()]
     # the transpositions times a fixed scalar form one class of size 3
     t12_class = QUINTIC_G.classes[QUINTIC_G.class_of[QUINTIC_G.index[QUINTIC_T12.key()]]]
@@ -359,8 +368,9 @@ def test_fixed_locus_diagonal():
     assert locus.i_fixed == (0,)
     assert locus.w_phases == (F(1, 2),)
     one, zero = CycNum.one(2), CycNum.zero(2)
-    assert locus.l_matrix == ((one,), (zero,))
-    assert locus.w_matrix == ((zero,), (one,))
+    l_matrix, w_matrix = eigenvector_matrices(locus)
+    assert l_matrix == [[one], [zero]]
+    assert w_matrix == [[zero], [one]]
 
 
 def test_fixed_locus_quintic_three_cycle():
@@ -369,7 +379,8 @@ def test_fixed_locus_quintic_three_cycle():
     assert locus.n_g == 3
     assert locus.i_fixed == (0, 3, 4)
     assert locus.w_phases == (F(1, 3), F(2, 3))
-    col0 = [locus.l_matrix[i][0] for i in range(5)]
+    l_matrix, _ = eigenvector_matrices(locus)
+    col0 = [l_matrix[i][0] for i in range(5)]
     one, zero = CycNum.one(30), CycNum.zero(30)
     assert col0 == [one, one, one, zero, zero]
 
@@ -387,15 +398,16 @@ def test_fixed_locus_eigen_property():
     for group, n in ((MAIN_G, 12), (QUINTIC_G, 30)):
         for g in group.elements:
             locus = fixed_locus(g, n)
-            m = g.matrix(n)
+            m = element_matrix(g, n)
+            l_matrix, w_matrix = eigenvector_matrices(locus)
             for c in range(locus.n_g):
-                col = [locus.l_matrix[i][c] for i in range(g.nvars)]
+                col = [l_matrix[i][c] for i in range(g.nvars)]
                 assert mat_vec(m, col) == col
             for c in range(locus.d_g):
-                col = [locus.w_matrix[i][c] for i in range(g.nvars)]
+                col = [w_matrix[i][c] for i in range(g.nvars)]
                 scale = root_of_unity(locus.w_phases[c], n)
                 assert mat_vec(m, col) == [scale * x for x in col]
-            assert det(locus.basis_matrix()) != 0
+            assert det([lr + wr for lr, wr in zip(l_matrix, w_matrix)]) != 0
 
 
 def test_restrict_quintic_three_cycle():
@@ -468,8 +480,8 @@ def test_rho_identity_sector():
 def test_rho_at_jf_is_determinant():
     locus = fixed_locus(QUINTIC_JF, 30)
     for h in (QUINTIC_T12, QUINTIC_JF, QUINTIC_T12.compose(QUINTIC_JF)):
-        conj = fixed_locus(QUINTIC_JF.conjugate_by(h), 30)
-        assert rho_constant(h, locus, conj) == h.determinant(30)
+        conj = fixed_locus(conjugate(QUINTIC_JF, h), 30)
+        assert rho_constant(h, locus, conj) == root_of_unity(h.det_phase(), 30)
 
 
 def test_rho_cocycle():
@@ -480,14 +492,55 @@ def test_rho_cocycle():
         g = QUINTIC_G.elements[rng.randrange(30)]
         h1 = QUINTIC_G.elements[rng.randrange(30)]
         h2 = QUINTIC_G.elements[rng.randrange(30)]
-        g1 = g.conjugate_by(h1)
+        g1 = conjugate(g, h1)
         h21 = h2.compose(h1)
-        g2 = g.conjugate_by(h21)
+        g2 = conjugate(g, h21)
         lhs = rho_constant(h2, loci[g1.key()], loci[g2.key()]) * rho_constant(
             h1, loci[g.key()], loci[g1.key()]
         )
         rhs = rho_constant(h21, loci[g.key()], loci[g2.key()])
         assert lhs == rhs
+
+
+HESSE_F, _ = parse_polynomial("x1^3 + x2^3 + x3^3 + x1*x2*x3")
+QUARTIC_F, _ = parse_polynomial("x1^4 + x2^4 + x3^4 + x4^4")
+
+
+@pytest.mark.parametrize(
+    "f, generators, pairs",
+    [
+        (MAIN_F, [MAIN_JF], 144),
+        (HESSE_F, [diag(*([F(1, 3)] * 3)), swap(3, 0, 1)], 36),
+        # a fixed 2-cycle with nonzero phases, seen by the x1*x2*x3 term
+        (
+            HESSE_F,
+            [diag(*([F(1, 3)] * 3)), swap(3, 0, 1).compose(diag(F(1, 3), F(2, 3), 0))],
+            36,
+        ),
+        (QUINTIC_F, [QUINTIC_JF, GroupElement((1, 2, 0, 3, 4), (F(0),) * 5)], 225),
+        (
+            QUARTIC_F,
+            [
+                diag(*([F(1, 4)] * 4)),
+                swap(4, 0, 1).compose(diag(F(1, 4), F(3, 4), 0, 0)),
+                swap(4, 2, 3),
+            ],
+            256,
+        ),
+    ],
+    ids=["main-j", "hesse-swap", "hesse-twisted-swap", "quintic-a3", "quartic-twisted"],
+)
+def test_phase_loci_match_matrix_oracle(f, generators, pairs):
+    """Closed-form rho and monomial restriction against the matrix route."""
+    group = generate_group(generators, f)
+    assert group.order**2 == pairs
+    n = group_conductor(group, extra=f.n)
+    loci = [fixed_locus(g, n) for g in group.elements]
+    for gi, locus in enumerate(loci):
+        assert restrict(f, locus) == restrict_via_matrices(f, locus)
+        for hi, h in enumerate(group.elements):
+            conj = loci[group.conj[hi][gi]]
+            assert rho_constant(h, locus, conj) == rho_via_matrices(h, locus, conj)
 
 
 # -- formatting ---------------------------------------------------------------
