@@ -93,7 +93,7 @@ class CycNum:
 
     def __init__(self, n: int, coords) -> None:
         deg = len(cyclotomic_polynomial(n)) - 1
-        c = tuple(Fraction(x) for x in coords)
+        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
         if len(c) != deg:
             raise ValueError(f"need {deg} coordinates for conductor {n}, got {len(c)}")
         self.n = n
@@ -121,10 +121,10 @@ class CycNum:
         return (self.n, self.c)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.c)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.c[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -301,6 +301,7 @@ class CycNum:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=None)
 def root_of_unity(alpha, n: int | None = None) -> CycNum:
     """e[alpha] = exp(2*pi*i*alpha) as an exact cyclotomic number.
 
@@ -316,3 +317,14 @@ def root_of_unity(alpha, n: int | None = None) -> CycNum:
         )
     k = int(a * n)
     return CycNum(n, _reduce({k: _ONE}, n))
+
+
+def phase_unit(t, n: int) -> CycNum:
+    """e[t] in Q(zeta_n) for a phase t with denominator dividing 2n.
+
+    At odd n a phase off the 1/n grid is written as -e[t - 1/2].
+    """
+    t = Fraction(t)
+    if (t * n).denominator == 1:
+        return root_of_unity(t, n)
+    return -root_of_unity(t - Fraction(1, 2), n)

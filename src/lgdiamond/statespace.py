@@ -5,9 +5,14 @@ of f to its fixed locus, graded by weighted degree and shifted into two
 charges by the age of g and of its inverse.  The group acts on these
 sector spaces through monomial coordinate transports times a transition
 constant, the determinant of h on the directions that g moves; the
-invariants form the state space.  This module computes the invariants per conjugacy class
-and internal degree, assembles the charge table (the diamond), and
-mechanically verifies its structural properties.
+invariants form the state space.  This module computes the invariants per
+conjugacy class and internal degree, assembles the charge table (the
+diamond), and mechanically verifies its structural properties.
+
+Blocks walk orbits over centralizer generators with phases in Q/Z and
+build a CycNum only for a basis vector; a block that a generator moves
+off the standard basis falls back to the Reynolds projector over the
+full centralizer.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import det, mat_vec, rref
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, quotient_ring
 from .polynomial import Monomial, Polynomial, WeightSystem
@@ -46,10 +51,6 @@ class Sector:
     ring: JacobianRing
     shift_left: Fraction
     shift_right: Fraction
-
-    @property
-    def age(self) -> Fraction:
-        return self.g.age()
 
     def charges(self, degree: Fraction) -> tuple[Fraction, Fraction]:
         """Bigrade of a class of the given internal weighted degree."""
@@ -128,9 +129,9 @@ class StateSpace:
     def transport(self, hi: int, gi: int):
         """Coordinate data of h mapping sector g into sector hgh^{-1}.
 
-        Returns (g', s, rows): the target sector index, the transition
-        scalar rho_{h,g}, and per fixed cycle c of g a pair (j, phase)
-        meaning the c-th coordinate of Fix(g) pulls back to
+        Returns (g', t, rows): the target sector index, the phase t of the
+        transition constant rho_{h,g} = e[t], and per fixed cycle c of g a
+        pair (j, phase) meaning the c-th coordinate of Fix(g) pulls back to
         e[phase] * (j-th coordinate of Fix(g')) under h^{-1}.  h carries
         the fixed cycles of g one-to-one onto those of g'.
         """
@@ -144,8 +145,8 @@ class StateSpace:
         for i_c in lg.i_fixed:
             j, a = lgp.fixed[hinv.sigma[i_c]]
             rows.append((j, hinv.phase[i_c] + a))
-        scalar = rho_constant(self.group.elements[hi], lg, lgp)
-        result = (gpi, scalar, tuple(rows))
+        t = rho_constant(self.group.elements[hi], lg, lgp)
+        result = (gpi, t, tuple(rows))
         self._transports[(hi, gi)] = result
         return result
 
@@ -153,16 +154,10 @@ class StateSpace:
         self, hi: int, gi: int, mono: Monomial
     ) -> tuple[int, Polynomial]:
         """Image of the class of a sector monomial under h, in normal form."""
-        gpi, scalar, rows = self.transport(hi, gi)
-        out = [0] * len(rows)
-        phase = _ZERO
-        for (j, a), e in zip(rows, mono):
-            out[j] += e
-            phase += e * a
-        coeff = scalar * root_of_unity(phase, self.n)
+        gpi, t, rows = self.transport(hi, gi)
+        target, phase = _image(rows, t, mono)
         ring = self.sectors[gpi].ring
-        target = tuple(out)
-        poly = Polynomial(len(rows), self.n, {target: coeff})
+        poly = Polynomial(len(rows), self.n, {target: phase_unit(phase, self.n)})
         if target in ring.basis_index:
             return gpi, poly
         return gpi, ring.normal_form(poly)
@@ -183,56 +178,57 @@ class StateSpace:
     def blocks(self) -> list[InvariantBlock]:
         if self._blocks is None:
             out = []
+            generators: dict[tuple[int, ...], list[int]] = {}
             for ci, cls in enumerate(self.group.classes):
                 rep = cls[0]
-                cent = self.centralizer(rep)
+                cent = tuple(self.centralizer(rep))
+                if cent not in generators:  # abelian groups share one centralizer
+                    generators[cent] = _subgroup_generators(self.group, cent)
                 for degree in sorted(self.degree_monomials(rep)):
                     monos = self.degree_monomials(rep)[degree]
-                    out.append(self._invariant_block(ci, rep, cent, degree, monos))
+                    basis = tuple(self._invariants(rep, cent, generators[cent], monos))
+                    q_left, q_right = self.sectors[rep].charges(degree)
+                    out.append(
+                        InvariantBlock(ci, rep, degree, q_left, q_right, monos, basis)
+                    )
             self._blocks = out
         return self._blocks
 
-    def _invariant_block(
-        self,
-        class_index: int,
-        rep: int,
-        centralizer: list[int],
-        degree: Fraction,
-        monos: tuple[Monomial, ...],
-    ) -> InvariantBlock:
+    def _invariants(self, rep: int, centralizer, generators, monos) -> list:
+        """Invariant basis of one block over its standard monomials.
+
+        Orbit walk in phases over the generators; the Reynolds projector
+        over the whole centralizer when an image leaves the standard basis.
+        """
         index_of = {m: k for k, m in enumerate(monos)}
-        count = len(monos)
-        matrices = []
-        monomial_action = True
-        for hi in centralizer:
-            cols: list[dict[int, CycNum]] = []
+        standard = self.sectors[rep].ring.basis_index
+        maps = []
+        for hi in generators:
+            _, t, rows = self.transport(hi, rep)
+            perm, phases = [], []
             for m in monos:
-                _, nf = self.apply_to_monomial(hi, rep, m)
-                col: dict[int, CycNum] = {}
-                for mono2, c in nf.terms.items():
-                    k2 = index_of.get(mono2)
-                    if k2 is None:
+                target, phase = _image(rows, t, m)
+                if target not in index_of:
+                    if target in standard:
                         raise LgError("sector action does not preserve the degree")
-                    col[k2] = c
-                if len(col) != 1:
-                    monomial_action = False
-                cols.append(col)
+                    return self._reynolds(rep, centralizer, index_of)
+                perm.append(index_of[target])
+                phases.append(phase)
+            maps.append((perm, phases))
+        return _orbit_invariants(maps, len(monos), self.n)
+
+    def _reynolds(self, rep: int, centralizer, index_of) -> list:
+        """Projector image from the normal-form images of every centralizer element."""
+        matrices = []
+        for hi in centralizer:
+            cols = []
+            for m in index_of:
+                _, nf = self.apply_to_monomial(hi, rep, m)
+                if any(m2 not in index_of for m2 in nf.terms):
+                    raise LgError("sector action does not preserve the degree")
+                cols.append({index_of[m2]: c for m2, c in nf.terms.items()})
             matrices.append(cols)
-        if monomial_action:
-            basis = _orbit_invariants(matrices, count, self.n)
-        else:
-            basis = _reynolds_invariants(matrices, count, self.n)
-        sector = self.sectors[rep]
-        q_left, q_right = sector.charges(degree)
-        return InvariantBlock(
-            class_index=class_index,
-            rep=rep,
-            degree=degree,
-            q_left=q_left,
-            q_right=q_right,
-            monomials=monos,
-            basis=tuple(basis),
-        )
+        return _reynolds_invariants(matrices, len(index_of), self.n)
 
     # -- summaries ----------------------------------------------------------
 
@@ -253,49 +249,69 @@ class StateSpace:
         return f"[{poly.to_string(names)}] xi_{{{format_element(sector.g)}}}"
 
 
-def _orbit_invariants(matrices, count: int, n: int):
-    """Invariants when every group element acts monomially on the block.
+def _image(rows, t: Fraction, mono: Monomial) -> tuple[Monomial, Fraction]:
+    """Target monomial and phase in [0, 1) of a sector monomial under a transport."""
+    out = [0] * len(rows)
+    phase = t
+    for (j, a), e in zip(rows, mono):
+        if e:
+            out[j] += e
+            phase += e * a
+    return tuple(out), phase % 1
 
-    The action permutes the monomial lines; an orbit carries a
-    one-dimensional invariant space when all loop scalars agree, and
-    nothing otherwise.  Matrices are given as lists of sparse columns.
+
+def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
+    """Members, in order, not in the subgroup generated by those kept before."""
+    gens: list[int] = []
+    span = {group.identity_index}
+    for h in members:
+        if h in span:
+            continue
+        gens.append(h)
+        stack = list(span)
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = group.mult[x][s]
+                if y not in span:
+                    span.add(y)
+                    stack.append(y)
+    return gens
+
+
+def _orbit_invariants(maps, count: int, n: int):
+    """Invariants when the group generators act monomially on the block.
+
+    maps holds one (perm, phases) per generator: m_k -> e[phases[k]] m_perm[k].
+    An orbit carries one invariant, valued 1 at its smallest index, when the
+    phases summed along every path agree in Q/Z, and nothing otherwise.
     """
-    maps = []
-    for cols in matrices:
-        perm = [0] * count
-        scale: list[CycNum] = [None] * count  # type: ignore[list-item]
-        for k, col in enumerate(cols):
-            ((k2, c),) = col.items()
-            perm[k] = k2
-            scale[k] = c
-        maps.append((perm, scale))
     zero = CycNum.zero(n)
-    one = CycNum.one(n)
     visited = [False] * count
     basis = []
     for k0 in range(count):
         if visited[k0]:
             continue
-        values = {k0: one}
+        values = {k0: _ZERO}
         stack = [k0]
         alive = True
         while stack:
             k = stack.pop()
-            for perm, scale in maps:
+            for perm, phases in maps:
                 k2 = perm[k]
-                v2 = scale[k] * values[k]
+                v2 = (values[k] + phases[k]) % 1
                 seen = values.get(k2)
                 if seen is None:
                     values[k2] = v2
                     stack.append(k2)
-                elif alive and seen != v2:
+                elif seen != v2:
                     alive = False
         for k in values:
             visited[k] = True
         if alive:
             vec = [zero] * count
             for k, v in values.items():
-                vec[k] = v
+                vec[k] = phase_unit(v, n)
             basis.append(tuple(vec))
     return basis
 
@@ -374,17 +390,16 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _reduce_in_span(basis, vec) -> bool:
+def _reduce_in_span(basis, leads, vec) -> bool:
     """Whether vec lies in the span of the basis vectors.
 
-    Assumes each basis vector is nonzero at its own leading index and
-    zero at every other vector's leading index, which holds for both
-    invariant-basis constructions (orbit vectors have disjoint support;
-    echelon rows have pivot columns).
+    leads[i] is the leading index of basis[i].  Assumes each basis vector
+    is nonzero at its own leading index and zero at every other vector's
+    leading index, which holds for both invariant-basis constructions
+    (orbit vectors have disjoint support; echelon rows have pivot columns).
     """
     w = list(vec)
-    for b in basis:
-        lead = next(i for i, c in enumerate(b) if c)
+    for b, lead in zip(basis, leads):
         c = w[lead]
         if c:
             factor = c / b[lead]
@@ -584,11 +599,12 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
             )
             break
         pindex = {m: k for k, m in enumerate(partner.monomials)}
+        leads = [next(i for i, c in enumerate(v) if c) for v in partner.basis]
         for vec in b.basis:
             image = [zero] * len(partner.monomials)
             for mono, c in _transport(state, hi, inv, b.monomials, vec).terms.items():
                 image[pindex[mono]] = c
-            if not _reduce_in_span(partner.basis, image):
+            if not _reduce_in_span(partner.basis, leads, image):
                 psi_failure = (
                     "sector-inversion image of an invariant of the class of "
                     f"{format_element(group.elements[b.rep])} at internal degree "

@@ -447,15 +447,16 @@ def restricted_weights(locus: FixedLocus, w: WeightSystem) -> WeightSystem:
 
 def rho_constant(
     h: GroupElement, locus_g: FixedLocus, locus_conj: FixedLocus
-) -> CycNum:
-    """Determinant of the map Lambda(g) -> Lambda(hgh^{-1}) induced by h.
+) -> Fraction:
+    """Phase t in [0, 1) of the determinant e[t] of Lambda(g) -> Lambda(hgh^{-1}).
 
     Lambda(g) is C^N/Fix(g) with the basis of moved eigenvectors of the
     locus.  h carries the eigenvector (C, theta) of g to a multiple of
     the eigenvector (sigma_h^{-1}(C), theta) of hgh^{-1}; with i0 the
     minimal index of sigma_h^{-1}(C), the multiple is
     e[phase_h(i0) + phase_v(sigma_h(i0))].  The determinant is the sign
-    of this matching times the product of the multiples.
+    of this matching, which adds 1/2 when odd, times the product of the
+    multiples.
     """
     target = {(c, theta): k for k, (c, theta, _) in enumerate(locus_conj.moved)}
     match = []
@@ -464,7 +465,5 @@ def rho_constant(
         i0 = min(i for i, s in enumerate(h.sigma) if s in phases)
         match.append(target[(i0, theta)])
         total += h.phase[i0] + phases[h.sigma[i0]]
-    rho = root_of_unity(total, locus_g.n)
-    # negate instead of adding 1/2 to the phase: e[1/2] needs an even conductor
     odd = sum(a > b for k, a in enumerate(match) for b in match[k + 1 :]) % 2
-    return -rho if odd else rho
+    return (total + Fraction(odd, 2)) % 1

@@ -43,6 +43,47 @@ def trace_dimension(state, block) -> int:
     return int(average.as_fraction())
 
 
+def orbit_basis(state, block):
+    """Invariants of a block by an orbit walk over every centralizer element.
+
+    Multiplies the CycNum scalars that apply_to_monomial gives along each
+    orbit and keeps an orbit, with value 1 at its smallest index, when
+    every path agrees.  Returns None when some image is not a single
+    monomial of the block.
+    """
+    index_of = {m: k for k, m in enumerate(block.monomials)}
+    count = len(block.monomials)
+    centralizer = state.centralizer(block.rep)
+    zero, one = CycNum.zero(state.n), CycNum.one(state.n)
+    visited = set()
+    basis = []
+    for k0 in range(count):
+        if k0 in visited:
+            continue
+        values = {k0: one}
+        stack = [k0]
+        alive = True
+        while stack:
+            k = stack.pop()
+            for hi in centralizer:
+                _, image = state.apply_to_monomial(hi, block.rep, block.monomials[k])
+                if len(image.terms) != 1:
+                    return None
+                ((mono, c),) = image.terms.items()
+                if mono not in index_of:
+                    return None
+                k2, v2 = index_of[mono], c * values[k]
+                if k2 not in values:
+                    values[k2] = v2
+                    stack.append(k2)
+                elif values[k2] != v2:
+                    alive = False
+        visited.update(values)
+        if alive:
+            basis.append(tuple(values.get(k, zero) for k in range(count)))
+    return basis
+
+
 def action_matrix(state, hi: int, bidegree):
     """Matrix of h on the full bidegree slice across all sectors.
 

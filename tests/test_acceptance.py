@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lgdiamond.cyclotomic import CycNum
+from lgdiamond.cyclotomic import CycNum, phase_unit
 from lgdiamond.errors import (
     MixedQuadraticError,
     NotInSL,
@@ -289,6 +289,7 @@ def test_criterion_6_invariant_suites():
     rng = random.Random(7)
     group = quintic.group
     loci = quintic.loci
+    n = quintic.n
     for _ in range(100):
         h1 = rng.randrange(group.order)
         h2 = rng.randrange(group.order)
@@ -297,10 +298,10 @@ def test_criterion_6_invariant_suites():
         g2 = group.conj[h2][g1]
         h21 = group.mult[h2][h1]
         assert group.conj[h21][g] == g2
-        lhs = rho_constant(group.elements[h21], loci[g], loci[g2])
-        rhs = rho_constant(group.elements[h2], loci[g1], loci[g2]) * rho_constant(
-            group.elements[h1], loci[g], loci[g1]
-        )
+        lhs = phase_unit(rho_constant(group.elements[h21], loci[g], loci[g2]), n)
+        rhs = phase_unit(
+            rho_constant(group.elements[h2], loci[g1], loci[g2]), n
+        ) * phase_unit(rho_constant(group.elements[h1], loci[g], loci[g1]), n)
         assert lhs == rhs
 
     # averaging operator is idempotent on every block

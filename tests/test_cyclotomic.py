@@ -6,7 +6,12 @@ from math import lcm
 
 import pytest
 
-from lgdiamond.cyclotomic import CycNum, cyclotomic_polynomial, root_of_unity
+from lgdiamond.cyclotomic import (
+    CycNum,
+    cyclotomic_polynomial,
+    phase_unit,
+    root_of_unity,
+)
 from lgdiamond.errors import ConductorMismatch
 
 
@@ -26,6 +31,17 @@ def test_cyclotomic_polynomials_match_known_tables():
 
 def test_half_turn_is_minus_one():
     assert root_of_unity(Fraction(1, 2)) == -1
+
+
+def test_phase_unit_at_odd_conductor():
+    # a phase with denominator 30 is off the 1/15 grid but still in Q(zeta_15)
+    t = Fraction(7, 30)
+    assert phase_unit(t, 15) == -root_of_unity(t - Fraction(1, 2), 15)
+    assert phase_unit(t, 15).lift(30) == root_of_unity(t, 30)
+    assert phase_unit(Fraction(1, 2), 15) == CycNum.rational(-1, 15)
+    assert phase_unit(Fraction(2, 5), 15) == root_of_unity(Fraction(2, 5), 15)
+    with pytest.raises(ConductorMismatch):
+        root_of_unity(Fraction(1, 2), 15)
 
 
 def test_primitive_cube_roots_sum_to_minus_one():

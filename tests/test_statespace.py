@@ -1,5 +1,6 @@
 """State-space construction, invariants, diamond assembly, verification."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -10,10 +11,12 @@ from lgdiamond.errors import LgError, NonIntegerCharge, PreconditionFailed
 from lgdiamond._linalg import mat_mul
 from lgdiamond.polynomial import parse_polynomial
 from lgdiamond.quasihom import analyze_weights
+import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
     _orbit_invariants,
     _reynolds_invariants,
+    _subgroup_generators,
     assemble_diamond,
     invariant_basis,
     verify_theorem,
@@ -23,12 +26,15 @@ from lgdiamond.symmetry import (
     diagonal_symmetries,
     generate_group,
     make_jf,
+    sl_diagonal_symmetries,
 )
 
-from oracles import action_matrix, trace_dimension
+from oracles import action_matrix, orbit_basis, trace_dimension
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
+QUARTIC = "x1^4 + x2^4 + x3^4 + x4^4"
+CUBIC = "x1^3 + x2^3 + x3^3"
 
 
 def build_state(text, extra_generators=()):
@@ -45,6 +51,36 @@ QUINTIC_T23 = GroupElement((0, 2, 1, 3, 4), (F(0),) * 5)
 QUINTIC_C123 = GroupElement((1, 2, 0, 3, 4), (F(0),) * 5)
 S3_STATE = build_state(QUINTIC, [QUINTIC_T12, QUINTIC_T23])
 A3_STATE = build_state(QUINTIC, [QUINTIC_C123])
+
+
+def diagonal_generators(text, sl):
+    f, _ = parse_polynomial(text)
+    group = sl_diagonal_symmetries(f) if sl else diagonal_symmetries(f)
+    return [GroupElement.diagonal(p) for p in group.generators]
+
+
+def cycle(nvars, *indices):
+    sigma = list(range(nvars))
+    for i, j in zip(indices, indices[1:] + indices[:1]):
+        sigma[i] = j
+    return GroupElement(tuple(sigma), (F(0),) * nvars)
+
+
+# groups whose blocks all take the orbit walk
+ORBIT_STATES = {
+    "k3-sld": lambda: build_state(QUARTIC, diagonal_generators(QUARTIC, sl=True)),
+    "quintic-a3": lambda: A3_STATE,
+    "quintic-s3": lambda: S3_STATE,
+    "cubic-gd-s3": lambda: build_state(
+        CUBIC,
+        [*diagonal_generators(CUBIC, sl=False), cycle(3, 0, 1, 2), cycle(3, 0, 1)],
+    ),
+}
+
+
+@functools.cache
+def orbit_state(name):
+    return ORBIT_STATES[name]()
 
 
 def blocks_of_element(state, g):
@@ -307,11 +343,11 @@ def test_orbit_invariants_unit():
     n = 3
     one = CycNum.one(n)
     omega = root_of_unity(F(1, 3), n)
-    # cycle 0 -> 1 -> 2 -> 0 with total loop scalar omega: nothing survives
-    dead = [[{1: one}, {2: one}, {0: omega}]]
+    # cycle 0 -> 1 -> 2 -> 0 with total loop phase 1/3: nothing survives
+    dead = [([1, 2, 0], [F(0), F(0), F(1, 3)])]
     assert _orbit_invariants(dead, 3, n) == []
-    # total loop scalar omega^3 = 1: one invariant line
-    alive = [[{1: omega}, {2: omega}, {0: omega}]]
+    # loop phases 1/3 each, total 1: one invariant line
+    alive = [([1, 2, 0], [F(1, 3)] * 3)]
     basis = _orbit_invariants(alive, 3, n)
     assert len(basis) == 1
     v = basis[0]
@@ -330,3 +366,51 @@ def test_reynolds_invariants_unit():
     # a single non-idempotent matrix is rejected by the projector check
     with pytest.raises(LgError, match="idempotent"):
         _reynolds_invariants([refl], 2, n)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_STATES))
+def test_centralizer_generators_span_centralizer(name):
+    state = orbit_state(name)
+    group = state.group
+    for cls in group.classes:
+        cent = state.centralizer(cls[0])
+        gens = [group.elements[h] for h in _subgroup_generators(group, cent)]
+        # each kept generator at least doubles the subgroup
+        assert 2 ** len(gens) <= len(cent)
+        ident = GroupElement.identity(group.nvars)
+        span = {ident.key(): ident}
+        stack = [ident]
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = x.compose(s)
+                if y.key() not in span:
+                    span[y.key()] = y
+                    stack.append(y)
+        assert set(span) == {group.elements[h].key() for h in cent}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_STATES))
+def test_blocks_match_orbit_oracle(name):
+    """Generator phase walk against a CycNum walk over the whole centralizer."""
+    state = orbit_state(name)
+    for block in state.blocks():
+        assert orbit_basis(state, block) == list(block.basis)
+
+
+def test_reynolds_fallback_blocks(monkeypatch):
+    """Images that leave the standard basis send blocks to the projector."""
+    reynolds = []
+
+    def spy(matrices, count, n):
+        reynolds.append(count)
+        return _reynolds_invariants(matrices, count, n)
+
+    monkeypatch.setattr(statespace, "_reynolds_invariants", spy)
+    state = build_state(QUARTIC + " + x1*x2*x3*x4", [cycle(4, 0, 1, 2, 3)])
+    blocks = state.blocks()
+    assert reynolds
+    for block in blocks:
+        assert block.dimension == trace_dimension(state, block)
+        # every normal form here is one monomial, so the orbit walk also applies
+        assert orbit_basis(state, block) == list(block.basis)

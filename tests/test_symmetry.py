@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lgdiamond._linalg import det, mat_mul, mat_vec
-from lgdiamond.cyclotomic import CycNum, root_of_unity
+from lgdiamond.cyclotomic import CycNum, phase_unit, root_of_unity
 from lgdiamond.errors import (
     ClosureCapExceeded,
     LgError,
@@ -464,24 +464,29 @@ def test_restricted_weights():
 def test_rho_on_fermat():
     g = diag(F(1, 2))
     locus = fixed_locus(g, 2)
-    assert rho_constant(g, locus, locus) == CycNum.rational(-1, 2)
+    assert rho_constant(g, locus, locus) == F(1, 2)
+    assert phase_unit(rho_constant(g, locus, locus), 2) == CycNum.rational(-1, 2)
     h = diag(F(1, 4))
     lg = fixed_locus(h, 4)
     for k in (1, 2, 3):
-        assert rho_constant(h.power(k), lg, lg) == root_of_unity(F(k, 4), 4)
+        assert phase_unit(rho_constant(h.power(k), lg, lg), 4) == root_of_unity(
+            F(k, 4), 4
+        )
 
 
 def test_rho_identity_sector():
     locus = fixed_locus(GroupElement.identity(5), 30)
     for h in (QUINTIC_T12, QUINTIC_JF):
-        assert rho_constant(h, locus, locus) == CycNum.one(30)
+        assert phase_unit(rho_constant(h, locus, locus), 30) == CycNum.one(30)
 
 
 def test_rho_at_jf_is_determinant():
     locus = fixed_locus(QUINTIC_JF, 30)
     for h in (QUINTIC_T12, QUINTIC_JF, QUINTIC_T12.compose(QUINTIC_JF)):
         conj = fixed_locus(conjugate(QUINTIC_JF, h), 30)
-        assert rho_constant(h, locus, conj) == root_of_unity(h.det_phase(), 30)
+        assert phase_unit(rho_constant(h, locus, conj), 30) == root_of_unity(
+            h.det_phase(), 30
+        )
 
 
 def test_rho_cocycle():
@@ -495,10 +500,10 @@ def test_rho_cocycle():
         g1 = conjugate(g, h1)
         h21 = h2.compose(h1)
         g2 = conjugate(g, h21)
-        lhs = rho_constant(h2, loci[g1.key()], loci[g2.key()]) * rho_constant(
-            h1, loci[g.key()], loci[g1.key()]
+        lhs = phase_unit(rho_constant(h2, loci[g1.key()], loci[g2.key()]), n) * (
+            phase_unit(rho_constant(h1, loci[g.key()], loci[g1.key()]), n)
         )
-        rhs = rho_constant(h21, loci[g.key()], loci[g2.key()])
+        rhs = phase_unit(rho_constant(h21, loci[g.key()], loci[g2.key()]), n)
         assert lhs == rhs
 
 
@@ -540,7 +545,8 @@ def test_phase_loci_match_matrix_oracle(f, generators, pairs):
         assert restrict(f, locus) == restrict_via_matrices(f, locus)
         for hi, h in enumerate(group.elements):
             conj = loci[group.conj[hi][gi]]
-            assert rho_constant(h, locus, conj) == rho_via_matrices(h, locus, conj)
+            rho = phase_unit(rho_constant(h, locus, conj), n)
+            assert rho == rho_via_matrices(h, locus, conj)
 
 
 # -- formatting ---------------------------------------------------------------
