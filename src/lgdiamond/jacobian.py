@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _divide_exact
 from .errors import NonHomogeneous, NotIsolated
 from .polynomial import Monomial, Polynomial, WeightSystem, hessian_determinant
 
@@ -261,23 +261,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient num/den for monic den, asserting zero remainder."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn]
-        if not c:
-            continue
-        out[i] = c
-        for j, y in enumerate(den):
-            num[i + j] -= c * y
-    if any(num):
-        raise ArithmeticError("weight series division left a remainder")
-    return out
-
-
 def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:
     """Graded dimensions of the Milnor algebra from the weights alone.
 
@@ -290,7 +273,7 @@ def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:
     for dk in w.d:
         num = _poly_mul(num, [-1] + [0] * (w.d0 - dk - 1) + [1])
         den = _poly_mul(den, [-1] + [0] * (dk - 1) + [1])
-    quotient = _poly_divide_exact(num, den)
+    quotient = _divide_exact(num, den)
     return {Fraction(e, w.d0): c for e, c in enumerate(quotient) if c}
 
 

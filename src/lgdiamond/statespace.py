@@ -123,8 +123,10 @@ class StateSpace:
     # -- group action on sectors ------------------------------------------
 
     def centralizer(self, gi: int) -> list[int]:
-        conj = self.group.conj
-        return [h for h in range(self.group.order) if conj[h][gi] == gi]
+        group = self.group
+        if len(group.classes[group.class_of[gi]]) == 1:
+            return list(range(group.order))
+        return [h for h in range(group.order) if group.conjugate(h, gi) == gi]
 
     def transport(self, hi: int, gi: int):
         """Coordinate data of h mapping sector g into sector hgh^{-1}.
@@ -138,7 +140,7 @@ class StateSpace:
         cached = self._transports.get((hi, gi))
         if cached is not None:
             return cached
-        gpi = self.group.conj[hi][gi]
+        gpi = self.group.conjugate(hi, gi)
         hinv = self.group.elements[self.group.inv[hi]]
         lg, lgp = self.loci[gi], self.loci[gpi]
         rows = []
@@ -272,7 +274,7 @@ def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
         while stack:
             x = stack.pop()
             for s in gens:
-                y = group.mult[x][s]
+                y = group.product(x, s)
                 if y not in span:
                     span.add(y)
                     stack.append(y)
@@ -342,6 +344,11 @@ def assemble_diamond(state: StateSpace) -> tuple[int, list[list[int]]]:
     when an invariant class falls outside the table.
     """
     top = state.f.nvars - 2
+    if top < 0:
+        raise LgError(
+            "the charge table needs N >= 2 variables (D = N - 2); "
+            f"f has N = {state.f.nvars}"
+        )
     table = [[0] * (top + 1) for _ in range(top + 1)]
     for block in state.blocks():
         if not block.dimension:
@@ -447,10 +454,7 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
             f"{format_element(jf)}"
         )
     if not state.group.all_sl:
-        offender = next(
-            g for g, ok in zip(state.group.elements, state.group.is_sl_element)
-            if not ok
-        )
+        offender = next(g for g in state.group.elements if not g.is_sl())
         raise PreconditionFailed(
             f"group element {format_element(offender)} has determinant "
             f"e[{offender.det_phase()}], not 1"
@@ -557,8 +561,8 @@ def _inverse_partner(state: StateSpace, block_at, b: InvariantBlock, degree):
     group = state.group
     inv = group.inv[b.rep]
     inverse_class = group.class_of[inv]
-    rep_star = group.classes[inverse_class][0]
-    hi = next(h for h in range(group.order) if group.conj[h][inv] == rep_star)
+    # the conjugator carries the representative to g^{-1}; its inverse carries it back
+    hi = group.inv[group.conjugator[inv]]
     return block_at.get((inverse_class, degree)), hi, inv
 
 

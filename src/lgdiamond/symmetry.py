@@ -260,39 +260,52 @@ def sl_diagonal_symmetries(f: Polynomial) -> DiagonalGroup:
 
 
 class FiniteGroup:
-    """A closed list of monomial symmetries with multiplication tables."""
+    """A closed list of monomial symmetries, sorted by key, and its classes.
 
-    def __init__(self, elements: list[GroupElement]) -> None:
+    Products and conjugates are composed on demand; nothing of size |G|^2
+    is stored.  Classes are orbits of one walk under conjugation by the
+    generators, begun at each smallest unclassified index, so each is led
+    by its representative rep; conjugator[x] * rep * conjugator[x]^-1 = x.
+    """
+
+    def __init__(self, elements: list[GroupElement], generators) -> None:
         ordered = sorted(elements, key=lambda g: g.key())
         self.elements: tuple[GroupElement, ...] = tuple(ordered)
         self.index = {g.key(): i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
         self.nvars = self.elements[0].nvars
         self.identity_index = self.index[GroupElement.identity(self.nvars).key()]
-        self.mult = tuple(
-            tuple(self.index[a.compose(b).key()] for b in self.elements) for a in self.elements
-        )
         self.inv = tuple(self.index[g.inverse().key()] for g in self.elements)
-        # conjugacy classes and the full conjugation table
-        self.conj = tuple(
-            tuple(
-                self.mult[self.mult[h][g]][self.inv[h]] for g in range(self.order)
-            )
-            for h in range(self.order)
-        )
+        gens = [self.index[s.key()] for s in generators]
         class_of = [-1] * self.order
+        conjugator = [self.identity_index] * self.order
         classes: list[tuple[int, ...]] = []
         for g in range(self.order):
             if class_of[g] >= 0:
                 continue
-            orbit = sorted({self.conj[h][g] for h in range(self.order)})
-            for x in orbit:
-                class_of[x] = len(classes)
-            classes.append(tuple(orbit))
+            class_of[g] = len(classes)
+            orbit = [g]
+            for x in orbit:  # the orbit grows while it is walked
+                for s in gens:
+                    y = self.conjugate(s, x)
+                    if class_of[y] < 0:
+                        class_of[y] = len(classes)
+                        conjugator[y] = self.product(s, conjugator[x])
+                        orbit.append(y)
+            classes.append(tuple(sorted(orbit)))
         self.classes = tuple(classes)
         self.class_of = tuple(class_of)
-        self.is_sl_element = tuple(g.is_sl() for g in self.elements)
-        self.all_sl = all(self.is_sl_element)
+        self.conjugator = tuple(conjugator)
+        self.all_sl = all(g.is_sl() for g in self.elements)
+
+    def product(self, a: int, b: int) -> int:
+        """Index of elements[a] * elements[b]."""
+        return self.index[self.elements[a].compose(self.elements[b]).key()]
+
+    def conjugate(self, h: int, g: int) -> int:
+        """Index of h * g * h^{-1}."""
+        hg = self.elements[h].compose(self.elements[g])
+        return self.index[hg.compose(self.elements[self.inv[h]]).key()]
 
     def contains(self, g: GroupElement) -> bool:
         return g.key() in self.index
@@ -327,13 +340,10 @@ def generate_group(
                     elements[h.key()] = h
                     nxt.append(h)
         frontier = nxt
-    group = FiniteGroup(list(elements.values()))
-    if require_sl:
-        for g, sl in zip(group.elements, group.is_sl_element):
-            if not sl:
-                raise NotInSL(
-                    f"element {format_element(g)} has determinant e[{g.det_phase()}] != 1"
-                )
+    group = FiniteGroup(list(elements.values()), gens)
+    if require_sl and not group.all_sl:
+        g = next(g for g in group.elements if not g.is_sl())
+        raise NotInSL(f"element {format_element(g)} has determinant e[{g.det_phase()}] != 1")
     if require_j is not None and not group.contains(require_j):
         raise MissingJ("the group does not contain the grading symmetry j_f")
     return group

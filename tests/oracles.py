@@ -148,6 +148,32 @@ def conjugate(g, h):
     return h.compose(g).compose(h.inverse())
 
 
+def group_tables(group):
+    """Group structure by brute force: every pair composed, classes by scan.
+
+    Returns (mult, conj, classes, centralizers) over the indices of
+    group.elements: mult[a][b] indexes elements[a] * elements[b],
+    conj[h][g] indexes h g h^{-1}, classes lists each conjugacy class
+    sorted, in order of its smallest member, and centralizers[g] lists
+    every h with h g h^{-1} = g.
+    """
+    elements = group.elements
+    order = len(elements)
+    index = {g.key(): i for i, g in enumerate(elements)}
+    mult = [[index[a.compose(b).key()] for b in elements] for a in elements]
+    inv = [index[g.inverse().key()] for g in elements]
+    conj = [[mult[mult[h][g]][inv[h]] for g in range(order)] for h in range(order)]
+    classes = []
+    seen = set()
+    for g in range(order):
+        if g not in seen:
+            orbit = sorted({conj[h][g] for h in range(order)})
+            seen.update(orbit)
+            classes.append(tuple(orbit))
+    centralizers = [[h for h in range(order) if conj[h][g] == g] for g in range(order)]
+    return mult, conj, classes, centralizers
+
+
 def eigenvalue_phases(g) -> tuple:
     """Sorted eigenvalue phases: (a + m)/k for each k-cycle of total phase a."""
     out = []

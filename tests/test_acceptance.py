@@ -294,10 +294,10 @@ def test_criterion_6_invariant_suites():
         h1 = rng.randrange(group.order)
         h2 = rng.randrange(group.order)
         g = rng.randrange(group.order)
-        g1 = group.conj[h1][g]
-        g2 = group.conj[h2][g1]
-        h21 = group.mult[h2][h1]
-        assert group.conj[h21][g] == g2
+        g1 = group.conjugate(h1, g)
+        g2 = group.conjugate(h2, g1)
+        h21 = group.product(h2, h1)
+        assert group.conjugate(h21, g) == g2
         lhs = phase_unit(rho_constant(group.elements[h21], loci[g], loci[g2]), n)
         rhs = phase_unit(
             rho_constant(group.elements[h2], loci[g1], loci[g2]), n

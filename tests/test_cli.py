@@ -268,6 +268,13 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     assert "non-integer charge" in err
 
 
+def test_cli_one_variable_diamond(tmp_path, capsys):
+    # D = N - 2 is negative, so there is no charge table to fill
+    code, out, err = run_cli(tmp_path, capsys, "f = x1^3\ncommand = diamond\n")
+    assert code == 1 and not out
+    assert "needs N >= 2 variables (D = N - 2)" in err
+
+
 def test_cli_jacobian_oracle_exit_code(tmp_path, capsys, monkeypatch):
     job = "f = x1^3 + x2^3 + x3^3\ncommand = jacobian\n"
     code, out, _ = run_cli(tmp_path, capsys, job)

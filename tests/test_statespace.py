@@ -7,7 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from lgdiamond.cyclotomic import CycNum, root_of_unity
-from lgdiamond.errors import LgError, NonIntegerCharge, PreconditionFailed
+from lgdiamond.errors import (
+    ClosureCapExceeded,
+    LgError,
+    NonIntegerCharge,
+    PreconditionFailed,
+)
 from lgdiamond._linalg import mat_mul
 from lgdiamond.polynomial import parse_polynomial
 from lgdiamond.quasihom import analyze_weights
@@ -29,7 +34,7 @@ from lgdiamond.symmetry import (
     sl_diagonal_symmetries,
 )
 
-from oracles import action_matrix, orbit_basis, trace_dimension
+from oracles import action_matrix, group_tables, orbit_basis, trace_dimension
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -78,9 +83,23 @@ ORBIT_STATES = {
 }
 
 
+# further groups for the brute-force check of the group structure
+STRUCTURE_STATES = {
+    **ORBIT_STATES,
+    "main-sld": lambda: build_state(MAIN, diagonal_generators(MAIN, sl=True)),
+    "quartic-twisted": lambda: build_state(
+        QUARTIC,
+        [
+            cycle(4, 0, 1).compose(GroupElement.diagonal((F(1, 4), F(3, 4), 0, 0))),
+            cycle(4, 2, 3),
+        ],
+    ),
+}
+
+
 @functools.cache
-def orbit_state(name):
-    return ORBIT_STATES[name]()
+def named_state(name):
+    return STRUCTURE_STATES[name]()
 
 
 def blocks_of_element(state, g):
@@ -207,6 +226,24 @@ def test_quintic_a3_diamond_and_verification():
         assert b.dimension == trace_dimension(A3_STATE, b)
 
 
+def test_mirror_quintic_diamond_and_verification():
+    """SLd of the quintic (order 625), the mirror of the quintic with <J>."""
+    state = build_state(QUINTIC, diagonal_generators(QUINTIC, sl=True))
+    assert state.group.order == 625
+    top, table = assemble_diamond(state)
+    assert top == 3
+    assert table == [
+        [1, 0, 0, 1],
+        [0, 1, 101, 0],
+        [0, 101, 1, 0],
+        [1, 0, 0, 1],
+    ]
+    assert state.total_dimension() == 208
+    report = verify_theorem(state)
+    assert report.passed
+    assert len(report.checks) == 6
+
+
 def test_quintic_a3_three_cycle_blocks():
     (b,) = [
         blk
@@ -284,7 +321,7 @@ def test_action_homomorphism():
     for _ in range(10):
         h1 = rng.randrange(group.order)
         h2 = rng.randrange(group.order)
-        assert mat_mul(mats[h2], mats[h1]) == mats[group.mult[h2][h1]]
+        assert mat_mul(mats[h2], mats[h1]) == mats[group.product(h2, h1)]
 
 
 def test_identity_action_is_identity():
@@ -370,7 +407,7 @@ def test_reynolds_invariants_unit():
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))
 def test_centralizer_generators_span_centralizer(name):
-    state = orbit_state(name)
+    state = named_state(name)
     group = state.group
     for cls in group.classes:
         cent = state.centralizer(cls[0])
@@ -393,7 +430,7 @@ def test_centralizer_generators_span_centralizer(name):
 @pytest.mark.parametrize("name", list(ORBIT_STATES))
 def test_blocks_match_orbit_oracle(name):
     """Generator phase walk against a CycNum walk over the whole centralizer."""
-    state = orbit_state(name)
+    state = named_state(name)
     for block in state.blocks():
         assert orbit_basis(state, block) == list(block.basis)
 
@@ -414,3 +451,81 @@ def test_reynolds_fallback_blocks(monkeypatch):
         assert block.dimension == trace_dimension(state, block)
         # every normal form here is one monomial, so the orbit walk also applies
         assert orbit_basis(state, block) == list(block.basis)
+
+
+# -- group structure ------------------------------------------------------------
+
+
+def assert_matches_tables(group, tables, pairs):
+    """Classes, conjugators, products and conjugates against brute-force tables."""
+    mult, conj, classes, _ = tables
+    assert list(group.classes) == classes
+    for ci, cls in enumerate(classes):
+        for x in cls:
+            assert group.class_of[x] == ci
+            assert conj[group.conjugator[x]][cls[0]] == x
+    for a, b in pairs:
+        assert group.product(a, b) == mult[a][b]
+        assert group.conjugate(a, b) == conj[a][b]
+
+
+def sampled_pairs(group, limit=4096):
+    pairs = [(a, b) for a in range(group.order) for b in range(group.order)]
+    return random.Random(11).sample(pairs, limit) if len(pairs) > limit else pairs
+
+
+@pytest.mark.parametrize("name", list(STRUCTURE_STATES))
+def test_group_structure_matches_brute_force(name):
+    state = named_state(name)
+    group = state.group
+    tables = group_tables(group)
+    assert_matches_tables(group, tables, sampled_pairs(group))
+    centralizers = tables[3]
+    for g in range(group.order):
+        assert state.centralizer(g) == centralizers[g]
+
+
+@pytest.mark.parametrize("name", ["quintic-s3", "cubic-gd-s3", "quartic-twisted"])
+def test_inverse_partner_conjugates_to_representative(name):
+    state = named_state(name)
+    group = state.group
+    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    for b in state.blocks():
+        _, hi, inv = statespace._inverse_partner(state, block_at, b, b.degree)
+        assert inv == group.inv[b.rep]
+        assert group.conjugate(hi, inv) == group.classes[group.class_of[inv]][0]
+
+
+def test_group_structure_property():
+    """Random diagonal and permutation generators on Fermat cubics and quartics."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fermats = []
+    for text in (CUBIC, QUARTIC):
+        f, _ = parse_polynomial(text)
+        fermats.append((f, diagonal_symmetries(f).elements()))
+
+    @st.composite
+    def generator_sets(draw):
+        f, diagonals = draw(st.sampled_from(fermats))
+        nv = f.nvars
+        phases = draw(st.lists(st.sampled_from(diagonals), min_size=1, max_size=2))
+        sigmas = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
+        gens = [GroupElement.diagonal(p) for p in phases]
+        gens += [GroupElement(tuple(sigma), (F(0),) * nv) for sigma in sigmas]
+        return f, gens
+
+    @hypothesis.settings(
+        max_examples=20, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(generator_sets())
+    def check(case):
+        f, gens = case
+        try:
+            group = generate_group(gens, f, cap=64)
+        except ClosureCapExceeded:
+            hypothesis.assume(False)
+        tables = group_tables(group)
+        assert_matches_tables(group, tables, sampled_pairs(group, limit=1024))
+
+    check()

@@ -308,7 +308,7 @@ def test_main_group_structure():
     assert len(MAIN_G.classes) == 12
     assert MAIN_G.elements[MAIN_G.identity_index].is_identity
     for i in range(MAIN_G.order):
-        assert MAIN_G.mult[i][MAIN_G.inv[i]] == MAIN_G.identity_index
+        assert MAIN_G.product(i, MAIN_G.inv[i]) == MAIN_G.identity_index
     assert MAIN_G.contains(MAIN_JF.power(7))
 
 
@@ -318,13 +318,13 @@ def test_quintic_group_structure():
     assert len(QUINTIC_G.classes) == 15
     sizes = sorted(len(c) for c in QUINTIC_G.classes)
     assert sizes == [1] * 5 + [2] * 5 + [3] * 5
-    # conjugation table against direct computation
+    # conjugates against direct computation
     rng = random.Random(23)
     for _ in range(30):
         hi = rng.randrange(30)
         gi = rng.randrange(30)
         direct = conjugate(QUINTIC_G.elements[gi], QUINTIC_G.elements[hi])
-        assert QUINTIC_G.conj[hi][gi] == QUINTIC_G.index[direct.key()]
+        assert QUINTIC_G.conjugate(hi, gi) == QUINTIC_G.index[direct.key()]
     # the transpositions times a fixed scalar form one class of size 3
     t12_class = QUINTIC_G.classes[QUINTIC_G.class_of[QUINTIC_G.index[QUINTIC_T12.key()]]]
     assert len(t12_class) == 3
@@ -544,7 +544,7 @@ def test_phase_loci_match_matrix_oracle(f, generators, pairs):
     for gi, locus in enumerate(loci):
         assert restrict(f, locus) == restrict_via_matrices(f, locus)
         for hi, h in enumerate(group.elements):
-            conj = loci[group.conj[hi][gi]]
+            conj = loci[group.conjugate(hi, gi)]
             rho = phase_unit(rho_constant(h, locus, conj), n)
             assert rho == rho_via_matrices(h, locus, conj)
 
