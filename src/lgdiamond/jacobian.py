@@ -10,15 +10,13 @@ the residue pairing normalized against the Hessian class.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .cyclotomic import CycNum, _divide_exact
+from .cyclotomic import CycNum
 from .errors import NonHomogeneous, NotIsolated
 from .polynomial import Monomial, Polynomial, WeightSystem, hessian_determinant
-
-_ZERO = Fraction(0)
 
 
 def grevlex_key(mono: Monomial):
@@ -148,13 +146,27 @@ def _standard_monomials(lms: list[Monomial], nvars: int) -> list[Monomial]:
                 "the critical point is not isolated"
             )
         bounds.append(min(pure))
-    out = [
-        mono
-        for mono in product(*(range(b) for b in bounds))
-        if not any(_divides(lm, mono) for lm in lms)
-    ]
-    out.sort(key=grevlex_key)
-    return out
+    # a leading monomial divides m exactly when it divides the prefix of m
+    # up to its own last variable, so prefixes grow one variable at a time
+    # and meet only the leading monomials that end at that variable
+    ending: list[list[Monomial]] = [[] for _ in range(nvars)]
+    for lm in lms:
+        last = max((j for j, e in enumerate(lm) if e), default=0)
+        ending[last].append(lm[: last + 1])
+    prefixes: list[Monomial] = [()]
+    for i, bound in enumerate(bounds):
+        grown = []
+        for prefix in prefixes:
+            for e in range(bound):
+                mono = prefix + (e,)
+                # the standard monomials form an order ideal: past the
+                # first divisible exponent none is standard
+                if any(_divides(lm, mono) for lm in ending[i]):
+                    break
+                grown.append(mono)
+        prefixes = grown
+    prefixes.sort(key=grevlex_key)
+    return prefixes
 
 
 @dataclass
@@ -187,7 +199,7 @@ class JacobianRing:
         return normal_form(p, list(self.groebner))
 
     def monomial_degree(self, mono: Monomial) -> Fraction:
-        return sum((e * qk for e, qk in zip(mono, self.weights.q)), _ZERO)
+        return Fraction(_integer_degree(mono, self.weights), self.weights.d0)
 
     def residue(self, u: Polynomial, v: Polynomial) -> CycNum:
         """Pairing <u, v>: top coefficient of NF(u*v) against the Hessian.
@@ -216,19 +228,18 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     if cached is not None:
         return cached
     for mono in f.terms:
-        deg = sum((e * qk for e, qk in zip(mono, w.q)), _ZERO)
-        if deg != 1:
+        deg = _integer_degree(mono, w)
+        if deg != w.d0:
             raise NonHomogeneous(
-                f"monomial with exponents {mono} has weighted degree {deg}, not 1"
+                f"monomial with exponents {mono} has weighted degree "
+                f"{Fraction(deg, w.d0)}, not 1"
             )
     partials = [f.partial_derivative(i) for i in range(f.nvars)]
     gb = groebner_basis(partials, f.nvars, f.n)
     lms = [leading_monomial(b) for b in gb]
     basis = _standard_monomials(lms, f.nvars)
-    graded: dict[Fraction, int] = {}
-    for mono in basis:
-        deg = sum((e * qk for e, qk in zip(mono, w.q)), _ZERO)
-        graded[deg] = graded.get(deg, 0) + 1
+    counts = Counter(_integer_degree(mono, w) for mono in basis)
+    graded = {Fraction(deg, w.d0): c for deg, c in counts.items()}
     hess = normal_form(hessian_determinant(f), gb)
     if len(hess.terms) != 1:
         raise NotIsolated(
@@ -251,14 +262,9 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     return ring
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _integer_degree(mono: Monomial, w: WeightSystem) -> int:
+    """d0 times the weighted degree of mono."""
+    return sum(e * dk for e, dk in zip(mono, w.d))
 
 
 def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:
@@ -268,13 +274,19 @@ def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:
     t^(1/d0) and returns {degree: dimension}.  Independent of any
     Groebner computation, so it serves as a cross-check.
     """
+    # multiply by each binomial t^(d0 - d_k) - 1, then divide exactly by
+    # each t^(d_k) - 1; every step is linear in the length
     num = [1]
-    den = [1]
     for dk in w.d:
-        num = _poly_mul(num, [-1] + [0] * (w.d0 - dk - 1) + [1])
-        den = _poly_mul(den, [-1] + [0] * (dk - 1) + [1])
-    quotient = _divide_exact(num, den)
-    return {Fraction(e, w.d0): c for e, c in enumerate(quotient) if c}
+        shift = w.d0 - dk
+        num = [a - b for a, b in zip([0] * shift + num, num + [0] * shift)]
+    for dk in w.d:
+        for i in range(len(num) - dk - 1, -1, -1):
+            num[i] += num[i + dk]
+        if any(num[:dk]):
+            raise ArithmeticError("inexact polynomial division")
+        num = num[dk:]
+    return {Fraction(e, w.d0): c for e, c in enumerate(num) if c}
 
 
 def milnor_number(w: WeightSystem) -> int:
@@ -282,5 +294,10 @@ def milnor_number(w: WeightSystem) -> int:
     mu = Fraction(1)
     for qk in w.q:
         mu *= 1 / qk - 1
-    assert mu.denominator == 1
+    if mu.denominator != 1:
+        qs = ", ".join(str(qk) for qk in w.q)
+        raise NotIsolated(
+            f"weights q = ({qs}) give the non-integral Milnor number {mu}; "
+            "no polynomial with an isolated critical point has them"
+        )
     return int(mu)

@@ -6,10 +6,13 @@ from the command line or the public API.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from lgdiamond._linalg import det, inverse, mat_mul, solve
-from lgdiamond.cyclotomic import CycNum, root_of_unity
+from lgdiamond.cyclotomic import CycNum, _divide_exact, root_of_unity
+from lgdiamond.errors import NotIsolated
+from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import Polynomial
 
 
@@ -231,4 +234,51 @@ def restrict_via_matrices(f, locus):
                 })
                 piece = piece * row**e
         out = out + piece
+    return out
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poincare_dense(w) -> dict[Fraction, int]:
+    """The weight series by dense products and one long division.
+
+    Multiplies out prod_k (t^(d0 - d_k) - 1) and prod_k (t^(d_k) - 1) as
+    dense coefficient lists and divides the first by the second.
+    """
+    num = [1]
+    den = [1]
+    for dk in w.d:
+        num = _poly_mul(num, [-1] + [0] * (w.d0 - dk - 1) + [1])
+        den = _poly_mul(den, [-1] + [0] * (dk - 1) + [1])
+    quotient = _divide_exact(num, den)
+    return {Fraction(e, w.d0): c for e, c in enumerate(quotient) if c}
+
+
+def standard_monomials_box(lms, nvars: int):
+    """Standard monomials by testing every monomial of the bounding box.
+
+    The box runs below the smallest pure power of each variable among
+    the leading monomials lms; every monomial in it is tested against
+    every leading monomial.  Sorted by grevlex_key.
+    """
+    bounds = []
+    for i in range(nvars):
+        pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
+        if not pure:
+            raise NotIsolated(f"no pure power of variable {i + 1}")
+        bounds.append(min(pure))
+    out = [
+        mono
+        for mono in product(*(range(b) for b in bounds))
+        if not any(all(x <= y for x, y in zip(lm, mono)) for lm in lms)
+    ]
+    out.sort(key=grevlex_key)
     return out

@@ -8,6 +8,7 @@ from lgdiamond._linalg import det
 from lgdiamond.cyclotomic import CycNum
 from lgdiamond.errors import NonHomogeneous, NotIsolated
 from lgdiamond.jacobian import (
+    _standard_monomials,
     grevlex_key,
     groebner_basis,
     leading_monomial,
@@ -26,6 +27,7 @@ from lgdiamond.symmetry import (
     make_jf,
     restricted_weights,
 )
+from oracles import poincare_dense, standard_monomials_box
 
 F = Fraction
 
@@ -34,6 +36,8 @@ QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 STAR = "x1^4 + x1*x2^3 + x1*x3^3 + x1*x4^3 + x2^2*x3^2 + x2^2*x4^2 + x3^2*x4^2"
 CONE = "x1^3 + x1*x2^2 + x1*x3^2 + x1*x4^2"
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
+# the milnor-batch benchmark anchor: mu = 1920, d0 = 2175
+ANCHOR = "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5"
 # partial derivatives that share a leading monomial, with their Milnor numbers
 SHARED_LEADS = {
     "4*x1^5 + 5*x2^5 + 2*x1^4*x2": 16,
@@ -242,6 +246,33 @@ def test_ring_cache():
     assert ring_of(MAIN) is ring_of(MAIN)
 
 
+STAIRCASES = [
+    "x1^3 + x2^3", QUINTIC, MAIN, STAR, "x1^2*x2 + x2^3*x1", *SHARED_LEADS, HESSE,
+    "x1^3 + x1*x2^2", "x2^3 + x2*x1^2", "7*x1^3 + 7*x1*x2^2", "8*x1^3 + x2^3",
+    "x1^3", ANCHOR,
+]
+
+
+def assert_staircase_matches_box(ring):
+    lms = [leading_monomial(b) for b in ring.groebner]
+    got = _standard_monomials(lms, ring.nvars)
+    assert got == standard_monomials_box(lms, ring.nvars)
+    assert tuple(got) == ring.basis
+
+
+@pytest.mark.parametrize("text", STAIRCASES)
+def test_standard_monomials_match_box(text):
+    assert_staircase_matches_box(ring_of(text))
+
+
+def test_standard_monomials_match_box_on_sectors():
+    for sector in hesse_swap_state().sectors:
+        assert_staircase_matches_box(sector.ring)
+    zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, (), ()))
+    assert_staircase_matches_box(zero)
+    assert _standard_monomials([], 0) == [()]
+
+
 # -- weight series oracle -----------------------------------------------------
 
 
@@ -251,10 +282,46 @@ def test_poincare_two_cubes():
 
 
 def test_poincare_total_is_milnor_number():
-    for text in (MAIN, QUINTIC, STAR, "x1^2*x2 + x2^3*x1", "x1^3 + x2^3"):
+    for text in (MAIN, QUINTIC, STAR, "x1^2*x2 + x2^3*x1", "x1^3 + x2^3", ANCHOR):
         w = analyze_weights(poly(text))[2]
         dims = poincare_dimensions(w)
         assert sum(dims.values()) == milnor_number(w)
+
+
+@pytest.mark.parametrize("text", ["x1^3 + x2^3", MAIN, QUINTIC, ANCHOR])
+def test_poincare_matches_dense_expansion(text):
+    w = analyze_weights(poly(text))[2]
+    assert poincare_dimensions(w) == poincare_dense(w)
+
+
+def test_poincare_matches_dense_property():
+    """Random invertible polynomials, as in the acceptance suite."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_acceptance import random_invertible
+
+    @hypothesis.settings(
+        max_examples=40, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
+    def check(rng):
+        w = analyze_weights(poly(random_invertible(rng)))[2]
+        dims = poincare_dimensions(w)
+        assert dims == poincare_dense(w)
+        assert sum(dims.values()) == milnor_number(w)
+
+    check()
+
+
+def test_poincare_inexact_weights():
+    # t^3 - 1 is not divisible by t^2 - 1
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        poincare_dimensions(WeightSystem(5, (2,), (F(2, 5),)))
+
+
+def test_milnor_number_not_integral():
+    # mu = 1/q - 1 = 3/2; the check must hold under python -O as well
+    with pytest.raises(NotIsolated, match=r"q = \(2/5\).*3/2"):
+        milnor_number(WeightSystem(5, (2,), (F(2, 5),)))
 
 
 def test_poincare_symmetry():
