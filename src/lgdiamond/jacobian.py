@@ -11,7 +11,7 @@ the residue pairing normalized against the Hessian class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CycNum
@@ -182,6 +182,10 @@ class JacobianRing:
     top_monomial: Monomial
     hess_coefficient: CycNum
     mu: int
+    # Res of product monomials, filled on demand by residue()
+    residues: dict[Monomial, CycNum | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def nvars(self) -> int:
@@ -202,15 +206,27 @@ class JacobianRing:
         return Fraction(_integer_degree(mono, self.weights), self.weights.d0)
 
     def residue(self, u: Polynomial, v: Polynomial) -> CycNum:
-        """Pairing <u, v>: top coefficient of NF(u*v) against the Hessian.
+        """Pairing <u, v>: sum of u_m v_m' Res(m m') over their terms.
 
-        Normalized so that <1, hessian class> = 1.
+        Res(m) is the top coefficient of NF(m) against the Hessian, so
+        that <1, hessian class> = 1.
         """
-        nf = self.normal_form(u.lift(self.n) * v.lift(self.n))
-        top = nf.terms.get(self.top_monomial)
-        if top is None:
-            return CycNum.zero(self.n)
-        return top / self.hess_coefficient
+        u, v = u.lift(self.n), v.lift(self.n)
+        total = CycNum.zero(self.n)
+        for m1, c1 in u.terms.items():
+            for m2, c2 in v.terms.items():
+                r = self._monomial_residue(_mono_mul(m1, m2))
+                if r is not None:
+                    total = total + c1 * c2 * r
+        return total
+
+    def _monomial_residue(self, mono: Monomial) -> CycNum | None:
+        """Res(mono), None when zero; one normal form per monomial and ring."""
+        if mono not in self.residues:
+            nf = self.normal_form(Polynomial.monomial(mono, 1, self.nvars, self.n))
+            top = nf.terms.get(self.top_monomial)
+            self.residues[mono] = None if top is None else top / self.hess_coefficient
+        return self.residues[mono]
 
 
 _RING_CACHE: dict[tuple, JacobianRing] = {}

@@ -9,7 +9,7 @@ callers can render results back in the user's names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -263,7 +263,10 @@ class WeightSystem:
 
     d0: int
     d: tuple[int, ...]
-    q: tuple[Fraction, ...]
+    q: tuple[Fraction, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", tuple(Fraction(dk, self.d0) for dk in self.d))
 
     @property
     def nvars(self) -> int:
@@ -455,7 +458,6 @@ def check_no_mixed_quadratics(f: Polynomial) -> None:
 def parse_polynomial(
     text: str,
     variables: list[str] | None = None,
-    conductor: int | None = None,
     allow_mixed_quadratics: bool = False,
 ) -> tuple[Polynomial, list[str]]:
     """Parse an expression like '2*x1^3*x2 - e[1/3]*x2^2 + 1/2'.
@@ -479,7 +481,7 @@ def parse_polynomial(
                 seen.append(val)
         variables = sorted(seen, key=_natural_key)
     names = list(variables)
-    n = lcm(conductor or 1, _phase_conductor(tokens))
+    n = _phase_conductor(tokens)
     parser = _Parser(tokens, {v: k for k, v in enumerate(names)}, len(names), n)
     poly = parser.parse_expression()
     if parser.pos != len(parser.tokens):

@@ -163,7 +163,7 @@ def solve_weights(f: Polynomial, e: ExponentMatrix) -> WeightSystem:
     d = [qk * e.det for qk in q]
     if any(dk.denominator != 1 for dk in d):
         raise SingularExponentMatrix("canonical weights are not integral")
-    return WeightSystem(e.det, tuple(int(dk) for dk in d), tuple(q))
+    return WeightSystem(e.det, tuple(int(dk) for dk in d))
 
 
 def analyze_weights(f: Polynomial) -> tuple[SingularityGraph, ExponentMatrix, WeightSystem]:

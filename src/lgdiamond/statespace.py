@@ -337,6 +337,20 @@ def _reynolds_invariants(matrices, count: int, n: int):
     return basis
 
 
+def _charge_fault(state: StateSpace, block: InvariantBlock, top: int) -> LgError | None:
+    """Why an occupied block does not fit the charge table over [0, top]^2."""
+    a, b = block.q_left, block.q_right
+    if a.denominator == 1 and b.denominator == 1 and 0 <= a <= top and 0 <= b <= top:
+        return None
+    sector = f"invariant class in sector {format_element(state.group.elements[block.rep])}"
+    if a.denominator != 1 or b.denominator != 1:
+        return NonIntegerCharge(
+            f"{sector} at internal degree {block.degree} carries non-integer "
+            f"charge ({a}, {b})"
+        )
+    return LgError(f"{sector} has charge ({a}, {b}) outside [0, {top}]^2")
+
+
 def assemble_diamond(state: StateSpace) -> tuple[int, list[list[int]]]:
     """Charge table h[a][b] over [0, D]^2 with D = N - 2.
 
@@ -353,20 +367,10 @@ def assemble_diamond(state: StateSpace) -> tuple[int, list[list[int]]]:
     for block in state.blocks():
         if not block.dimension:
             continue
-        a, b = block.q_left, block.q_right
-        g = state.group.elements[block.rep]
-        if a.denominator != 1 or b.denominator != 1:
-            raise NonIntegerCharge(
-                f"invariant class in sector {format_element(g)} at internal degree "
-                f"{block.degree} carries non-integer charge ({a}, {b})"
-            )
-        ia, ib = int(a), int(b)
-        if not (0 <= ia <= top and 0 <= ib <= top):
-            raise LgError(
-                f"invariant class in sector {format_element(g)} has charge "
-                f"({ia}, {ib}) outside [0, {top}]^2"
-            )
-        table[ia][ib] += block.dimension
+        fault = _charge_fault(state, block, top)
+        if fault is not None:
+            raise fault
+        table[int(block.q_left)][int(block.q_right)] += block.dimension
     return top, table
 
 
@@ -416,14 +420,6 @@ def _reduce_in_span(basis, leads, vec) -> bool:
     return not any(w)
 
 
-def _pairing_gram(ring: JacobianRing, v_monos, v_vecs, w_polys):
-    """Residue pairings between invariant vectors and transported partners."""
-    v_polys = [
-        Polynomial(ring.nvars, ring.n, dict(zip(v_monos, vec))) for vec in v_vecs
-    ]
-    return [[ring.residue(v, w) for w in w_polys] for v in v_polys]
-
-
 def _both(name: str, first: CheckResult, second: CheckResult) -> CheckResult:
     """One check that passes when both parts pass; witness of the first failure."""
     failed = next((c for c in (first, second) if not c.passed), None)
@@ -462,43 +458,22 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     group = state.group
     top = state.f.nvars - 2
     blocks = [b for b in state.blocks() if b.dimension]
-    checks: list[CheckResult] = []
-
-    bad = [
-        b for b in blocks if b.q_left.denominator != 1 or b.q_right.denominator != 1
+    faults = [f for f in (_charge_fault(state, b, top) for b in blocks) if f]
+    fraction = next((f for f in faults if isinstance(f, NonIntegerCharge)), None)
+    outside = next((f for f in faults if not isinstance(f, NonIntegerCharge)), None)
+    count = sum(b.dimension for b in blocks)
+    checks = [
+        CheckResult(
+            "integer-charges",
+            fraction is None,
+            str(fraction or f"all {count} invariant classes have integer charges"),
+        ),
+        CheckResult(
+            "charge-support",
+            outside is None,
+            str(outside or f"all charges lie in [0, {top}]^2"),
+        ),
     ]
-    if bad:
-        b = bad[0]
-        witness = (
-            f"sector {format_element(group.elements[b.rep])} at internal degree "
-            f"{b.degree} has charge ({b.q_left}, {b.q_right})"
-        )
-    else:
-        witness = (
-            f"all {sum(b.dimension for b in blocks)} invariant classes have "
-            "integer charges"
-        )
-    checks.append(CheckResult("integer-charges", not bad, witness))
-
-    integral = [
-        b
-        for b in blocks
-        if b.q_left.denominator == 1 and b.q_right.denominator == 1
-    ]
-    outside = [
-        b
-        for b in integral
-        if not (0 <= b.q_left <= top and 0 <= b.q_right <= top)
-    ]
-    if outside:
-        b = outside[0]
-        witness = (
-            f"charge ({b.q_left}, {b.q_right}) in sector "
-            f"{format_element(group.elements[b.rep])} is outside [0, {top}]^2"
-        )
-    else:
-        witness = f"all charges lie in [0, {top}]^2"
-    checks.append(CheckResult("charge-support", not outside, witness))
 
     id_class = group.class_of[group.identity_index]
 
@@ -551,75 +526,68 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     return VerificationReport(tuple(checks), group.all_sl)
 
 
-def _inverse_partner(state: StateSpace, block_at, b: InvariantBlock, degree):
-    """The block of the inverse class at a degree, with a conjugating element.
+def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[Polynomial]:
+    """Basis of the class of g^{-1} at a degree, carried into the sector of g^{-1}.
 
-    Returns (partner, hi, inv): partner is the block of the class of
-    g^{-1} at the given internal degree (None when there is none), inv
-    indexes g^{-1}, and h g^{-1} h^{-1} is the representative of its class.
+    The recorded conjugator of g^{-1} carries its class representative to
+    g^{-1}, whose sector has the ring of g.  Empty when the class has no
+    block at that degree.
     """
     group = state.group
-    inv = group.inv[b.rep]
-    inverse_class = group.class_of[inv]
-    # the conjugator carries the representative to g^{-1}; its inverse carries it back
-    hi = group.inv[group.conjugator[inv]]
-    return block_at.get((inverse_class, degree)), hi, inv
-
-
-def _transport(state: StateSpace, hi: int, gi: int, monomials, vec) -> Polynomial:
-    """Image under h of a vector over standard monomials of sector g."""
+    inv = group.inv[g]
+    partner = block_at.get((group.class_of[inv], degree))
+    if partner is None:
+        return []
+    hi = group.conjugator[inv]
     zero = CycNum.zero(state.n)
-    out: dict[Monomial, CycNum] = {}
-    for mono, c in zip(monomials, vec):
-        if c:
-            _, img = state.apply_to_monomial(hi, gi, mono)
-            for mono2, c2 in img.terms.items():
-                out[mono2] = out.get(mono2, zero) + c * c2
-    return Polynomial(state.sectors[gi].locus.n_g, state.n, out)
+    images = []
+    for vec in partner.basis:
+        out: dict[Monomial, CycNum] = {}
+        for mono, c in zip(partner.monomials, vec):
+            if c:
+                _, img = state.apply_to_monomial(hi, partner.rep, mono)
+                for mono2, c2 in img.terms.items():
+                    out[mono2] = out.get(mono2, zero) + c * c2
+        images.append(Polynomial(state.sectors[inv].locus.n_g, state.n, out))
+    return images
 
 
 def transpose_check(state: StateSpace) -> tuple[bool, str]:
     """Does inverting group elements carry invariants onto invariants?
 
     For each occupied block this matches the dimension of the block of
-    the inverse class at the same internal degree, then maps every basis
-    invariant into the inverse sector and reduces it against the partner
-    basis.  Returns (passed, witness); independent of any hypothesis on
-    the group.
+    the inverse class at the same internal degree, then carries the
+    partner basis into the sector of the inverse element and reduces it
+    against the block's own basis; with equal dimensions that is the
+    same statement as carrying the block onto the partner.  Returns
+    (passed, witness); independent of any hypothesis on the group.
     """
     group = state.group
-    blocks = [b for b in state.blocks() if b.dimension]
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
-    zero = CycNum.zero(state.n)
-    psi_failure = None
-    for b in blocks:
-        partner, hi, inv = _inverse_partner(state, block_at, b, b.degree)
-        pdim = partner.dimension if partner else 0
-        if pdim != b.dimension:
-            psi_failure = (
-                f"class of {format_element(group.elements[b.rep])} has dimension "
-                f"{b.dimension} at internal degree {b.degree} but the inverse "
-                f"class has {pdim}"
+    for b in state.blocks():
+        if not b.dimension:
+            continue
+        images = _inverse_images(state, block_at, b.rep, b.degree)
+        name = format_element(group.elements[b.rep])
+        if len(images) != b.dimension:
+            return False, (
+                f"class of {name} has dimension {b.dimension} at internal degree "
+                f"{b.degree} but the inverse class has {len(images)}"
             )
-            break
-        pindex = {m: k for k, m in enumerate(partner.monomials)}
-        leads = [next(i for i, c in enumerate(v) if c) for v in partner.basis]
-        for vec in b.basis:
-            image = [zero] * len(partner.monomials)
-            for mono, c in _transport(state, hi, inv, b.monomials, vec).terms.items():
-                image[pindex[mono]] = c
-            if not _reduce_in_span(partner.basis, leads, image):
-                psi_failure = (
+        index = {m: k for k, m in enumerate(b.monomials)}
+        leads = [next(i for i, c in enumerate(v) if c) for v in b.basis]
+        zero = CycNum.zero(state.n)
+        for poly in images:
+            image = [zero] * len(b.monomials)
+            for mono, c in poly.terms.items():
+                image[index[mono]] = c
+            if not _reduce_in_span(b.basis, leads, image):
+                return False, (
                     "sector-inversion image of an invariant of the class of "
-                    f"{format_element(group.elements[b.rep])} at internal degree "
-                    f"{b.degree} is not invariant"
+                    f"{name} at internal degree {b.degree} is not invariant"
                 )
-                break
-        if psi_failure:
-            break
-    return psi_failure is None, (
-        psi_failure
-        or "inverting group elements transposes the charge table and maps "
+    return True, (
+        "inverting group elements transposes the charge table and maps "
         "invariants to invariants"
     )
 
@@ -628,45 +596,38 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
     """Is the residue pairing between complementary blocks nondegenerate?
 
     Pairs the block of a class at internal degree d against the block of
-    the inverse class at the complementary degree of the sector ring and
-    certifies a nonzero Gram determinant.  Returns (passed, witness);
-    independent of any hypothesis on the group.
+    the inverse class at the complementary degree of the sector ring,
+    carried into the sector of the inverse element, and certifies a
+    nonzero Gram determinant.  Returns (passed, witness); independent of
+    any hypothesis on the group.
     """
     group = state.group
-    blocks = [b for b in state.blocks() if b.dimension]
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
-    failure = None
     done_pairs = set()
-    for b in blocks:
+    for b in state.blocks():
+        if not b.dimension:
+            continue
+        ring = state.sectors[b.rep].ring
         inverse_class = group.class_of[group.inv[b.rep]]
-        dual_degree = state.sectors[b.rep].ring.c_hat - b.degree
+        dual_degree = ring.c_hat - b.degree
         key = tuple(sorted([(b.class_index, b.degree), (inverse_class, dual_degree)]))
         if key in done_pairs:
             continue
         done_pairs.add(key)
-        partner, hi, _ = _inverse_partner(state, block_at, b, dual_degree)
-        if partner is None or partner.dimension != b.dimension:
-            got = partner.dimension if partner else 0
-            failure = (
-                f"dual block of {format_element(group.elements[b.rep])} at internal "
-                f"degree {dual_degree} has dimension {got}, expected {b.dimension}"
+        images = _inverse_images(state, block_at, b.rep, dual_degree)
+        name = format_element(group.elements[b.rep])
+        if len(images) != b.dimension:
+            return False, (
+                f"dual block of {name} at internal degree {dual_degree} has "
+                f"dimension {len(images)}, expected {b.dimension}"
             )
-            break
-        # h^{-1} carries the representative of the inverse class to g^{-1}
-        hinv = group.inv[hi]
-        w_polys = [
-            _transport(state, hinv, partner.rep, partner.monomials, vec)
-            for vec in partner.basis
+        gram = [
+            [ring.residue(v, w) for w in images]
+            for v in (state.block_polynomial(b, vec) for vec in b.basis)
         ]
-        ring = state.sectors[b.rep].ring
-        gram = _pairing_gram(ring, b.monomials, b.basis, w_polys)
         if not det(gram):
-            failure = (
-                f"residue pairing between the class of "
-                f"{format_element(group.elements[b.rep])} at internal degree "
+            return False, (
+                f"residue pairing between the class of {name} at internal degree "
                 f"{b.degree} and its dual block is degenerate"
             )
-            break
-    return failure is None, (
-        failure or "residue pairings between dual blocks are nondegenerate"
-    )
+    return True, "residue pairings between dual blocks are nondegenerate"

@@ -450,9 +450,9 @@ def restricted_weights(locus: FixedLocus, w: WeightSystem) -> WeightSystem:
     """Inherited weight system on Fix(g) (one weight per fixed cycle)."""
     q = tuple(w.q[i] for i in locus.i_fixed)
     if not q:
-        return WeightSystem(1, (), ())
+        return WeightSystem(1, ())
     d0 = lcm(*(qk.denominator for qk in q))
-    return WeightSystem(d0, tuple(int(qk * d0) for qk in q), q)
+    return WeightSystem(d0, tuple(int(qk * d0) for qk in q))
 
 
 def rho_constant(

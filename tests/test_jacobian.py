@@ -221,7 +221,7 @@ def test_cone_not_isolated():
 
 
 def test_zero_polynomial_ring():
-    ring = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, (), ()))
+    ring = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert ring.mu == 1
     assert ring.basis == ((),)
     assert ring.graded == {F(0): 1}
@@ -232,7 +232,7 @@ def test_zero_polynomial_ring():
 def test_non_homogeneous_rejected():
     f = poly("x1^3 + x2^3")
     with pytest.raises(NonHomogeneous):
-        quotient_ring(f, WeightSystem(2, (1, 1), (F(1, 2), F(1, 2))))
+        quotient_ring(f, WeightSystem(2, (1, 1)))
 
 
 def test_mu_invariance():
@@ -268,7 +268,7 @@ def test_standard_monomials_match_box(text):
 def test_standard_monomials_match_box_on_sectors():
     for sector in hesse_swap_state().sectors:
         assert_staircase_matches_box(sector.ring)
-    zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, (), ()))
+    zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert_staircase_matches_box(zero)
     assert _standard_monomials([], 0) == [()]
 
@@ -315,13 +315,22 @@ def test_poincare_matches_dense_property():
 def test_poincare_inexact_weights():
     # t^3 - 1 is not divisible by t^2 - 1
     with pytest.raises(ArithmeticError, match="inexact polynomial division"):
-        poincare_dimensions(WeightSystem(5, (2,), (F(2, 5),)))
+        poincare_dimensions(WeightSystem(5, (2,)))
 
 
 def test_milnor_number_not_integral():
     # mu = 1/q - 1 = 3/2; the check must hold under python -O as well
     with pytest.raises(NotIsolated, match=r"q = \(2/5\).*3/2"):
-        milnor_number(WeightSystem(5, (2,), (F(2, 5),)))
+        milnor_number(WeightSystem(5, (2,)))
+
+
+def test_weight_system_derives_q():
+    # q = d/d0 is derived, so mu and the weight series read the same weights
+    w = WeightSystem(6, (2,))
+    assert w.q == (F(1, 3),)
+    assert milnor_number(w) == sum(poincare_dimensions(w).values()) == 2
+    with pytest.raises(TypeError):
+        WeightSystem(6, (2,), (F(1, 2),))
 
 
 def test_poincare_symmetry():

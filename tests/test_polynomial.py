@@ -121,7 +121,7 @@ def test_to_string_round_trip():
 
 
 def test_weight_system_properties():
-    ws = WeightSystem(144, (36, 72, 12, 24), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 12), Fraction(1, 6)))
+    ws = WeightSystem(144, (36, 72, 12, 24))
     assert ws.q_sum == 1
     assert ws.is_calabi_yau
     assert ws.central_charge == 2

@@ -23,12 +23,15 @@ from lgdiamond.statespace import (
     _reynolds_invariants,
     _subgroup_generators,
     assemble_diamond,
+    duality_check,
     invariant_basis,
+    transpose_check,
     verify_theorem,
 )
 from lgdiamond.symmetry import (
     GroupElement,
     diagonal_symmetries,
+    format_element,
     generate_group,
     make_jf,
     sl_diagonal_symmetries,
@@ -485,15 +488,97 @@ def test_group_structure_matches_brute_force(name):
         assert state.centralizer(g) == centralizers[g]
 
 
-@pytest.mark.parametrize("name", ["quintic-s3", "cubic-gd-s3", "quartic-twisted"])
-def test_inverse_partner_conjugates_to_representative(name):
-    state = named_state(name)
+# conjugators whose inverses carry a class representative elsewhere, on
+# blocks whose partners are nonzero
+@functools.cache
+def k3_sld_c4():
+    return build_state(
+        QUARTIC, [*diagonal_generators(QUARTIC, sl=True), cycle(4, 0, 1, 2, 3)]
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["quintic-s3", "cubic-gd-s3", "quartic-twisted", "k3-sld-c4"]
+)
+def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
+    """The partner map carries the class representative of g^{-1} onto g^{-1}."""
+    state = k3_sld_c4() if name == "k3-sld-c4" else named_state(name)
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    apply = StateSpace.apply_to_monomial
+    calls = []
+
+    def spy(self, hi, gi, mono):
+        target, image = apply(self, hi, gi, mono)
+        calls.append((gi, target))
+        return target, image
+
+    monkeypatch.setattr(StateSpace, "apply_to_monomial", spy)
+    seen = 0
     for b in state.blocks():
-        _, hi, inv = statespace._inverse_partner(state, block_at, b, b.degree)
-        assert inv == group.inv[b.rep]
-        assert group.conjugate(hi, inv) == group.classes[group.class_of[inv]][0]
+        inv = group.inv[b.rep]
+        # the degrees that transpose and duality ask for
+        for degree in (b.degree, state.sectors[b.rep].ring.c_hat - b.degree):
+            calls.clear()
+            images = statespace._inverse_images(state, block_at, b.rep, degree)
+            partner = block_at.get((group.class_of[inv], degree))
+            assert len(images) == (partner.dimension if partner else 0)
+            assert all(call == (partner.rep, inv) for call in calls)
+            seen += len(calls)
+    assert seen
+
+
+def block_named(state, element, degree):
+    group = state.group
+    return next(
+        b
+        for b in state.blocks()
+        if format_element(group.elements[b.rep]) == element and b.degree == degree
+    )
+
+
+def test_transpose_reports_non_invariant_image(monkeypatch):
+    block = block_named(A3_STATE, "(1 2 3)", F(2, 5))
+    # a repeated basis vector spans less than the invariants of the partner
+    monkeypatch.setattr(block, "basis", (block.basis[1],) + block.basis[1:])
+    assert transpose_check(A3_STATE) == (
+        False,
+        "sector-inversion image of an invariant of the class of (1 2 3) at "
+        "internal degree 2/5 is not invariant",
+    )
+
+
+def test_duality_reports_degenerate_pairing(monkeypatch):
+    block = block_named(MAIN_STATE, "id", F(1))
+    # the identity block at degree 1 is its own dual; two equal rows
+    monkeypatch.setattr(block, "basis", (block.basis[1],) + block.basis[1:])
+    assert duality_check(MAIN_STATE) == (
+        False,
+        "residue pairing between the class of id at internal degree 1 and its "
+        "dual block is degenerate",
+    )
+
+
+def test_duality_reports_missing_dual_block():
+    # Gd is not in SL, so the identity block at degree 1 has no dual partner
+    assert duality_check(named_state("cubic-gd-s3")) == (
+        False,
+        "dual block of id at internal degree 1 has dimension 0, expected 1",
+    )
+
+
+@pytest.mark.parametrize(
+    "q_left, check, error",
+    [(F(1, 2), "integer-charges", NonIntegerCharge), (F(5), "charge-support", LgError)],
+)
+def test_charge_witness_is_assembly_message(q_left, check, error, monkeypatch):
+    block = block_named(MAIN_STATE, "id", F(1))
+    monkeypatch.setattr(block, "q_left", q_left)
+    with pytest.raises(error) as raised:
+        assemble_diamond(MAIN_STATE)
+    checks = {c.name: c for c in verify_theorem(MAIN_STATE).checks}
+    assert not checks[check].passed
+    assert checks[check].witness == str(raised.value)
 
 
 def test_group_structure_property():
