@@ -26,7 +26,6 @@ JSON form is versioned and round-trips through the standard parser.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -562,6 +561,8 @@ def render_text(report: Report) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the command line needs it, not library use
+
     parser = argparse.ArgumentParser(
         prog="lgdiamond",
         description="Bigraded state spaces and Hodge diamonds of "

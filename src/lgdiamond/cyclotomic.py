@@ -319,12 +319,29 @@ def root_of_unity(alpha, n: int | None = None) -> CycNum:
     return CycNum(n, _reduce({k: _ONE}, n))
 
 
-def phase_unit(t, n: int) -> CycNum:
-    """e[t] in Q(zeta_n) for a phase t with denominator dividing 2n.
+@lru_cache(maxsize=None)
+def phase_unit(k: int, n: int) -> CycNum:
+    """e[k/2n] in Q(zeta_n): k counts half-steps of 1/n, taken mod 2n.
 
-    At odd n a phase off the 1/n grid is written as -e[t - 1/2].
+    An odd k is written as -e[(k - n)/2n]; it lives in Q(zeta_n) only
+    at odd n.
     """
-    t = Fraction(t)
-    if (t * n).denominator == 1:
-        return root_of_unity(t, n)
-    return -root_of_unity(t - Fraction(1, 2), n)
+    k %= 2 * n
+    if k % 2:
+        if n % 2 == 0:
+            raise ConductorMismatch(
+                f"phase {Fraction(k, 2 * n)} does not live in the field of conductor {n}"
+            )
+        return -phase_unit(k - n, n)
+    return CycNum(n, _reduce({k // 2: _ONE}, n))
+
+
+@lru_cache(maxsize=None)
+def unit_phases(n: int) -> dict:
+    """{phase_unit(k, n).key(): k} over every k mod 2n that phase_unit writes.
+
+    Reads a root-of-unity coordinate back to its phase; shared per
+    conductor, so callers must not modify it.
+    """
+    step = 1 if n % 2 else 2
+    return {phase_unit(k, n).key(): k for k in range(0, 2 * n, step)}

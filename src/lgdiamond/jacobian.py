@@ -186,6 +186,11 @@ class JacobianRing:
     residues: dict[Monomial, CycNum | None] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # normal forms of the monomials that the group action reaches off the
+    # standard basis, filled on demand by monomial_form()
+    forms: dict[Monomial, Polynomial] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def nvars(self) -> int:
@@ -219,6 +224,14 @@ class JacobianRing:
                 if r is not None:
                     total = total + c1 * c2 * r
         return total
+
+    def monomial_form(self, mono: Monomial) -> Polynomial:
+        """Normal form of one monomial, computed once per monomial and ring."""
+        nf = self.forms.get(mono)
+        if nf is None:
+            nf = self.normal_form(Polynomial.monomial(mono, 1, self.nvars, self.n))
+            self.forms[mono] = nf
+        return nf
 
     def _monomial_residue(self, mono: Monomial) -> CycNum | None:
         """Res(mono), None when zero; one normal form per monomial and ring."""

@@ -9,10 +9,15 @@ invariants form the state space.  This module computes the invariants per
 conjugacy class and internal degree, assembles the charge table (the
 diamond), and mechanically verifies its structural properties.
 
-Blocks walk orbits over centralizer generators with phases in Q/Z and
-build a CycNum only for a basis vector; a block that a generator moves
-off the standard basis falls back to the Reynolds projector over the
-full centralizer.
+Phases are integers mod 2n, where n is the state's conductor: steps of
+1/(2n), so that the 1/2 a transition constant gains from an odd matching
+stays exact at odd n.  Transports, transition constants and orbit values
+are such integers, and a CycNum is built (by phase_unit) only for a
+basis vector or a normal-form input.  Blocks walk orbits over centralizer
+generators (see orbits.py).  A generator that sends a block monomial off
+the standard basis stays on the walk when the normal form there is one
+block monomial times a root of unity or a rational; any other block
+falls back to the Reynolds projector over the full centralizer.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from ._linalg import det, mat_vec, rref
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, quotient_ring
+from .orbits import _fixed_by_maps, _generator_maps, _image, _orbit_invariants
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
     FixedLocus,
     GroupElement,
+    _half_steps,
     fixed_locus,
     format_element,
     group_conductor,
@@ -119,6 +126,8 @@ class StateSpace:
         self._transports: dict[tuple[int, int], tuple] = {}
         self._degree_cache: dict[int, dict[Fraction, tuple[Monomial, ...]]] = {}
         self._blocks: list[InvariantBlock] | None = None
+        # centralizer generators of each class's representative, set by blocks()
+        self._generators: list[list[int]] = []
 
     # -- group action on sectors ------------------------------------------
 
@@ -131,22 +140,25 @@ class StateSpace:
     def transport(self, hi: int, gi: int):
         """Coordinate data of h mapping sector g into sector hgh^{-1}.
 
-        Returns (g', t, rows): the target sector index, the phase t of the
-        transition constant rho_{h,g} = e[t], and per fixed cycle c of g a
-        pair (j, phase) meaning the c-th coordinate of Fix(g) pulls back to
-        e[phase] * (j-th coordinate of Fix(g')) under h^{-1}.  h carries
-        the fixed cycles of g one-to-one onto those of g'.
+        Returns (g', t, rows): the target sector index, the phase of the
+        transition constant rho_{h,g} = e[t/2n], and per fixed cycle c of g
+        a pair (j, phase) meaning the c-th coordinate of Fix(g) pulls back
+        to e[phase/2n] * (j-th coordinate of Fix(g')) under h^{-1}.  h
+        carries the fixed cycles of g one-to-one onto those of g'.  Phases
+        are integers mod 2n.
         """
         cached = self._transports.get((hi, gi))
         if cached is not None:
             return cached
         gpi = self.group.conjugate(hi, gi)
         hinv = self.group.elements[self.group.inv[hi]]
+        half = _half_steps(hinv, self.n)
         lg, lgp = self.loci[gi], self.loci[gpi]
+        two_n = 2 * self.n
         rows = []
         for i_c in lg.i_fixed:
             j, a = lgp.fixed[hinv.sigma[i_c]]
-            rows.append((j, hinv.phase[i_c] + a))
+            rows.append((j, (half[i_c] + a) % two_n))
         t = rho_constant(self.group.elements[hi], lg, lgp)
         result = (gpi, t, tuple(rows))
         self._transports[(hi, gi)] = result
@@ -157,7 +169,7 @@ class StateSpace:
     ) -> tuple[int, Polynomial]:
         """Image of the class of a sector monomial under h, in normal form."""
         gpi, t, rows = self.transport(hi, gi)
-        target, phase = _image(rows, t, mono)
+        target, phase = _image(rows, t, mono, 2 * self.n)
         ring = self.sectors[gpi].ring
         poly = Polynomial(len(rows), self.n, {target: phase_unit(phase, self.n)})
         if target in ring.basis_index:
@@ -181,55 +193,47 @@ class StateSpace:
         if self._blocks is None:
             out = []
             generators: dict[tuple[int, ...], list[int]] = {}
+            self._generators = []
             for ci, cls in enumerate(self.group.classes):
                 rep = cls[0]
                 cent = tuple(self.centralizer(rep))
                 if cent not in generators:  # abelian groups share one centralizer
                     generators[cent] = _subgroup_generators(self.group, cent)
+                gens = generators[cent]
+                self._generators.append(gens)
                 for degree in sorted(self.degree_monomials(rep)):
                     monos = self.degree_monomials(rep)[degree]
-                    basis = tuple(self._invariants(rep, cent, generators[cent], monos))
+                    index_of = {m: k for k, m in enumerate(monos)}
+                    maps = _generator_maps(
+                        (self.transport(hi, rep) for hi in gens),
+                        self.sectors, index_of, self.n,
+                    )
+                    if maps is not None:
+                        basis = _orbit_invariants(maps, len(monos), self.n)
+                    else:
+                        basis = self._reynolds(rep, cent, index_of)
                     q_left, q_right = self.sectors[rep].charges(degree)
                     out.append(
-                        InvariantBlock(ci, rep, degree, q_left, q_right, monos, basis)
+                        InvariantBlock(
+                            ci, rep, degree, q_left, q_right, monos, tuple(basis)
+                        )
                     )
             self._blocks = out
         return self._blocks
 
-    def _invariants(self, rep: int, centralizer, generators, monos) -> list:
-        """Invariant basis of one block over its standard monomials.
+    def _columns(self, hi: int, rep: int, index_of) -> list[dict[int, CycNum]]:
+        """Matrix columns {row: coefficient} of h on a block, from normal forms."""
+        cols = []
+        for m in index_of:
+            _, nf = self.apply_to_monomial(hi, rep, m)
+            if any(m2 not in index_of for m2 in nf.terms):
+                raise LgError("sector action does not preserve the degree")
+            cols.append({index_of[m2]: c for m2, c in nf.terms.items()})
+        return cols
 
-        Orbit walk in phases over the generators; the Reynolds projector
-        over the whole centralizer when an image leaves the standard basis.
-        """
-        index_of = {m: k for k, m in enumerate(monos)}
-        standard = self.sectors[rep].ring.basis_index
-        maps = []
-        for hi in generators:
-            _, t, rows = self.transport(hi, rep)
-            perm, phases = [], []
-            for m in monos:
-                target, phase = _image(rows, t, m)
-                if target not in index_of:
-                    if target in standard:
-                        raise LgError("sector action does not preserve the degree")
-                    return self._reynolds(rep, centralizer, index_of)
-                perm.append(index_of[target])
-                phases.append(phase)
-            maps.append((perm, phases))
-        return _orbit_invariants(maps, len(monos), self.n)
-
-    def _reynolds(self, rep: int, centralizer, index_of) -> list:
+    def _reynolds(self, rep: int, centralizer, index_of):
         """Projector image from the normal-form images of every centralizer element."""
-        matrices = []
-        for hi in centralizer:
-            cols = []
-            for m in index_of:
-                _, nf = self.apply_to_monomial(hi, rep, m)
-                if any(m2 not in index_of for m2 in nf.terms):
-                    raise LgError("sector action does not preserve the degree")
-                cols.append({index_of[m2]: c for m2, c in nf.terms.items()})
-            matrices.append(cols)
+        matrices = [self._columns(hi, rep, index_of) for hi in centralizer]
         return _reynolds_invariants(matrices, len(index_of), self.n)
 
     # -- summaries ----------------------------------------------------------
@@ -251,17 +255,6 @@ class StateSpace:
         return f"[{poly.to_string(names)}] xi_{{{format_element(sector.g)}}}"
 
 
-def _image(rows, t: Fraction, mono: Monomial) -> tuple[Monomial, Fraction]:
-    """Target monomial and phase in [0, 1) of a sector monomial under a transport."""
-    out = [0] * len(rows)
-    phase = t
-    for (j, a), e in zip(rows, mono):
-        if e:
-            out[j] += e
-            phase += e * a
-    return tuple(out), phase % 1
-
-
 def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
     """Members, in order, not in the subgroup generated by those kept before."""
     gens: list[int] = []
@@ -279,43 +272,6 @@ def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
                     span.add(y)
                     stack.append(y)
     return gens
-
-
-def _orbit_invariants(maps, count: int, n: int):
-    """Invariants when the group generators act monomially on the block.
-
-    maps holds one (perm, phases) per generator: m_k -> e[phases[k]] m_perm[k].
-    An orbit carries one invariant, valued 1 at its smallest index, when the
-    phases summed along every path agree in Q/Z, and nothing otherwise.
-    """
-    zero = CycNum.zero(n)
-    visited = [False] * count
-    basis = []
-    for k0 in range(count):
-        if visited[k0]:
-            continue
-        values = {k0: _ZERO}
-        stack = [k0]
-        alive = True
-        while stack:
-            k = stack.pop()
-            for perm, phases in maps:
-                k2 = perm[k]
-                v2 = (values[k] + phases[k]) % 1
-                seen = values.get(k2)
-                if seen is None:
-                    values[k2] = v2
-                    stack.append(k2)
-                elif seen != v2:
-                    alive = False
-        for k in values:
-            visited[k] = True
-        if alive:
-            vec = [zero] * count
-            for k, v in values.items():
-                vec[k] = phase_unit(v, n)
-            basis.append(tuple(vec))
-    return basis
 
 
 def _reynolds_invariants(matrices, count: int, n: int):
@@ -511,7 +467,7 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     c2 = corner_check(top, top, id_class, id_ring.top_monomial, "corner-hessian")
     checks.append(_both("identity-corners", c1, c2))
 
-    jf_idx = group.index[jf.key()]
+    jf_idx = group.index_of(jf)
     jinv_idx = group.inv[jf_idx]
     c3 = corner_check(0, top, group.class_of[jf_idx], None, "corner-j")
     c4 = corner_check(top, 0, group.class_of[jinv_idx], None, "corner-j-inverse")
@@ -552,11 +508,40 @@ def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[Polynom
     return images
 
 
+def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
+    """Whether the centralizer generators of the block's class fix its basis.
+
+    The generators' maps are built again from the transports that
+    blocks() cached; a Reynolds block applies each generator's matrix
+    in CycNum.
+    """
+    gens = state._generators[block.class_index]
+    index_of = {m: k for k, m in enumerate(block.monomials)}
+    maps = _generator_maps(
+        (state._transports[hi, block.rep] for hi in gens), state.sectors, index_of, state.n
+    )
+    if maps is not None:
+        return all(_fixed_by_maps(vec, maps, state.n) for vec in block.basis)
+    zero = CycNum.zero(state.n)
+    for hi in gens:
+        cols = state._columns(hi, block.rep, index_of)
+        for vec in block.basis:
+            image = [zero] * len(vec)
+            for c, col in zip(vec, cols):
+                if c:
+                    for r, x in col.items():
+                        image[r] = image[r] + c * x
+            if image != list(vec):
+                return False
+    return True
+
+
 def transpose_check(state: StateSpace) -> tuple[bool, str]:
     """Does inverting group elements carry invariants onto invariants?
 
-    For each occupied block this matches the dimension of the block of
-    the inverse class at the same internal degree, then carries the
+    Each occupied block's basis must first be fixed by the centralizer
+    generators that built it.  Then this matches the dimension of the
+    block of the inverse class at the same internal degree, carries the
     partner basis into the sector of the inverse element and reduces it
     against the block's own basis; with equal dimensions that is the
     same statement as carrying the block onto the partner.  Returns
@@ -567,8 +552,13 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     for b in state.blocks():
         if not b.dimension:
             continue
-        images = _inverse_images(state, block_at, b.rep, b.degree)
         name = format_element(group.elements[b.rep])
+        if not _fixed_by_generators(state, b):
+            return False, (
+                f"an invariant of the class of {name} at internal degree "
+                f"{b.degree} is not fixed by the centralizer of {name}"
+            )
+        images = _inverse_images(state, block_at, b.rep, b.degree)
         if len(images) != b.dimension:
             return False, (
                 f"class of {name} has dimension {b.dimension} at internal degree "

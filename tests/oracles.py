@@ -134,6 +134,87 @@ def age_via_matrix(gbar, e) -> Fraction:
     return sum(sol, Fraction(0))
 
 
+# -- group elements in rational phases -----------------------------------------
+#
+# The arithmetic GroupElement had before it held integer numerators over one
+# denominator: a pair (sigma, phase) with phase a tuple of Fractions in
+# [0, 1), every sum re-normalized with % 1.
+
+
+def ref_element(g):
+    """(sigma, phase) of a GroupElement, phases read through its Fraction view."""
+    return tuple(g.sigma), tuple(Fraction(a) % 1 for a in g.phase)
+
+
+def _ref_cycles(sigma):
+    seen, out = set(), []
+    for start in range(len(sigma)):
+        if start not in seen:
+            cyc = [start]
+            seen.add(start)
+            v = sigma[start]
+            while v != start:
+                cyc.append(v)
+                seen.add(v)
+                v = sigma[v]
+            out.append(tuple(cyc))
+    return out
+
+
+def ref_compose(a, b):
+    """a*b: substitute a first, then b."""
+    (sa, pa), (sb, pb) = a, b
+    return tuple(sb[s] for s in sa), tuple((x + pb[s]) % 1 for x, s in zip(pa, sa))
+
+
+def ref_inverse(a):
+    sigma, phase = a
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv), tuple(-phase[inv[i]] % 1 for i in range(len(sigma)))
+
+
+def ref_order(a) -> int:
+    sigma, phase = a
+    o = 1
+    for cyc in _ref_cycles(sigma):
+        total = sum(phase[i] for i in cyc) % 1
+        o = lcm(o, len(cyc) * total.denominator)
+    return o
+
+
+def ref_det_phase(a) -> Fraction:
+    sigma, phase = a
+    t = sum(phase, Fraction(0))
+    if (len(sigma) - len(_ref_cycles(sigma))) % 2:
+        t += Fraction(1, 2)
+    return t % 1
+
+
+def ref_is_sl(a) -> bool:
+    return ref_det_phase(a) == 0
+
+
+def ref_age(a) -> Fraction:
+    sigma, phase = a
+    total = Fraction(0)
+    for cyc in _ref_cycles(sigma):
+        total += sum(phase[i] for i in cyc) % 1 + Fraction(len(cyc) - 1, 2)
+    return total
+
+
+def ref_conductor(a) -> int:
+    sigma, phase = a
+    n = 1
+    for x in phase:
+        n = lcm(n, x.denominator)
+    for cyc in _ref_cycles(sigma):
+        total = sum(phase[i] for i in cyc) % 1
+        n = lcm(n, len(cyc) * total.denominator)
+    return n
+
+
 # -- group elements and fixed loci as matrices -----------------------------------
 
 
@@ -192,16 +273,18 @@ def eigenvector_matrices(locus):
 
     Column c of L is e[phase] at every index of the c-th fixed cycle;
     the columns of W are the moved eigenvectors in the locus's order.
+    The locus holds its phases as integers mod 2n; they become Fractions
+    here, and root_of_unity writes them at conductor n.
     """
     nv, n = locus.g.nvars, locus.n
     zero = CycNum.zero(n)
     l_rows = [[zero] * locus.n_g for _ in range(nv)]
     for i, (c, a) in locus.fixed.items():
-        l_rows[i][c] = root_of_unity(a, n)
+        l_rows[i][c] = root_of_unity(Fraction(a, 2 * n), n)
     w_rows = [[zero] * locus.d_g for _ in range(nv)]
     for c, (_, _, phases) in enumerate(locus.moved):
         for i, a in phases.items():
-            w_rows[i][c] = root_of_unity(a, n)
+            w_rows[i][c] = root_of_unity(Fraction(a, 2 * n), n)
     return l_rows, w_rows
 
 

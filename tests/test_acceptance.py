@@ -278,7 +278,7 @@ def test_criterion_6_invariant_suites():
     # age lower bound under the weight-sum-one and determinant-one hypotheses
     for state in (main, cubic):
         assert state.group.all_sl and state.weights.is_calabi_yau
-        jf_idx = state.group.index[make_jf(state.weights).key()]
+        jf_idx = state.group.index_of(make_jf(state.weights))
         for gi, g in enumerate(state.group.elements):
             if gi == state.group.identity_index or state.loci[gi].n_g:
                 continue

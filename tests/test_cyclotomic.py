@@ -34,14 +34,22 @@ def test_half_turn_is_minus_one():
 
 
 def test_phase_unit_at_odd_conductor():
-    # a phase with denominator 30 is off the 1/15 grid but still in Q(zeta_15)
+    # phase_unit(k, n) is e[k/2n]; a phase with denominator 30 is off the
+    # 1/15 grid but still in Q(zeta_15)
     t = Fraction(7, 30)
-    assert phase_unit(t, 15) == -root_of_unity(t - Fraction(1, 2), 15)
-    assert phase_unit(t, 15).lift(30) == root_of_unity(t, 30)
-    assert phase_unit(Fraction(1, 2), 15) == CycNum.rational(-1, 15)
-    assert phase_unit(Fraction(2, 5), 15) == root_of_unity(Fraction(2, 5), 15)
+    assert phase_unit(7, 15) == -root_of_unity(t - Fraction(1, 2), 15)
+    assert phase_unit(7, 15).lift(30) == root_of_unity(t, 30)
+    assert phase_unit(15, 15) == CycNum.rational(-1, 15)
+    assert phase_unit(12, 15) == root_of_unity(Fraction(2, 5), 15)
     with pytest.raises(ConductorMismatch):
         root_of_unity(Fraction(1, 2), 15)
+
+
+def test_phase_unit_reduces_mod_2n_and_rejects_half_steps_at_even_n():
+    assert phase_unit(-2, 4) == phase_unit(6, 4) == root_of_unity(Fraction(3, 4), 4)
+    assert phase_unit(4, 4) == root_of_unity(Fraction(1, 2), 4)
+    with pytest.raises(ConductorMismatch):
+        phase_unit(1, 4)
 
 
 def test_primitive_cube_roots_sum_to_minus_one():

@@ -14,12 +14,12 @@ from lgdiamond.errors import (
     PreconditionFailed,
 )
 from lgdiamond._linalg import mat_mul
+from lgdiamond.orbits import _orbit_invariants
 from lgdiamond.polynomial import parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
-    _orbit_invariants,
     _reynolds_invariants,
     _subgroup_generators,
     assemble_diamond,
@@ -106,7 +106,7 @@ def named_state(name):
 
 
 def blocks_of_element(state, g):
-    ci = state.group.class_of[state.group.index[g.key()]]
+    ci = state.group.class_of[state.group.index_of(g)]
     return [b for b in state.blocks() if b.class_index == ci]
 
 
@@ -293,7 +293,7 @@ def test_diagonal_lines():
                 assert b.q_left == b.q_right
         for k in range(1, jf.order()):
             g = jf.power(k)
-            gi = state.group.index[g.key()]
+            gi = state.group.index_of(g)
             if state.loci[gi].n_g:
                 continue
             for b in blocks_of_element(state, g):
@@ -302,7 +302,7 @@ def test_diagonal_lines():
 
 
 def test_jf_action_is_diagonal():
-    jf_idx = MAIN_STATE.group.index[make_jf(MAIN_STATE.weights).key()]
+    jf_idx = MAIN_STATE.group.index_of(make_jf(MAIN_STATE.weights))
     labels, rows = action_matrix(MAIN_STATE, jf_idx, (1, 1))
     assert len(labels) == 20
     for r in range(20):
@@ -350,7 +350,7 @@ def test_charge_additivity_disjoint_supports():
         for j, v in enumerate(group.elements):
             if complements[i] & complements[j]:
                 continue
-            k = group.index[u.compose(v).key()]
+            k = group.index_of(u.compose(v))
             assert charges[i][0] + charges[j][0] == charges[k][0]
             assert charges[i][1] + charges[j][1] == charges[k][1]
 
@@ -383,15 +383,27 @@ def test_orbit_invariants_unit():
     n = 3
     one = CycNum.one(n)
     omega = root_of_unity(F(1, 3), n)
+    # phases are integers mod 2n: the phase 1/3 is 2 half-steps of 1/6
+    third = 2
     # cycle 0 -> 1 -> 2 -> 0 with total loop phase 1/3: nothing survives
-    dead = [([1, 2, 0], [F(0), F(0), F(1, 3)])]
+    dead = [([1, 2, 0], [0, 0, third], None)]
     assert _orbit_invariants(dead, 3, n) == []
     # loop phases 1/3 each, total 1: one invariant line
-    alive = [([1, 2, 0], [F(1, 3)] * 3)]
+    alive = [([1, 2, 0], [third] * 3, None)]
     basis = _orbit_invariants(alive, 3, n)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == one and v[1] == omega and v[2] == omega * omega
+
+
+def test_orbit_invariants_rational_sizes():
+    n = 2
+    one = CycNum.one(n)
+    # x -> -2y, y -> -x/2: the loop scalar is 1, so x - 2y is invariant
+    swap = ([1, 0], [2, 2], [(2, 1), (1, 2)])
+    assert _orbit_invariants([swap], 2, n) == [(one, CycNum.rational(-2, n))]
+    # x -> 2y, y -> x: the loop scalar is 2, so nothing survives
+    assert _orbit_invariants([([1, 0], [0, 0], [(2, 1), (1, 1)])], 2, n) == []
 
 
 def test_reynolds_invariants_unit():
@@ -438,22 +450,72 @@ def test_blocks_match_orbit_oracle(name):
         assert orbit_basis(state, block) == list(block.basis)
 
 
-def test_reynolds_fallback_blocks(monkeypatch):
-    """Images that leave the standard basis send blocks to the projector."""
-    reynolds = []
+def double_one_term(block, monkeypatch):
+    """Double one term of the block's first basis vector with several terms.
+
+    The vector is then no longer invariant, and leaves the block's span.
+    """
+    k, vec = next((k, v) for k, v in enumerate(block.basis) if sum(map(bool, v)) > 1)
+    first = next(i for i, c in enumerate(vec) if c)
+    doubled = tuple(c * 2 if i == first else c for i, c in enumerate(vec))
+    monkeypatch.setattr(block, "basis", block.basis[:k] + (doubled,) + block.basis[k + 1 :])
+
+
+def reynolds_calls(monkeypatch):
+    """Bases the Reynolds projector returns from now on, one per call."""
+    calls = []
 
     def spy(matrices, count, n):
-        reynolds.append(count)
-        return _reynolds_invariants(matrices, count, n)
+        calls.append(_reynolds_invariants(matrices, count, n))
+        return calls[-1]
 
     monkeypatch.setattr(statespace, "_reynolds_invariants", spy)
-    state = build_state(QUARTIC + " + x1*x2*x3*x4", [cycle(4, 0, 1, 2, 3)])
+    return calls
+
+
+HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
+
+# images leave the standard basis; each normal form is one block monomial
+# times a root of unity or a rational (x3^3 = -x1*x2*x4/4 in the first)
+MONOMIAL_FORM_STATES = {
+    "quartic-xyzw-c4": (QUARTIC + " + x1*x2*x3*x4", [cycle(4, 0, 1, 2, 3)]),
+    "quartic-pairs": (
+        QUARTIC + " + x1^2*x2^2 + x3^2*x4^2", [cycle(4, 0, 1), cycle(4, 2, 3)]
+    ),
+    "hesse-123": (HESSE, [cycle(3, 0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(MONOMIAL_FORM_STATES))
+def test_monomial_normal_forms_stay_on_orbit_walk(name, monkeypatch):
+    """Blocks whose images reduce to one monomial skip the projector."""
+    calls = reynolds_calls(monkeypatch)
+    state = build_state(*MONOMIAL_FORM_STATES[name])
     blocks = state.blocks()
-    assert reynolds
+    assert calls == []
     for block in blocks:
         assert block.dimension == trace_dimension(state, block)
-        # every normal form here is one monomial, so the orbit walk also applies
         assert orbit_basis(state, block) == list(block.basis)
+    assert transpose_check(state)[0]
+
+
+def test_reynolds_fallback_blocks(monkeypatch):
+    """A normal form with two terms sends its block to the projector."""
+    calls = reynolds_calls(monkeypatch)
+    state = build_state(QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", [cycle(4, 0, 1)])
+    blocks = state.blocks()
+    assert len(calls) == 3
+    for block in blocks:
+        assert block.dimension == trace_dimension(state, block)
+    # the check applies each generator's matrix to the projector's basis
+    assert transpose_check(state)[0]
+    projected = next(b for b in blocks if b.dimension and list(b.basis) in calls)
+    double_one_term(projected, monkeypatch)
+    assert transpose_check(state) == (
+        False,
+        "an invariant of the class of id at internal degree 1 is not fixed by "
+        "the centralizer of id",
+    )
 
 
 # -- group structure ------------------------------------------------------------
@@ -545,6 +607,16 @@ def test_transpose_reports_non_invariant_image(monkeypatch):
         False,
         "sector-inversion image of an invariant of the class of (1 2 3) at "
         "internal degree 2/5 is not invariant",
+    )
+
+
+def test_transpose_sees_a_block_moved_by_its_centralizer(monkeypatch):
+    """The identity class is its own inverse with the identity as conjugator."""
+    double_one_term(block_named(A3_STATE, "id", F(1)), monkeypatch)
+    assert transpose_check(A3_STATE) == (
+        False,
+        "an invariant of the class of id at internal degree 1 is not fixed by "
+        "the centralizer of id",
     )
 
 

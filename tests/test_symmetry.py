@@ -41,6 +41,14 @@ from oracles import (
     eigenvalue_phases,
     eigenvector_matrices,
     element_matrix,
+    ref_age,
+    ref_compose,
+    ref_conductor,
+    ref_det_phase,
+    ref_element,
+    ref_inverse,
+    ref_is_sl,
+    ref_order,
     restrict_via_matrices,
     rho_via_matrices,
 )
@@ -299,6 +307,77 @@ def test_age_via_matrix():
         assert age_via_matrix(g.phase, e4) == g.age()
 
 
+def test_element_matches_fraction_reference():
+    """Integer phases against the rational-phase reference, mixed denominators."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dens = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
+
+    @st.composite
+    def element(draw, nv):
+        sigma = draw(st.permutations(range(nv)))
+        phase = [
+            F(draw(st.integers(0, 2 * d)), d)  # numerators past d wrap mod 1
+            for d in draw(st.lists(st.sampled_from(dens), min_size=nv, max_size=nv))
+        ]
+        return GroupElement(tuple(sigma), phase)
+
+    @st.composite
+    def cases(draw):
+        nv = draw(st.integers(1, 5))
+        return draw(element(nv)), draw(element(nv)), draw(st.integers(1, 4))
+
+    @hypothesis.settings(
+        max_examples=200, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(cases())
+    def check(case):
+        a, b, k = case
+        ra, rb = ref_element(a), ref_element(b)
+        assert ref_element(a.compose(b)) == ref_compose(ra, rb)
+        assert ref_element(a.inverse()) == ref_inverse(ra)
+        assert a.order() == ref_order(ra)
+        assert a.age() == ref_age(ra)
+        assert a.det_phase() == ref_det_phase(ra)
+        assert a.is_sl() == ref_is_sl(ra)
+        assert a.conductor() == ref_conductor(ra)
+        assert (a == b) == (ra == rb)
+        # the same element over a larger denominator is equal by value
+        lifted = a.over(a.den * k)
+        assert lifted.den == a.den * k
+        assert lifted == a and hash(lifted) == hash(a) and lifted.key() == a.key()
+        assert ref_element(lifted.compose(b)) == ref_compose(ra, rb)
+        assert ref_element(a.compose(a.inverse())) == ref_element(
+            GroupElement.identity(a.nvars)
+        )
+
+    check()
+
+
+def test_over_rejects_a_coarser_grid():
+    with pytest.raises(LgError, match="1/6 grid"):
+        diag(F(1, 4), F(1, 2)).over(6)
+    assert diag(F(2, 4), F(1, 2)).over(6).num == (3, 3)
+
+
+def test_jf_lookup_in_group_at_larger_denominator():
+    # chain cubic: j_f has denominator 3, the diagonal group denominator 12
+    f, _ = parse_polynomial("x1^2*x2 + x2^2*x3 + x3^3")
+    jf = make_jf(analyze_weights(f)[2])
+    group = generate_group(
+        [GroupElement.diagonal(p) for p in diagonal_symmetries(f).generators], f
+    )
+    assert (jf.den, group.den, group.order) == (3, 12, 12)
+    assert group.contains(jf) and group.contains(jf.power(2))
+    found = group.elements[group.index_of(jf)]
+    assert found.den == 12 and found == jf and found.phase == jf.phase
+    assert not group.contains(diag(F(1, 24), 0, 0))
+    # elements are sorted by value, as with rational phases
+    assert [g.phase for g in group.elements] == sorted(g.phase for g in group.elements)
+    # a generator over a needlessly large denominator is reduced first
+    assert generate_group([jf.over(24)], f).den == 3
+
+
 # -- group closure ------------------------------------------------------------
 
 
@@ -324,9 +403,9 @@ def test_quintic_group_structure():
         hi = rng.randrange(30)
         gi = rng.randrange(30)
         direct = conjugate(QUINTIC_G.elements[gi], QUINTIC_G.elements[hi])
-        assert QUINTIC_G.conjugate(hi, gi) == QUINTIC_G.index[direct.key()]
+        assert QUINTIC_G.conjugate(hi, gi) == QUINTIC_G.index_of(direct)
     # the transpositions times a fixed scalar form one class of size 3
-    t12_class = QUINTIC_G.classes[QUINTIC_G.class_of[QUINTIC_G.index[QUINTIC_T12.key()]]]
+    t12_class = QUINTIC_G.classes[QUINTIC_G.class_of[QUINTIC_G.index_of(QUINTIC_T12)]]
     assert len(t12_class) == 3
 
 
@@ -392,6 +471,17 @@ def test_fixed_locus_main_j6():
     assert locus.n_g == 2
     assert locus.i_fixed == (1, 3)
     assert locus.complement_indices() == (0, 2)
+
+
+def test_fixed_locus_off_the_grid_raises():
+    # a twisted swap has eigenvalues e[1/4] and e[3/4]: off the 1/2 grid
+    twisted = GroupElement((1, 0), (F(1, 2), F(0)))
+    assert fixed_locus(twisted, 4).w_phases == (F(1, 4), F(3, 4))
+    with pytest.raises(LgError, match="order not dividing 2"):
+        fixed_locus(twisted, 2)
+    # the phases themselves are off the 1/2 grid
+    with pytest.raises(LgError, match="1/2 grid"):
+        fixed_locus(diag(F(1, 3)), 2)
 
 
 def test_fixed_locus_eigen_property():
@@ -464,7 +554,8 @@ def test_restricted_weights():
 def test_rho_on_fermat():
     g = diag(F(1, 2))
     locus = fixed_locus(g, 2)
-    assert rho_constant(g, locus, locus) == F(1, 2)
+    # rho is held as an integer mod 2n: 2 half-steps of 1/2 are the phase 1/2
+    assert F(rho_constant(g, locus, locus), 2 * locus.n) == F(1, 2)
     assert phase_unit(rho_constant(g, locus, locus), 2) == CycNum.rational(-1, 2)
     h = diag(F(1, 4))
     lg = fixed_locus(h, 4)
