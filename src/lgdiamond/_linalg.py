@@ -61,11 +61,15 @@ def det(a):
         pivot = m[col][col]
         result = result * pivot
         inv = one / pivot
+        # only rows with a nonzero in the pivot column change, and only at
+        # the nonzero entries of the pivot row
+        row = [(j, m[col][j]) for j in range(col + 1, n) if m[col][j]]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for j in range(col, n):
-                    m[r][j] = m[r][j] - factor * m[col][j]
+            target = m[r]
+            if target[col]:
+                factor = target[col] * inv
+                for j, x in row:
+                    target[j] = target[j] - factor * x
     return result
 
 

@@ -265,7 +265,7 @@ def parse_job(text: str) -> Job:
 
     try:
         f, names = parse_polynomial(f_text, list(variables) if variables else None)
-    except LgError as exc:
+    except (LgError, ZeroDivisionError) as exc:
         raise _syntax_error(clean, f_off, f"bad polynomial: {exc}")
 
     generators = ()

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .cyclotomic import CycNum
 from .errors import NonHomogeneous, NotIsolated
@@ -29,7 +31,7 @@ def _divides(a: Monomial, b: Monomial) -> bool:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -46,9 +48,11 @@ def _monic(p: Polynomial) -> Polynomial:
     return Polynomial(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
 
 
-def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Remainder of p under division by (monic) basis, smallest terms last."""
-    pairs = [(leading_monomial(b), b) for b in basis]
+def normal_form(p: Polynomial, leads) -> Polynomial:
+    """Remainder of p under division by monic elements, smallest terms last.
+
+    leads lists each divisor as (its leading monomial, the element).
+    """
     work = dict(p.terms)
     remainder: dict[Monomial, CycNum] = {}
     while work:
@@ -56,7 +60,7 @@ def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
         lc = work.pop(lm)
         if not lc:
             continue
-        for blm, b in pairs:
+        for blm, b in leads:
             if _divides(blm, lm):
                 shift = tuple(x - y for x, y in zip(lm, blm))
                 for m2, c2 in b.terms.items():
@@ -75,8 +79,9 @@ def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     return Polynomial(p.nvars, p.n, remainder)
 
 
-def _s_polynomial(a: Polynomial, b: Polynomial) -> Polynomial:
-    la, lb = leading_monomial(a), leading_monomial(b)
+def _s_polynomial(lead_a, lead_b) -> Polynomial:
+    """S-polynomial of two (leading monomial, monic element) pairs."""
+    (la, a), (lb, b) = lead_a, lead_b
     gamma = _mono_lcm(la, lb)
     sa = tuple(x - y for x, y in zip(gamma, la))
     sb = tuple(x - y for x, y in zip(gamma, lb))
@@ -89,7 +94,8 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
     """Reduced monic Groebner basis in grevlex order, sorted by leading term."""
     basis = [_monic(p) for p in polys if not p.is_zero()]
     lms = [leading_monomial(b) for b in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = list(zip(lms, basis))
+    pairs = {(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))}
     done: set[tuple[int, int]] = set()
     while pairs:
         i, j = min(pairs, key=lambda ij: grevlex_key(_mono_lcm(lms[ij[0]], lms[ij[1]])))
@@ -105,34 +111,35 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
             and _divides(lms[k], gamma)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
+            for k in range(len(leads))
         ):
             continue
-        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        r = normal_form(_s_polynomial(leads[i], leads[j]), leads)
         if r.is_zero():
             continue
-        basis.append(_monic(r))
-        lms.append(leading_monomial(basis[-1]))
-        new = len(basis) - 1
+        b = _monic(r)
+        lms.append(leading_monomial(b))
+        leads.append((lms[-1], b))
+        new = len(leads) - 1
         pairs.update((k, new) for k in range(new))
     # minimalize: drop elements whose leading term another one divides;
     # of several equal leading terms the lowest-index element stays
     keep = [
         i
-        for i in range(len(basis))
+        for i in range(len(leads))
         if not any(
             _divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
-            for k in range(len(basis))
+            for k in range(len(leads))
         )
     ]
-    minimal = [basis[i] for i in keep]
-    # reduce tails against the other elements
+    minimal = [leads[i] for i in keep]
+    # reduce tails against the other elements; leading terms stay
     reduced = []
-    for i, b in enumerate(minimal):
+    for i, (lm, b) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(b, others) if others else b)
-    reduced.sort(key=lambda b: grevlex_key(leading_monomial(b)))
-    return reduced
+        reduced.append((lm, normal_form(b, others) if others else b))
+    reduced.sort(key=lambda pair: grevlex_key(pair[0]))
+    return [b for _, b in reduced]
 
 
 def _standard_monomials(lms: list[Monomial], nvars: int) -> list[Monomial]:
@@ -176,6 +183,8 @@ class JacobianRing:
     f: Polynomial
     weights: WeightSystem
     groebner: tuple[Polynomial, ...]
+    # (leading monomial, element) of each Groebner element, for normal_form
+    leads: tuple[tuple[Monomial, Polynomial], ...]
     basis: tuple[Monomial, ...]
     basis_index: dict[Monomial, int]
     graded: dict[Fraction, int]
@@ -205,21 +214,22 @@ class JacobianRing:
         return self.weights.central_charge
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, list(self.groebner))
+        return normal_form(p, self.leads)
 
     def monomial_degree(self, mono: Monomial) -> Fraction:
         return Fraction(_integer_degree(mono, self.weights), self.weights.d0)
 
-    def residue(self, u: Polynomial, v: Polynomial) -> CycNum:
+    def residue(self, u: dict, v: dict) -> CycNum:
         """Pairing <u, v>: sum of u_m v_m' Res(m m') over their terms.
 
-        Res(m) is the top coefficient of NF(m) against the Hessian, so
-        that <1, hessian class> = 1.
+        u and v are term dicts {monomial: CycNum} at the ring's conductor,
+        such as Polynomial.terms.  Res(m) is the top coefficient of NF(m)
+        against the Hessian, so that <1, hessian class> = 1.
         """
-        u, v = u.lift(self.n), v.lift(self.n)
-        total = CycNum.zero(self.n)
-        for m1, c1 in u.terms.items():
-            for m2, c2 in v.terms.items():
+        # most Gram entries are zero: they share one zero per conductor
+        total = _zero(self.n)
+        for m1, c1 in u.items():
+            for m2, c2 in v.items():
                 r = self._monomial_residue(_mono_mul(m1, m2))
                 if r is not None:
                     total = total + c1 * c2 * r
@@ -243,6 +253,7 @@ class JacobianRing:
 
 
 _RING_CACHE: dict[tuple, JacobianRing] = {}
+_zero = lru_cache(maxsize=None)(CycNum.zero)
 
 
 def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
@@ -269,7 +280,8 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     basis = _standard_monomials(lms, f.nvars)
     counts = Counter(_integer_degree(mono, w) for mono in basis)
     graded = {Fraction(deg, w.d0): c for deg, c in counts.items()}
-    hess = normal_form(hessian_determinant(f), gb)
+    leads = tuple(zip(lms, gb))
+    hess = normal_form(hessian_determinant(f), leads)
     if len(hess.terms) != 1:
         raise NotIsolated(
             "the Hessian class does not span the top graded piece; "
@@ -280,6 +292,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
         f=f,
         weights=w,
         groebner=tuple(gb),
+        leads=leads,
         basis=tuple(basis),
         basis_index={m: i for i, m in enumerate(basis)},
         graded=graded,

@@ -6,16 +6,17 @@ monomials of one sector at one degree, a centralizer generator then acts
 as m_k -> (p/q) e[phases[k]/2n] m_perm[k], with phases integers mod 2n
 and p/q a positive rational that is 1 unless a target monomial reduces
 to a block monomial times a rational.  This module builds those maps,
-walks their orbits for the invariants and checks vectors against them.
-A CycNum is built only for a basis vector; root-of-unity coordinates are
-read back to phases through unit_phases.
+walks their orbits for the invariants, checks vectors against them and
+carries vectors, held as their supports, by transports.  A CycNum is
+built only for a basis vector; root-of-unity coordinates are read back
+to phases through unit_phases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum, phase_unit, unit_phases
+from .cyclotomic import phase_unit, unit_phases
 from .errors import LgError
 from .polynomial import Monomial
 
@@ -81,8 +82,8 @@ def _orbit_invariants(maps, count: int, n: int):
 
     An orbit carries one invariant, valued 1 at its smallest index, when
     the scalars multiplied along every path agree, and nothing otherwise.
+    Each invariant is its support {index: nonzero CycNum}.
     """
-    zero = CycNum.zero(n)
     two_n = 2 * n
     visited = [False] * count
     basis = []
@@ -110,24 +111,24 @@ def _orbit_invariants(maps, count: int, n: int):
         for k in values:
             visited[k] = True
         if alive:
-            vec = [zero] * count
+            vec = {}
             for k, v in values.items():
                 p, q = size[k]
                 vec[k] = phase_unit(v, n) if p == q else phase_unit(v, n) * Fraction(p, q)
-            basis.append(tuple(vec))
+            basis.append(vec)
     return basis
 
 
 def _fixed_by_maps(vec, maps, n: int) -> bool:
     """Whether vec[perm[k]] = vec[k] * (p/q) e[phases[k]/2n] for every map and k.
 
-    Only the support is walked: a map that sends the support into itself
-    sends the zero coordinates to zeros.  Two root-of-unity coordinates
-    under a map without sizes are compared as phases through the unit
-    table; anything else in CycNum.
+    vec is a support {index: nonzero CycNum}, and only it is walked: a
+    map that sends the support into itself sends the zero coordinates to
+    zeros.  Two root-of-unity coordinates under a map without sizes are
+    compared as phases through the unit table; anything else in CycNum.
     """
     units = unit_phases(n)
-    support = {k: units.get(c.key()) for k, c in enumerate(vec) if c}
+    support = {k: units.get(c.key()) for k, c in vec.items()}
     for perm, phases, sizes in maps:
         for k, a in support.items():
             k2 = perm[k]
@@ -144,3 +145,32 @@ def _fixed_by_maps(vec, maps, n: int) -> bool:
             if not fixed:
                 return False
     return True
+
+
+def _carry(vec, monomials, transport, sectors, n: int) -> dict:
+    """A vector {k: coefficient of monomials[k]} carried by a transport (g', t, rows).
+
+    Returns {monomial: nonzero CycNum} over the standard monomials of the
+    ring of sectors[g'].  A unit coefficient times the transport phase is
+    one phase_unit of the summed phase; a target off the standard basis
+    is replaced by its normal form.
+    """
+    gpi, t, rows = transport
+    ring = sectors[gpi].ring
+    two_n = 2 * n
+    units = unit_phases(n)
+    out = {}
+    for k, c in vec.items():
+        target, phase = _image(rows, t, monomials[k], two_n)
+        unit = units.get(c.key())
+        if unit is None:
+            scaled = c * phase_unit(phase, n)
+        else:
+            scaled = phase_unit((unit + phase) % two_n, n)
+        if target in ring.basis_index:
+            terms = ((target, scaled),)
+        else:
+            terms = ((m, scaled * x) for m, x in ring.monomial_form(target).terms.items())
+        for m, x in terms:
+            out[m] = out[m] + x if m in out else x
+    return {m: x for m, x in out.items() if x}

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from ._linalg import det, frac_matrix, solve
 from .errors import (
+    LgError,
     NoGraphMonomial,
     NotQuasihomogeneous,
     SingularExponentMatrix,
@@ -89,6 +90,8 @@ def build_graph(f: Polynomial) -> SingularityGraph:
     do not depend on the choice; the selection only fixes determinism.
     """
     nv = f.nvars
+    if nv == 0:
+        raise LgError("f has no variables; a constant defines no singularity")
     kappa = []
     chosen = []
     for j in range(nv):

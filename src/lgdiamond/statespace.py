@@ -17,7 +17,9 @@ basis vector or a normal-form input.  Blocks walk orbits over centralizer
 generators (see orbits.py).  A generator that sends a block monomial off
 the standard basis stays on the walk when the normal form there is one
 block monomial times a root of unity or a rational; any other block
-falls back to the Reynolds projector over the full centralizer.
+falls back to the Reynolds projector over the full centralizer.  A basis
+vector is held as its support, and the symmetry checks walk supports
+only: partner bases are carried by one transport per block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ._linalg import det, mat_vec, rref
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, quotient_ring
-from .orbits import _fixed_by_maps, _generator_maps, _image, _orbit_invariants
+from .orbits import _carry, _fixed_by_maps, _generator_maps, _image, _orbit_invariants
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
@@ -68,8 +70,9 @@ class Sector:
 class InvariantBlock:
     """Invariant classes of one conjugacy class at one internal degree.
 
-    Vectors are written over the standard monomials of the class
-    representative's sector ring.
+    Each basis vector is its support {k: nonzero CycNum}, the coefficient
+    of monomials[k], a standard monomial of the class representative's
+    sector ring.
     """
 
     class_index: int
@@ -78,11 +81,15 @@ class InvariantBlock:
     q_left: Fraction
     q_right: Fraction
     monomials: tuple[Monomial, ...]
-    basis: tuple[tuple[CycNum, ...], ...]
+    basis: tuple[dict[int, CycNum], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def terms(self, vec) -> dict[Monomial, CycNum]:
+        """A basis vector as {monomial: coefficient}."""
+        return {self.monomials[k]: c for k, c in vec.items()}
 
 
 class StateSpace:
@@ -245,7 +252,7 @@ class StateSpace:
         return Polynomial(
             len(block.monomials[0]) if block.monomials else 0,
             self.n,
-            {m: c for m, c in zip(block.monomials, vec) if c},
+            block.terms(vec),
         )
 
     def format_block_vector(self, block: InvariantBlock, vec) -> str:
@@ -285,11 +292,12 @@ def _reynolds_invariants(matrices, count: int, n: int):
                 cols[k][r] = cols[k][r] + c
     cols = [[c * weight for c in col] for col in cols]
     reduced, pivots = rref([list(col) for col in cols])
-    basis = [tuple(row) for row in reduced[: len(pivots)]]
     rows = [[cols[k][r] for k in range(count)] for r in range(count)]
-    for vec in basis:
-        if mat_vec(rows, list(vec)) != list(vec):
+    basis = []
+    for vec in reduced[: len(pivots)]:
+        if mat_vec(rows, vec) != vec:
             raise LgError("averaging operator is not idempotent on its image")
+        basis.append({k: c for k, c in enumerate(vec) if c})
     return basis
 
 
@@ -355,25 +363,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _reduce_in_span(basis, leads, vec) -> bool:
-    """Whether vec lies in the span of the basis vectors.
-
-    leads[i] is the leading index of basis[i].  Assumes each basis vector
-    is nonzero at its own leading index and zero at every other vector's
-    leading index, which holds for both invariant-basis constructions
-    (orbit vectors have disjoint support; echelon rows have pivot columns).
-    """
-    w = list(vec)
-    for b, lead in zip(basis, leads):
-        c = w[lead]
-        if c:
-            factor = c / b[lead]
-            for i, bc in enumerate(b):
-                if bc:
-                    w[i] = w[i] - factor * bc
-    return not any(w)
 
 
 def _both(name: str, first: CheckResult, second: CheckResult) -> CheckResult:
@@ -452,8 +441,7 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
                 f"{format_element(group.elements[blk.rep])}",
             )
         vec = blk.basis[0]
-        nonzero = [m for m, c in zip(blk.monomials, vec) if c]
-        if want_monomial is not None and nonzero != [want_monomial]:
+        if want_monomial is not None and list(blk.terms(vec)) != [want_monomial]:
             return CheckResult(
                 label, False, f"h^({a},{b}) generator is not the expected class"
             )
@@ -482,58 +470,43 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     return VerificationReport(tuple(checks), group.all_sl)
 
 
-def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[Polynomial]:
+def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
     """Basis of the class of g^{-1} at a degree, carried into the sector of g^{-1}.
 
     The recorded conjugator of g^{-1} carries its class representative to
-    g^{-1}, whose sector has the ring of g.  Empty when the class has no
-    block at that degree.
+    g^{-1}, whose sector has the ring of g; its transport is read once.
+    Each image is {monomial: nonzero CycNum}.  Empty when the class has
+    no block at that degree.
     """
     group = state.group
     inv = group.inv[g]
     partner = block_at.get((group.class_of[inv], degree))
-    if partner is None:
+    if partner is None or not partner.basis:
         return []
-    hi = group.conjugator[inv]
-    zero = CycNum.zero(state.n)
-    images = []
-    for vec in partner.basis:
-        out: dict[Monomial, CycNum] = {}
-        for mono, c in zip(partner.monomials, vec):
-            if c:
-                _, img = state.apply_to_monomial(hi, partner.rep, mono)
-                for mono2, c2 in img.terms.items():
-                    out[mono2] = out.get(mono2, zero) + c * c2
-        images.append(Polynomial(state.sectors[inv].locus.n_g, state.n, out))
-    return images
+    transport = state.transport(group.conjugator[inv], partner.rep)
+    return [
+        _carry(vec, partner.monomials, transport, state.sectors, state.n)
+        for vec in partner.basis
+    ]
 
 
 def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
     """Whether the centralizer generators of the block's class fix its basis.
 
     The generators' maps are built again from the transports that
-    blocks() cached; a Reynolds block applies each generator's matrix
-    in CycNum.
+    blocks() cached; a Reynolds block carries its vectors by them.
     """
     gens = state._generators[block.class_index]
+    transports = [state._transports[hi, block.rep] for hi in gens]
     index_of = {m: k for k, m in enumerate(block.monomials)}
-    maps = _generator_maps(
-        (state._transports[hi, block.rep] for hi in gens), state.sectors, index_of, state.n
-    )
+    maps = _generator_maps(transports, state.sectors, index_of, state.n)
     if maps is not None:
         return all(_fixed_by_maps(vec, maps, state.n) for vec in block.basis)
-    zero = CycNum.zero(state.n)
-    for hi in gens:
-        cols = state._columns(hi, block.rep, index_of)
-        for vec in block.basis:
-            image = [zero] * len(vec)
-            for c, col in zip(vec, cols):
-                if c:
-                    for r, x in col.items():
-                        image[r] = image[r] + c * x
-            if image != list(vec):
-                return False
-    return True
+    return all(
+        _carry(vec, block.monomials, tr, state.sectors, state.n) == block.terms(vec)
+        for tr in transports
+        for vec in block.basis
+    )
 
 
 def transpose_check(state: StateSpace) -> tuple[bool, str]:
@@ -565,13 +538,24 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
                 f"{b.degree} but the inverse class has {len(images)}"
             )
         index = {m: k for k, m in enumerate(b.monomials)}
-        leads = [next(i for i, c in enumerate(v) if c) for v in b.basis]
-        zero = CycNum.zero(state.n)
-        for poly in images:
-            image = [zero] * len(b.monomials)
-            for mono, c in poly.terms.items():
-                image[index[mono]] = c
-            if not _reduce_in_span(b.basis, leads, image):
+        # each basis vector is nonzero at its lead and, in both invariant
+        # constructions, zero at every other vector's lead (orbit vectors
+        # have disjoint supports; echelon rows have pivot columns)
+        leads = [min(vec) for vec in b.basis]
+        for image in images:
+            w = {index[m]: c for m, c in image.items()}
+            for vec, lead in zip(b.basis, leads):
+                c = w.get(lead)
+                if c is None:
+                    continue
+                factor = c / vec[lead]
+                for i, x in vec.items():
+                    y = w[i] - factor * x if i in w else -factor * x
+                    if y:
+                        w[i] = y
+                    else:
+                        del w[i]
+            if w:
                 return False, (
                     "sector-inversion image of an invariant of the class of "
                     f"{name} at internal degree {b.degree} is not invariant"
@@ -611,10 +595,7 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
                 f"dual block of {name} at internal degree {dual_degree} has "
                 f"dimension {len(images)}, expected {b.dimension}"
             )
-        gram = [
-            [ring.residue(v, w) for w in images]
-            for v in (state.block_polynomial(b, vec) for vec in b.basis)
-        ]
+        gram = [[ring.residue(b.terms(vec), w) for w in images] for vec in b.basis]
         if not det(gram):
             return False, (
                 f"residue pairing between the class of {name} at internal degree "

@@ -14,6 +14,7 @@ from lgdiamond.cyclotomic import CycNum, _divide_exact, root_of_unity
 from lgdiamond.errors import NotIsolated
 from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import Polynomial
+from lgdiamond.symmetry import format_element
 
 
 def trace_dimension(state, block) -> int:
@@ -51,13 +52,13 @@ def orbit_basis(state, block):
 
     Multiplies the CycNum scalars that apply_to_monomial gives along each
     orbit and keeps an orbit, with value 1 at its smallest index, when
-    every path agrees.  Returns None when some image is not a single
-    monomial of the block.
+    every path agrees, as its support {index: CycNum}.  Returns None when
+    some image is not a single monomial of the block.
     """
     index_of = {m: k for k, m in enumerate(block.monomials)}
     count = len(block.monomials)
     centralizer = state.centralizer(block.rep)
-    zero, one = CycNum.zero(state.n), CycNum.one(state.n)
+    one = CycNum.one(state.n)
     visited = set()
     basis = []
     for k0 in range(count):
@@ -83,8 +84,153 @@ def orbit_basis(state, block):
                     alive = False
         visited.update(values)
         if alive:
-            basis.append(tuple(values.get(k, zero) for k in range(count)))
+            basis.append(values)
     return basis
+
+
+# -- the symmetry checks over dense vectors ---------------------------------------
+#
+# The route transpose_check and duality_check took before invariant vectors
+# became supports: every vector is a tuple over all of its block's monomials,
+# partner images come from apply_to_monomial one monomial at a time, and
+# every coordinate is tested for zero.
+
+
+def dense_basis(state, block):
+    """The block's basis vectors as tuples over all of its monomials."""
+    zero = CycNum.zero(state.n)
+    return [tuple(vec.get(k, zero) for k in range(len(block.monomials))) for vec in block.basis]
+
+
+def reduce_in_span(basis, leads, vec) -> bool:
+    """Whether vec lies in the span of the basis vectors.
+
+    leads[i] is the leading index of basis[i].  Assumes each basis vector
+    is nonzero at its own leading index and zero at every other vector's
+    leading index.
+    """
+    w = list(vec)
+    for b, lead in zip(basis, leads):
+        c = w[lead]
+        if c:
+            factor = c / b[lead]
+            for i, bc in enumerate(b):
+                if bc:
+                    w[i] = w[i] - factor * bc
+    return not any(w)
+
+
+def dense_inverse_images(state, block_at, g: int, degree) -> list:
+    """The partner basis of g^{-1} at a degree, carried into its sector monomial by monomial."""
+    group = state.group
+    inv = group.inv[g]
+    partner = block_at.get((group.class_of[inv], degree))
+    if partner is None:
+        return []
+    hi = group.conjugator[inv]
+    zero = CycNum.zero(state.n)
+    images = []
+    for vec in dense_basis(state, partner):
+        out = {}
+        for mono, c in zip(partner.monomials, vec):
+            if c:
+                _, img = state.apply_to_monomial(hi, partner.rep, mono)
+                for mono2, c2 in img.terms.items():
+                    out[mono2] = out.get(mono2, zero) + c * c2
+        images.append(Polynomial(state.sectors[inv].locus.n_g, state.n, out))
+    return images
+
+
+def dense_fixed_by_generators(state, block) -> bool:
+    """Whether each centralizer generator's matrix, from normal forms, fixes the basis."""
+    zero = CycNum.zero(state.n)
+    index_of = {m: k for k, m in enumerate(block.monomials)}
+    basis = dense_basis(state, block)
+    for hi in state._generators[block.class_index]:
+        for vec in basis:
+            image = [zero] * len(vec)
+            for mono, c in zip(block.monomials, vec):
+                if c:
+                    _, nf = state.apply_to_monomial(hi, block.rep, mono)
+                    for mono2, x in nf.terms.items():
+                        image[index_of[mono2]] = image[index_of[mono2]] + c * x
+            if image != list(vec):
+                return False
+    return True
+
+
+def dense_transpose_check(state):
+    """transpose_check over dense vectors: (passed, witness) with the same messages."""
+    group = state.group
+    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    zero = CycNum.zero(state.n)
+    for b in state.blocks():
+        if not b.dimension:
+            continue
+        name = format_element(group.elements[b.rep])
+        if not dense_fixed_by_generators(state, b):
+            return False, (
+                f"an invariant of the class of {name} at internal degree "
+                f"{b.degree} is not fixed by the centralizer of {name}"
+            )
+        images = dense_inverse_images(state, block_at, b.rep, b.degree)
+        if len(images) != b.dimension:
+            return False, (
+                f"class of {name} has dimension {b.dimension} at internal degree "
+                f"{b.degree} but the inverse class has {len(images)}"
+            )
+        index = {m: k for k, m in enumerate(b.monomials)}
+        basis = dense_basis(state, b)
+        leads = [next(i for i, c in enumerate(v) if c) for v in basis]
+        for poly in images:
+            image = [zero] * len(b.monomials)
+            for mono, c in poly.terms.items():
+                image[index[mono]] = c
+            if not reduce_in_span(basis, leads, image):
+                return False, (
+                    "sector-inversion image of an invariant of the class of "
+                    f"{name} at internal degree {b.degree} is not invariant"
+                )
+    return True, (
+        "inverting group elements transposes the charge table and maps "
+        "invariants to invariants"
+    )
+
+
+def dense_duality_check(state):
+    """duality_check over dense vectors: Gram matrices of Polynomials, then det."""
+    group = state.group
+    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    done_pairs = set()
+    for b in state.blocks():
+        if not b.dimension:
+            continue
+        ring = state.sectors[b.rep].ring
+        inverse_class = group.class_of[group.inv[b.rep]]
+        dual_degree = ring.c_hat - b.degree
+        key = tuple(sorted([(b.class_index, b.degree), (inverse_class, dual_degree)]))
+        if key in done_pairs:
+            continue
+        done_pairs.add(key)
+        images = dense_inverse_images(state, block_at, b.rep, dual_degree)
+        name = format_element(group.elements[b.rep])
+        if len(images) != b.dimension:
+            return False, (
+                f"dual block of {name} at internal degree {dual_degree} has "
+                f"dimension {len(images)}, expected {b.dimension}"
+            )
+        nvars = len(b.monomials[0])
+        rows = [
+            Polynomial(nvars, state.n, {m: c for m, c in zip(b.monomials, vec) if c})
+            for vec in dense_basis(state, b)
+        ]
+        gram = [[ring.residue(v.terms, w.terms) for w in images] for v in rows]
+        if not det(gram):
+            return False, (
+                f"residue pairing between the class of {name} at internal degree "
+                f"{b.degree} and its dual block is degenerate"
+            )
+    return True, "residue pairings between dual blocks are nondegenerate"
 
 
 def action_matrix(state, hi: int, bidegree):

@@ -108,6 +108,7 @@ def test_parse_job_negative_and_reduced_diag():
         ("f = x1^3 + x2^3\ngroup = [perm(1 1)]", "repeats an index"),
         ("f = x1^3 + x2^3\ngroup = [perm(1)]", "length >= 2"),
         ("f = x1*x2 + x1^3 + x2^3", "bad polynomial"),
+        ("f = 2*x1^3/0 + x2^3", "line 1, column 4: bad polynomial: division by zero"),
         ("just words", "expected an assignment"),
     ],
 )
@@ -273,6 +274,14 @@ def test_cli_one_variable_diamond(tmp_path, capsys):
     code, out, err = run_cli(tmp_path, capsys, "f = x1^3\ncommand = diamond\n")
     assert code == 1 and not out
     assert "needs N >= 2 variables (D = N - 2)" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "symmetries", "jacobian", "diamond"])
+@pytest.mark.parametrize("constant", ["5", "0"])
+def test_cli_constant_polynomial(tmp_path, capsys, constant, command):
+    code, out, err = run_cli(tmp_path, capsys, f"f = {constant}\ncommand = {command}\n")
+    assert code == 1 and not out
+    assert err == "error: f has no variables; a constant defines no singularity\n"
 
 
 def test_cli_jacobian_oracle_exit_code(tmp_path, capsys, monkeypatch):

@@ -37,7 +37,14 @@ from lgdiamond.symmetry import (
     sl_diagonal_symmetries,
 )
 
-from oracles import action_matrix, group_tables, orbit_basis, trace_dimension
+from oracles import (
+    action_matrix,
+    dense_duality_check,
+    dense_transpose_check,
+    group_tables,
+    orbit_basis,
+    trace_dimension,
+)
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -271,7 +278,7 @@ def test_fermat_sector_invariants():
         monos = sorted(b.monomials[0] for b in survivors)
         assert monos == [(r * n,) for n in range(m)]
         for b in survivors:
-            assert b.basis == ((CycNum.one(state.n),),)
+            assert b.basis == ({0: CycNum.one(state.n)},)
 
 
 def test_charge_relation_all_blocks():
@@ -393,6 +400,7 @@ def test_orbit_invariants_unit():
     basis = _orbit_invariants(alive, 3, n)
     assert len(basis) == 1
     v = basis[0]
+    assert sorted(v) == [0, 1, 2]
     assert v[0] == one and v[1] == omega and v[2] == omega * omega
 
 
@@ -401,7 +409,7 @@ def test_orbit_invariants_rational_sizes():
     one = CycNum.one(n)
     # x -> -2y, y -> -x/2: the loop scalar is 1, so x - 2y is invariant
     swap = ([1, 0], [2, 2], [(2, 1), (1, 2)])
-    assert _orbit_invariants([swap], 2, n) == [(one, CycNum.rational(-2, n))]
+    assert _orbit_invariants([swap], 2, n) == [{0: one, 1: CycNum.rational(-2, n)}]
     # x -> 2y, y -> x: the loop scalar is 2, so nothing survives
     assert _orbit_invariants([([1, 0], [0, 0], [(2, 1), (1, 1)])], 2, n) == []
 
@@ -414,7 +422,7 @@ def test_reynolds_invariants_unit():
     # x -> x, y -> x - y: involution with invariant line spanned by (1, 1/2)
     refl = [{0: one, 1: one}, {1: CycNum.rational(-1, n)}]
     basis = _reynolds_invariants([ident, refl], 2, n)
-    assert basis == [(one, half)]
+    assert basis == [{0: one, 1: half}]
     # a single non-idempotent matrix is rejected by the projector check
     with pytest.raises(LgError, match="idempotent"):
         _reynolds_invariants([refl], 2, n)
@@ -450,15 +458,21 @@ def test_blocks_match_orbit_oracle(name):
         assert orbit_basis(state, block) == list(block.basis)
 
 
-def double_one_term(block, monkeypatch):
-    """Double one term of the block's first basis vector with several terms.
+def double_term(basis):
+    """The basis with the lead term of its first vector with several terms doubled.
 
-    The vector is then no longer invariant, and leaves the block's span.
+    That vector is then no longer invariant, and leaves the block's span.
+    Without such a vector the first one is doubled at its only term.
     """
-    k, vec = next((k, v) for k, v in enumerate(block.basis) if sum(map(bool, v)) > 1)
-    first = next(i for i, c in enumerate(vec) if c)
-    doubled = tuple(c * 2 if i == first else c for i, c in enumerate(vec))
-    monkeypatch.setattr(block, "basis", block.basis[:k] + (doubled,) + block.basis[k + 1 :])
+    k = next((k for k, v in enumerate(basis) if len(v) > 1), 0)
+    vec = basis[k]
+    first = min(vec)
+    return basis[:k] + ({**vec, first: vec[first] * 2},) + basis[k + 1 :]
+
+
+def double_one_term(block, monkeypatch):
+    """Double one term of the block's first basis vector with several terms."""
+    monkeypatch.setattr(block, "basis", double_term(block.basis))
 
 
 def reynolds_calls(monkeypatch):
@@ -567,15 +581,15 @@ def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
     state = k3_sld_c4() if name == "k3-sld-c4" else named_state(name)
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
-    apply = StateSpace.apply_to_monomial
+    transport = StateSpace.transport
     calls = []
 
-    def spy(self, hi, gi, mono):
-        target, image = apply(self, hi, gi, mono)
-        calls.append((gi, target))
-        return target, image
+    def spy(self, hi, gi):
+        result = transport(self, hi, gi)
+        calls.append((gi, result[0]))
+        return result
 
-    monkeypatch.setattr(StateSpace, "apply_to_monomial", spy)
+    monkeypatch.setattr(StateSpace, "transport", spy)
     seen = 0
     for b in state.blocks():
         inv = group.inv[b.rep]
@@ -637,6 +651,61 @@ def test_duality_reports_missing_dual_block():
         False,
         "dual block of id at internal degree 1 has dimension 0, expected 1",
     )
+
+
+# the dense oracle route re-runs both symmetry checks on these states
+ORACLE_CHECK_STATES = {
+    "k3-sld": lambda: named_state("k3-sld"),
+    "quintic-a3": lambda: A3_STATE,
+    "main-jf": lambda: MAIN_STATE,
+    "k3-sld-c4": k3_sld_c4,
+    "quartic-reynolds": functools.cache(
+        lambda: build_state(QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", [cycle(4, 0, 1)])
+    ),
+}
+
+
+def repeat_vector(basis):
+    """The second vector in place of the first, or the only one twice."""
+    return (basis[1],) + basis[1:] if len(basis) > 1 else basis * 2
+
+
+def scale_first(basis):
+    """The first vector scaled by 2; an orbit vector is one orbit."""
+    return ({k: c * 2 for k, c in basis[0].items()},) + basis[1:]
+
+
+MUTATIONS = {"repeated": repeat_vector, "doubled": double_term, "scaled": scale_first}
+
+
+def mutation_targets(state):
+    """The largest occupied block in the identity class, and outside it if any."""
+    identity = state.group.class_of[state.group.identity_index]
+    blocks = sorted((b for b in state.blocks() if b.dimension), key=lambda b: -b.dimension)
+    inside = [b for b in blocks if b.class_index == identity]
+    outside = [b for b in blocks if b.class_index != identity]
+    return inside[:1] + outside[:1]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHECK_STATES))
+def test_checks_match_dense_oracle(name, monkeypatch):
+    """Verdicts and witnesses of both checks against the dense route, intact and mutated."""
+    state = ORACLE_CHECK_STATES[name]()
+    assert transpose_check(state) == dense_transpose_check(state)
+    assert duality_check(state) == dense_duality_check(state)
+    verdicts = set()
+    for mutation, mutate in MUTATIONS.items():
+        for block in mutation_targets(state):
+            with monkeypatch.context() as patch:
+                patch.setattr(block, "basis", mutate(block.basis))
+                transpose = transpose_check(state)
+                duality = duality_check(state)
+                assert transpose == dense_transpose_check(state), (mutation, block.degree)
+                assert duality == dense_duality_check(state), (mutation, block.degree)
+            verdicts.add((mutation, transpose[0], duality[0]))
+    # a scaled vector spans the same line; a repeated one spans less
+    assert ("scaled", True, True) in verdicts
+    assert not any(t and d for m, t, d in verdicts if m == "repeated")
 
 
 @pytest.mark.parametrize(
