@@ -35,7 +35,7 @@ from pathlib import Path
 from .errors import JobSyntaxError, LgError, PreconditionFailed
 from .jacobian import poincare_dimensions, quotient_ring
 from .polynomial import Polynomial, WeightSystem, parse_polynomial
-from .quasihom import analyze_weights, classify_invertible
+from .quasihom import analyze_weights, classify_invertible, require_variables
 from .statespace import StateSpace, assemble_diamond, verify_theorem
 from .symmetry import (
     GroupElement,
@@ -56,8 +56,8 @@ GenAtom = tuple
 class Job:
     """One parsed job file plus invocation options."""
 
-    f_text: str
-    variables: tuple[str, ...] | None
+    f: Polynomial
+    names: tuple[str, ...]
     generators: tuple[tuple[GenAtom, ...], ...]
     command: str
     fmt: str = "text"
@@ -253,22 +253,21 @@ def parse_job(text: str) -> Job:
     if "f" not in seen:
         raise _syntax_error(clean, len(clean), "missing required key 'f'")
     f_off, f_text = seen["f"]
-    f_text = f_text.strip()
 
     variables = None
     if "vars" in seen:
         var_off, var_value = seen["vars"]
         entries = _parse_bracket_list(clean, var_value, var_off, "vars")
-        variables = tuple(name for name, _ in entries)
+        variables = [name for name, _ in entries]
         if len(set(variables)) != len(variables):
             raise _syntax_error(clean, var_off, "vars repeats a name")
 
     try:
-        f, names = parse_polynomial(f_text, list(variables) if variables else None)
+        f, names = parse_polynomial(f_text.strip(), variables or None)
     except (LgError, ZeroDivisionError) as exc:
         raise _syntax_error(clean, f_off, f"bad polynomial: {exc}")
+    require_variables(f)
 
-    generators = ()
     if "group" in seen:
         grp_off, grp_value = seen["group"]
         pieces = _parse_bracket_list(clean, grp_value, grp_off, "group")
@@ -290,8 +289,7 @@ def parse_job(text: str) -> Job:
                 + "|".join(COMMANDS)
             )
 
-    return Job(f_text=f_text, variables=variables, generators=generators,
-               command=command)
+    return Job(f=f, names=tuple(names), generators=generators, command=command)
 
 
 # -- generator resolution ------------------------------------------------------
@@ -335,8 +333,7 @@ def _weights_payload(w: WeightSystem) -> dict:
     return {"d0": w.d0, "d": list(w.d), "q": [_frac(q) for q in w.q]}
 
 
-def _run_analyze(f: Polynomial, names) -> dict:
-    graph, _, w = analyze_weights(f)
+def _run_analyze(f: Polynomial, graph, w: WeightSystem) -> dict:
     cls = classify_invertible(f, graph)
     classification: dict = {"invertible": cls.is_invertible}
     if cls.is_invertible:
@@ -357,8 +354,7 @@ def _run_analyze(f: Polynomial, names) -> dict:
     }
 
 
-def _run_symmetries(f: Polynomial, names) -> dict:
-    _, _, w = analyze_weights(f)
+def _run_symmetries(f: Polynomial, w: WeightSystem) -> dict:
     gd = diagonal_symmetries(f)
     jf = make_jf(w)
     return {
@@ -379,8 +375,7 @@ def _run_symmetries(f: Polynomial, names) -> dict:
     }
 
 
-def _run_jacobian(f: Polynomial, names) -> tuple[dict, bool]:
-    _, _, w = analyze_weights(f)
+def _run_jacobian(f: Polynomial, w: WeightSystem) -> tuple[dict, bool]:
     ring = quotient_ring(f, w)
     agrees = ring.graded == poincare_dimensions(w)
     return {
@@ -392,12 +387,12 @@ def _run_jacobian(f: Polynomial, names) -> tuple[dict, bool]:
     }, agrees
 
 
-def _run_diamond(f: Polynomial, names, job: Job) -> tuple[dict, bool]:
-    _, _, w = analyze_weights(f)
+def _run_diamond(job: Job, w: WeightSystem) -> tuple[dict, bool]:
+    f = job.f
     group = generate_group(
         _resolve_generators(job, f, w), f, cap=job.closure_cap
     )
-    state = StateSpace(f, w, group, names)
+    state = StateSpace(f, w, group, job.names)
     top, table = assemble_diamond(state)
     sectors = [
         {
@@ -435,25 +430,24 @@ def _run_diamond(f: Polynomial, names, job: Job) -> tuple[dict, bool]:
 
 def run(job: Job) -> Report:
     """Execute a parsed job and return its structured report."""
-    f, names = parse_polynomial(
-        job.f_text, list(job.variables) if job.variables else None
-    )
+    f = job.f
+    graph, _, w = analyze_weights(f)
     payload: dict = {
         "schema_version": 1,
         "command": job.command,
-        "f": f.to_string(names),
-        "variables": names,
+        "f": f.to_string(job.names),
+        "variables": list(job.names),
     }
     ok = True
     if job.command == "analyze":
-        payload.update(_run_analyze(f, names))
+        payload.update(_run_analyze(f, graph, w))
     elif job.command == "symmetries":
-        payload.update(_run_symmetries(f, names))
+        payload.update(_run_symmetries(f, w))
     elif job.command == "jacobian":
-        body, ok = _run_jacobian(f, names)
+        body, ok = _run_jacobian(f, w)
         payload.update(body)
     else:
-        body, ok = _run_diamond(f, names, job)
+        body, ok = _run_diamond(job, w)
         payload.update(body)
     return Report(command=job.command, payload=payload, ok=ok)
 

@@ -6,10 +6,10 @@ monomials of one sector at one degree, a centralizer generator then acts
 as m_k -> (p/q) e[phases[k]/2n] m_perm[k], with phases integers mod 2n
 and p/q a positive rational that is 1 unless a target monomial reduces
 to a block monomial times a rational.  This module builds those maps,
-walks their orbits for the invariants, checks vectors against them and
-carries vectors, held as their supports, by transports.  A CycNum is
-built only for a basis vector; root-of-unity coordinates are read back
-to phases through unit_phases.
+walks their orbits for the invariants and carries vectors, held as
+their supports, by transports.  A CycNum is built only for a basis
+vector; root-of-unity coordinates are read back to phases through
+unit_phases.
 """
 
 from __future__ import annotations
@@ -117,34 +117,6 @@ def _orbit_invariants(maps, count: int, n: int):
                 vec[k] = phase_unit(v, n) if p == q else phase_unit(v, n) * Fraction(p, q)
             basis.append(vec)
     return basis
-
-
-def _fixed_by_maps(vec, maps, n: int) -> bool:
-    """Whether vec[perm[k]] = vec[k] * (p/q) e[phases[k]/2n] for every map and k.
-
-    vec is a support {index: nonzero CycNum}, and only it is walked: a
-    map that sends the support into itself sends the zero coordinates to
-    zeros.  Two root-of-unity coordinates under a map without sizes are
-    compared as phases through the unit table; anything else in CycNum.
-    """
-    units = unit_phases(n)
-    support = {k: units.get(c.key()) for k, c in vec.items()}
-    for perm, phases, sizes in maps:
-        for k, a in support.items():
-            k2 = perm[k]
-            if k2 not in support:
-                return False
-            b = support[k2]
-            if sizes is None and a is not None and b is not None:
-                fixed = (a + phases[k]) % (2 * n) == b
-            else:
-                scale = phase_unit(phases[k], n)
-                if sizes is not None:
-                    scale = scale * Fraction(*sizes[k])
-                fixed = vec[k] * scale == vec[k2]
-            if not fixed:
-                return False
-    return True
 
 
 def _carry(vec, monomials, transport, sectors, n: int) -> dict:

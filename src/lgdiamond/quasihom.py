@@ -82,6 +82,12 @@ def _graph_candidates(f: Polynomial, j: int):
     return out
 
 
+def require_variables(f: Polynomial) -> None:
+    """Reject a constant f: it has no variables, hence no singularity."""
+    if not f.nvars:
+        raise LgError("f has no variables; a constant defines no singularity")
+
+
 def build_graph(f: Polynomial) -> SingularityGraph:
     """Select a graph monomial for every variable and build the graph.
 
@@ -89,9 +95,8 @@ def build_graph(f: Polynomial) -> SingularityGraph:
     exponent wins, then the smallest target index.  The reduced weights
     do not depend on the choice; the selection only fixes determinism.
     """
+    require_variables(f)
     nv = f.nvars
-    if nv == 0:
-        raise LgError("f has no variables; a constant defines no singularity")
     kappa = []
     chosen = []
     for j in range(nv):

@@ -31,7 +31,7 @@ from ._linalg import det, mat_vec, rref
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, quotient_ring
-from .orbits import _carry, _fixed_by_maps, _generator_maps, _image, _orbit_invariants
+from .orbits import _carry, _generator_maps, _image, _orbit_invariants
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
@@ -493,18 +493,13 @@ def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
 def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
     """Whether the centralizer generators of the block's class fix its basis.
 
-    The generators' maps are built again from the transports that
-    blocks() cached; a Reynolds block carries its vectors by them.
+    Each basis vector is carried by each generator's transport, read from
+    the cache that blocks() filled, and must come back to itself.
     """
-    gens = state._generators[block.class_index]
-    transports = [state._transports[hi, block.rep] for hi in gens]
-    index_of = {m: k for k, m in enumerate(block.monomials)}
-    maps = _generator_maps(transports, state.sectors, index_of, state.n)
-    if maps is not None:
-        return all(_fixed_by_maps(vec, maps, state.n) for vec in block.basis)
     return all(
-        _carry(vec, block.monomials, tr, state.sectors, state.n) == block.terms(vec)
-        for tr in transports
+        _carry(vec, block.monomials, state._transports[hi, block.rep], state.sectors,
+               state.n) == block.terms(vec)
+        for hi in state._generators[block.class_index]
         for vec in block.basis
     )
 

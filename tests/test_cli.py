@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from lgdiamond import cli
 from lgdiamond.cli import (
+    COMMANDS,
     Job,
     main,
     parse_job,
@@ -13,6 +15,7 @@ from lgdiamond.cli import (
     run,
 )
 from lgdiamond.errors import JobSyntaxError
+from lgdiamond.polynomial import parse_polynomial
 
 MAIN_JOB = """\
 # the running four-variable example
@@ -65,8 +68,8 @@ def test_parse_job_full():
         "f = x1^3 + x2^3; vars = [x1, x2]; "
         "group = [jf, diag(1/3, 2/3)*perm(1 2)]; command = jacobian"
     )
-    assert job.f_text == "x1^3 + x2^3"
-    assert job.variables == ("x1", "x2")
+    assert job.names == ("x1", "x2")
+    assert job.f == parse_polynomial("x1^3 + x2^3")[0]
     assert job.generators == (
         (("jf",),),
         (("diag", (F(1, 3), F(2, 3))), ("perm", (0, 1))),
@@ -201,6 +204,19 @@ def test_run_diamond_gd_keyword_skips_verify():
     assert report.ok
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_job_parses_f_once(command, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return parse_polynomial(*args)
+
+    monkeypatch.setattr(cli, "parse_polynomial", spy)
+    run(parse_job(f"f = x1^3 + x2^3 + x3^3\ncommand = {command}"))
+    assert len(calls) == 1
+
+
 def test_json_round_trip():
     report = run(parse_job(MAIN_JOB))
     assert json.loads(report.to_json()) == report.payload
@@ -277,8 +293,17 @@ def test_cli_one_variable_diamond(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "symmetries", "jacobian", "diamond"])
-@pytest.mark.parametrize("constant", ["5", "0"])
+@pytest.mark.parametrize(
+    "constant",
+    [
+        "5",
+        "0",
+        pytest.param("0\ngroup = [perm(1 2)]", id="0-perm"),
+        pytest.param("0\ngroup = [diag(1/2)]", id="0-diag"),
+    ],
+)
 def test_cli_constant_polynomial(tmp_path, capsys, constant, command):
+    # a constant is rejected before its generators are read against no variables
     code, out, err = run_cli(tmp_path, capsys, f"f = {constant}\ncommand = {command}\n")
     assert code == 1 and not out
     assert err == "error: f has no variables; a constant defines no singularity\n"

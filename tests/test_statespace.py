@@ -662,6 +662,11 @@ ORACLE_CHECK_STATES = {
     "quartic-reynolds": functools.cache(
         lambda: build_state(QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", [cycle(4, 0, 1)])
     ),
+    # images off the standard basis, reduced to one monomial on the orbit walk
+    **{
+        name: functools.cache(functools.partial(build_state, *args))
+        for name, args in MONOMIAL_FORM_STATES.items()
+    },
 }
 
 
