@@ -31,18 +31,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    """Matrix-vector product."""
-    out = []
-    for row in a:
-        acc = row[0] * 0 if row else 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def det(a):
     """Determinant of a nonempty square matrix over a field, exactly."""
     n = len(a)

@@ -259,11 +259,13 @@ def parse_job(text: str) -> Job:
         var_off, var_value = seen["vars"]
         entries = _parse_bracket_list(clean, var_value, var_off, "vars")
         variables = [name for name, _ in entries]
+        if not variables:
+            raise _syntax_error(clean, var_off, "vars list cannot be empty")
         if len(set(variables)) != len(variables):
             raise _syntax_error(clean, var_off, "vars repeats a name")
 
     try:
-        f, names = parse_polynomial(f_text.strip(), variables or None)
+        f, names = parse_polynomial(f_text.strip(), variables)
     except (LgError, ZeroDivisionError) as exc:
         raise _syntax_error(clean, f_off, f"bad polynomial: {exc}")
     require_variables(f)

@@ -2,19 +2,16 @@
 
 A sector transport (StateSpace.transport) sends a monomial of one sector
 to e[t/2n] times a monomial of another.  On a block, the standard
-monomials of one sector at one degree, a centralizer generator then acts
-as m_k -> (p/q) e[phases[k]/2n] m_perm[k], with phases integers mod 2n
-and p/q a positive rational that is 1 unless a target monomial reduces
-to a block monomial times a rational.  This module builds those maps,
-walks their orbits for the invariants and carries vectors, held as
-their supports, by transports.  A CycNum is built only for a basis
-vector; root-of-unity coordinates are read back to phases through
-unit_phases.
+monomials of one sector at one degree, a centralizer generator that
+keeps every block monomial standard acts as m_k -> e[phases[k]/2n]
+m_perm[k], with phases integers mod 2n.  This module builds those maps
+and walks their orbits for the invariants.  Any other block takes
+_fixed_space, which cuts the block space one generator at a time with
+vectors carried by _carry.  Vectors are held as their supports, and a
+CycNum is built only for a basis vector or a normal-form input.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cyclotomic import phase_unit, unit_phases
 from .errors import LgError
@@ -32,48 +29,25 @@ def _image(rows, t: int, mono: Monomial, two_n: int) -> tuple[Monomial, int]:
     return tuple(out), phase % two_n
 
 
-def _generator_maps(transports, sectors, index_of, n: int):
-    """(perm, phases, sizes) of each generator on a block, or None.
+def _generator_maps(transports, index_of, n: int):
+    """(perm, phases) of each generator on a block, or None.
 
     transports yields each generator's transport (g', t, rows) of the
-    block's sector; it is read lazily, so nothing past a generator that
-    fails is fetched.  When a target monomial is not standard in the
-    ring of sectors[g'], its normal form must be one block monomial
-    times a root of unity, read back to a phase through the unit table,
-    or times a rational p/q, whose sign is a phase; otherwise this
-    returns None and the block takes the Reynolds projector.  sizes is
-    None when every p/q is 1.
+    block's sector; it is read lazily, and this returns None at the
+    first generator that sends a block monomial outside the block.
     """
     two_n = 2 * n
-    units = unit_phases(n)
     maps = []
-    for gpi, t, rows in transports:
-        ring = sectors[gpi].ring
-        perm, phases, sizes = [], [], None
-        for k, m in enumerate(index_of):
+    for _, t, rows in transports:
+        perm, phases = [], []
+        for m in index_of:
             target, phase = _image(rows, t, m, two_n)
-            if target not in index_of:
-                if target in ring.basis_index:
-                    raise LgError("sector action does not preserve the degree")
-                nf = ring.monomial_form(target)
-                if len(nf.terms) != 1:
-                    return None
-                ((target, c),) = nf.terms.items()
-                unit = units.get(c.key())
-                if unit is None:
-                    if not c.is_rational():
-                        return None
-                    r = c.as_fraction()
-                    unit = 0 if r > 0 else n
-                    if sizes is None:
-                        sizes = [(1, 1)] * len(index_of)
-                    sizes[k] = (abs(r.numerator), r.denominator)
-                if target not in index_of:
-                    raise LgError("sector action does not preserve the degree")
-                phase = (phase + unit) % two_n
-            perm.append(index_of[target])
+            k = index_of.get(target)
+            if k is None:
+                return None
+            perm.append(k)
             phases.append(phase)
-        maps.append((perm, phases, sizes))
+        maps.append((perm, phases))
     return maps
 
 
@@ -81,7 +55,7 @@ def _orbit_invariants(maps, count: int, n: int):
     """Invariants of the maps from _generator_maps on a block of count monomials.
 
     An orbit carries one invariant, valued 1 at its smallest index, when
-    the scalars multiplied along every path agree, and nothing otherwise.
+    the phases summed along every path agree, and nothing otherwise.
     Each invariant is its support {index: nonzero CycNum}.
     """
     two_n = 2 * n
@@ -91,31 +65,23 @@ def _orbit_invariants(maps, count: int, n: int):
         if visited[k0]:
             continue
         values = {k0: 0}
-        size = {k0: (1, 1)}
         stack = [k0]
         alive = True
         while stack:
             k = stack.pop()
-            p, q = size[k]
-            for perm, phases, sizes in maps:
+            for perm, phases in maps:
                 k2 = perm[k]
                 v2 = (values[k] + phases[k]) % two_n
-                p2, q2 = (p, q) if sizes is None else (p * sizes[k][0], q * sizes[k][1])
                 seen = values.get(k2)
                 if seen is None:
                     values[k2] = v2
-                    size[k2] = (p2, q2)
                     stack.append(k2)
-                elif seen != v2 or size[k2][0] * q2 != size[k2][1] * p2:
+                elif seen != v2:
                     alive = False
         for k in values:
             visited[k] = True
         if alive:
-            vec = {}
-            for k, v in values.items():
-                p, q = size[k]
-                vec[k] = phase_unit(v, n) if p == q else phase_unit(v, n) * Fraction(p, q)
-            basis.append(vec)
+            basis.append({k: phase_unit(v, n) for k, v in values.items()})
     return basis
 
 
@@ -146,3 +112,68 @@ def _carry(vec, monomials, transport, sectors, n: int) -> dict:
         for m, x in terms:
             out[m] = out[m] + x if m in out else x
     return {m: x for m, x in out.items() if x}
+
+
+def _fixed_space(transports, monomials, sectors, n: int):
+    """Reduced echelon basis of the block vectors that every transport fixes.
+
+    Starts from the whole block and, one generator transport at a time,
+    keeps the vectors of the space so far that the transport fixes.  A
+    vector v gives a row with (v carried - v) in columns k and v itself
+    in columns count + k.  In the reduced echelon form of these rows, the
+    rows with zero difference span the fixed vectors, and their second
+    halves are in reduced echelon form over the block.  Raises LgError
+    when an image leaves the block.
+    """
+    index_of = {m: k for k, m in enumerate(monomials)}
+    count = len(monomials)
+    space = [{k: phase_unit(0, n)} for k in range(count)]
+    for transport in transports:
+        rows = []
+        for vec in space:
+            row = {count + k: c for k, c in vec.items()}
+            for m, c in _carry(vec, monomials, transport, sectors, n).items():
+                if m not in index_of:
+                    raise LgError("sector action does not preserve the degree")
+                row[index_of[m]] = c
+            for k, c in vec.items():
+                _add(row, k, -c)
+            rows.append(row)
+        space = [
+            {k - count: c for k, c in row.items()}
+            for row in _echelon(rows) if min(row) >= count
+        ]
+    return space
+
+
+def _add(row: dict, k, c) -> None:
+    """row[k] += c, keeping only nonzero entries."""
+    x = row[k] + c if k in row else c
+    if x:
+        row[k] = x
+    else:
+        del row[k]
+
+
+def _echelon(rows):
+    """Reduced echelon form of sparse rows {column: nonzero}, sorted by lead column."""
+    pivots: dict = {}  # lead column -> row with 1 there and 0 at every other lead
+    for row in rows:
+        w = dict(row)
+        for lead, p in pivots.items():
+            c = w.get(lead)
+            if c is not None:
+                for k, x in p.items():
+                    _add(w, k, -c * x)
+        if not w:
+            continue
+        lead = min(w)
+        inv = 1 / w[lead]
+        w = {k: x * inv for k, x in w.items()}
+        for p in pivots.values():
+            c = p.get(lead)
+            if c is not None:
+                for k, x in w.items():
+                    _add(p, k, -c * x)
+        pivots[lead] = w
+    return [pivots[lead] for lead in sorted(pivots)]

@@ -14,12 +14,11 @@ Phases are integers mod 2n, where n is the state's conductor: steps of
 stays exact at odd n.  Transports, transition constants and orbit values
 are such integers, and a CycNum is built (by phase_unit) only for a
 basis vector or a normal-form input.  Blocks walk orbits over centralizer
-generators (see orbits.py).  A generator that sends a block monomial off
-the standard basis stays on the walk when the normal form there is one
-block monomial times a root of unity or a rational; any other block
-falls back to the Reynolds projector over the full centralizer.  A basis
-vector is held as its support, and the symmetry checks walk supports
-only: partner bases are carried by one transport per block.
+generators (see orbits.py) when every generator sends each block
+monomial to a block monomial; any other block takes the common fixed
+space of the generators, cut one generator at a time.  A basis vector is held as its
+support, and the symmetry checks walk supports only: partner bases are
+carried by one transport per block.
 """
 
 from __future__ import annotations
@@ -27,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import det, mat_vec, rref
+from ._linalg import det
+# unused here; the benchmark tracer wraps this name in this module
+from ._linalg import rref  # noqa: F401
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, quotient_ring
-from .orbits import _carry, _generator_maps, _image, _orbit_invariants
+from .orbits import _carry, _fixed_space, _generator_maps, _image, _orbit_invariants
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
@@ -212,13 +213,15 @@ class StateSpace:
                     monos = self.degree_monomials(rep)[degree]
                     index_of = {m: k for k, m in enumerate(monos)}
                     maps = _generator_maps(
-                        (self.transport(hi, rep) for hi in gens),
-                        self.sectors, index_of, self.n,
+                        (self.transport(hi, rep) for hi in gens), index_of, self.n
                     )
                     if maps is not None:
                         basis = _orbit_invariants(maps, len(monos), self.n)
                     else:
-                        basis = self._reynolds(rep, cent, index_of)
+                        basis = _fixed_space(
+                            [self.transport(hi, rep) for hi in gens],
+                            monos, self.sectors, self.n,
+                        )
                     q_left, q_right = self.sectors[rep].charges(degree)
                     out.append(
                         InvariantBlock(
@@ -227,21 +230,6 @@ class StateSpace:
                     )
             self._blocks = out
         return self._blocks
-
-    def _columns(self, hi: int, rep: int, index_of) -> list[dict[int, CycNum]]:
-        """Matrix columns {row: coefficient} of h on a block, from normal forms."""
-        cols = []
-        for m in index_of:
-            _, nf = self.apply_to_monomial(hi, rep, m)
-            if any(m2 not in index_of for m2 in nf.terms):
-                raise LgError("sector action does not preserve the degree")
-            cols.append({index_of[m2]: c for m2, c in nf.terms.items()})
-        return cols
-
-    def _reynolds(self, rep: int, centralizer, index_of):
-        """Projector image from the normal-form images of every centralizer element."""
-        matrices = [self._columns(hi, rep, index_of) for hi in centralizer]
-        return _reynolds_invariants(matrices, len(index_of), self.n)
 
     # -- summaries ----------------------------------------------------------
 
@@ -279,26 +267,6 @@ def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
                     span.add(y)
                     stack.append(y)
     return gens
-
-
-def _reynolds_invariants(matrices, count: int, n: int):
-    """Image basis of the averaging projector, for non-monomial actions."""
-    zero = CycNum.zero(n)
-    weight = Fraction(1, len(matrices))
-    cols = [[zero] * count for _ in range(count)]
-    for mat in matrices:
-        for k, col in enumerate(mat):
-            for r, c in col.items():
-                cols[k][r] = cols[k][r] + c
-    cols = [[c * weight for c in col] for col in cols]
-    reduced, pivots = rref([list(col) for col in cols])
-    rows = [[cols[k][r] for k in range(count)] for r in range(count)]
-    basis = []
-    for vec in reduced[: len(pivots)]:
-        if mat_vec(rows, vec) != vec:
-            raise LgError("averaging operator is not idempotent on its image")
-        basis.append({k: c for k, c in enumerate(vec) if c})
-    return basis
 
 
 def _charge_fault(state: StateSpace, block: InvariantBlock, top: int) -> LgError | None:

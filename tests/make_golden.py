@@ -41,6 +41,9 @@ JOBS = {
     "quartic-xyzw-c4": (QUARTIC + " + x1*x2*x3*x4", "[jf, perm(1 2 3 4)]"),
     "quartic-xyzw-sld": (QUARTIC + " + x1*x2*x3*x4", "[SLd]"),
     "quartic-pairs": (QUARTIC + " + x1^2*x2^2 + x3^2*x4^2", "[jf, perm(1 2), perm(3 4)]"),
+    "quartic-fallback": (
+        QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", "[jf, perm(1 2)*perm(3 4)]"
+    ),
     "hesse-12": (HESSE, "[jf, perm(1 2)]"),
     "hesse-123": (HESSE, "[jf, perm(1 2 3)]"),
     "main-jf": (MAIN, "[jf]"),

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from lgdiamond._linalg import det, inverse, mat_mul, solve
+from lgdiamond._linalg import det, inverse, mat_mul, rref, solve
 from lgdiamond.cyclotomic import CycNum, _divide_exact, root_of_unity
 from lgdiamond.errors import NotIsolated
 from lgdiamond.jacobian import grevlex_key
@@ -86,6 +86,61 @@ def orbit_basis(state, block):
         if alive:
             basis.append(values)
     return basis
+
+
+def mat_vec(a, v):
+    """Matrix-vector product."""
+    out = []
+    for row in a:
+        acc = row[0] * 0 if row else 0
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def reynolds_invariants(matrices, count: int, n: int):
+    """Image basis of the average of matrices, each a list of columns {row: CycNum}.
+
+    Returns the reduced echelon rows of the image as supports {index:
+    CycNum}.  Raises AssertionError when the average is not idempotent on
+    its image, which no average over a group allows.
+    """
+    zero = CycNum.zero(n)
+    weight = Fraction(1, len(matrices))
+    cols = [[zero] * count for _ in range(count)]
+    for mat in matrices:
+        for k, col in enumerate(mat):
+            for r, c in col.items():
+                cols[k][r] = cols[k][r] + c
+    cols = [[c * weight for c in col] for col in cols]
+    reduced, pivots = rref([list(col) for col in cols])
+    rows = [[cols[k][r] for k in range(count)] for r in range(count)]
+    basis = []
+    for vec in reduced[: len(pivots)]:
+        if mat_vec(rows, vec) != vec:
+            raise AssertionError("averaging operator is not idempotent on its image")
+        basis.append({k: c for k, c in enumerate(vec) if c})
+    return basis
+
+
+def reynolds_basis(state, block):
+    """Invariants of a block as the image of the Reynolds projector.
+
+    Averages the matrices of every centralizer element on the block, read
+    column by column off apply_to_monomial, and returns the reduced
+    echelon basis of the image as reynolds_invariants does.
+    """
+    index_of = {m: k for k, m in enumerate(block.monomials)}
+    matrices = []
+    for hi in state.centralizer(block.rep):
+        cols = []
+        for mono in block.monomials:
+            _, nf = state.apply_to_monomial(hi, block.rep, mono)
+            cols.append({index_of[m]: c for m, c in nf.terms.items()})
+        matrices.append(cols)
+    return reynolds_invariants(matrices, len(block.monomials), state.n)
 
 
 # -- the symmetry checks over dense vectors ---------------------------------------

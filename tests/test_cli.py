@@ -101,6 +101,7 @@ def test_parse_job_negative_and_reduced_diag():
         ("f = x1^3 + x2^3\nf = x1^3", "duplicate key 'f'"),
         ("f = x1^3 + x2^3\nmode = fast", "unknown key 'mode'"),
         ("f = x1^3 + x2^3\nvars = x1, x2", "must be a [...] list"),
+        ("f = x1^3 + x2^3\nvars = []", "vars list cannot be empty"),
         ("f = x1^3 + x2^3\ngroup = []", "cannot be empty"),
         ("f = x1^3 + x2^3\ncommand = render", "unknown command 'render'"),
         ("f = x1^3 + x2^3\ngroup = [spin]", "unknown generator atom 'spin'"),

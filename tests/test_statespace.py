@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,13 +15,12 @@ from lgdiamond.errors import (
     PreconditionFailed,
 )
 from lgdiamond._linalg import mat_mul
-from lgdiamond.orbits import _orbit_invariants
-from lgdiamond.polynomial import parse_polynomial
+from lgdiamond.orbits import _fixed_space, _orbit_invariants
+from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
-    _reynolds_invariants,
     _subgroup_generators,
     assemble_diamond,
     duality_check,
@@ -43,6 +43,8 @@ from oracles import (
     dense_transpose_check,
     group_tables,
     orbit_basis,
+    reynolds_basis,
+    reynolds_invariants,
     trace_dimension,
 )
 
@@ -393,10 +395,10 @@ def test_orbit_invariants_unit():
     # phases are integers mod 2n: the phase 1/3 is 2 half-steps of 1/6
     third = 2
     # cycle 0 -> 1 -> 2 -> 0 with total loop phase 1/3: nothing survives
-    dead = [([1, 2, 0], [0, 0, third], None)]
+    dead = [([1, 2, 0], [0, 0, third])]
     assert _orbit_invariants(dead, 3, n) == []
     # loop phases 1/3 each, total 1: one invariant line
-    alive = [([1, 2, 0], [third] * 3, None)]
+    alive = [([1, 2, 0], [third] * 3)]
     basis = _orbit_invariants(alive, 3, n)
     assert len(basis) == 1
     v = basis[0]
@@ -404,14 +406,53 @@ def test_orbit_invariants_unit():
     assert v[0] == one and v[1] == omega and v[2] == omega * omega
 
 
-def test_orbit_invariants_rational_sizes():
+class FormRing:
+    """A ring stand-in: standard monomials and the normal forms of a few others."""
+
+    def __init__(self, n, basis, forms):
+        self.basis_index = {m: k for k, m in enumerate(basis)}
+        self.forms = {
+            m: Polynomial(len(m), n, {m2: CycNum.rational(c, n) for m2, c in terms.items()})
+            for m, terms in forms.items()
+        }
+
+    def monomial_form(self, mono):
+        return self.forms[mono]
+
+
+# in coordinates (x, y, u, v) of one sector, the block is x, y; u and v
+# reduce to multiples of x and y
+X, Y, U, V = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def fixed_space(n, rows, forms, standard=(X, Y)):
+    """_fixed_space on the block x, y under one transport (0, 0, rows)."""
+    sectors = [SimpleNamespace(ring=FormRing(n, standard, forms))]
+    return _fixed_space([(0, 0, rows)], (X, Y), sectors, n)
+
+
+def test_fixed_space_unit():
+    n = 1
+    one = CycNum.one(n)
+    # x -> u = x + y, y -> -y: involution with invariant line spanned by (1, 1/2)
+    basis = fixed_space(n, [(2, 0), (1, n), (2, 0), (3, 0)], {U: {X: 1, Y: 1}})
+    assert basis == [{0: one, 1: CycNum.rational(F(1, 2), n)}]
+    # x -> x, y -> y: the whole block, in reduced echelon form
+    assert fixed_space(n, [(0, 0), (1, 0), (2, 0), (3, 0)], {}) == [{0: one}, {1: one}]
+    # y -> u, a standard monomial outside the block
+    with pytest.raises(LgError, match="does not preserve the degree"):
+        fixed_space(n, [(0, 0), (2, 0), (2, 0), (3, 0)], {}, standard=(X, Y, U))
+
+
+def test_fixed_space_rational_sizes():
     n = 2
     one = CycNum.one(n)
-    # x -> -2y, y -> -x/2: the loop scalar is 1, so x - 2y is invariant
-    swap = ([1, 0], [2, 2], [(2, 1), (1, 2)])
-    assert _orbit_invariants([swap], 2, n) == [{0: one, 1: CycNum.rational(-2, n)}]
-    # x -> 2y, y -> x: the loop scalar is 2, so nothing survives
-    assert _orbit_invariants([([1, 0], [0, 0], [(2, 1), (1, 1)])], 2, n) == []
+    # x -> -u = -2y, y -> -v = -x/2 (phase n is -1): x - 2y is invariant
+    forms = {U: {Y: 2}, V: {X: F(1, 2)}}
+    rows = [(2, n), (3, n), (2, 0), (3, 0)]
+    assert fixed_space(n, rows, forms) == [{0: one, 1: CycNum.rational(-2, n)}]
+    # x -> u = 2y, y -> x: the loop scalar is 2, so nothing survives
+    assert fixed_space(n, [(2, 0), (0, 0), (2, 0), (3, 0)], forms) == []
 
 
 def test_reynolds_invariants_unit():
@@ -419,13 +460,13 @@ def test_reynolds_invariants_unit():
     one = CycNum.one(n)
     half = CycNum.rational(F(1, 2), n)
     ident = [{0: one}, {1: one}]
-    # x -> x, y -> x - y: involution with invariant line spanned by (1, 1/2)
+    # columns x -> x + y, y -> -y: involution with invariant line spanned by (1, 1/2)
     refl = [{0: one, 1: one}, {1: CycNum.rational(-1, n)}]
-    basis = _reynolds_invariants([ident, refl], 2, n)
+    basis = reynolds_invariants([ident, refl], 2, n)
     assert basis == [{0: one, 1: half}]
     # a single non-idempotent matrix is rejected by the projector check
-    with pytest.raises(LgError, match="idempotent"):
-        _reynolds_invariants([refl], 2, n)
+    with pytest.raises(AssertionError, match="idempotent"):
+        reynolds_invariants([refl], 2, n)
 
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))
@@ -475,19 +516,20 @@ def double_one_term(block, monkeypatch):
     monkeypatch.setattr(block, "basis", double_term(block.basis))
 
 
-def reynolds_calls(monkeypatch):
-    """Bases the Reynolds projector returns from now on, one per call."""
+def fixed_space_calls(monkeypatch):
+    """Bases the generators' fixed space returns from now on, one per call."""
     calls = []
 
-    def spy(matrices, count, n):
-        calls.append(_reynolds_invariants(matrices, count, n))
+    def spy(*args):
+        calls.append(_fixed_space(*args))
         return calls[-1]
 
-    monkeypatch.setattr(statespace, "_reynolds_invariants", spy)
+    monkeypatch.setattr(statespace, "_fixed_space", spy)
     return calls
 
 
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
+QUARTIC_FALLBACK = QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4"
 
 # images leave the standard basis; each normal form is one block monomial
 # times a root of unity or a rational (x3^3 = -x1*x2*x4/4 in the first)
@@ -499,14 +541,38 @@ MONOMIAL_FORM_STATES = {
     "hesse-123": (HESSE, [cycle(3, 0, 1, 2)]),
 }
 
+# states with fallback blocks, and how many: normal forms with two terms
+# in the first two, one block monomial in the others
+FALLBACK_STATES = {
+    "quartic-reynolds": ((QUARTIC_FALLBACK, [cycle(4, 0, 1)]), 3),
+    "quartic-fallback": (
+        (QUARTIC_FALLBACK, [cycle(4, 0, 1).compose(cycle(4, 2, 3))]), 6
+    ),
+    **{name: (args, None) for name, args in MONOMIAL_FORM_STATES.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK_STATES))
+def test_fallback_blocks_match_reynolds_oracle(name, monkeypatch):
+    """Fixed-space bases against the projector over the whole centralizer."""
+    calls = fixed_space_calls(monkeypatch)
+    args, count = FALLBACK_STATES[name]
+    state = build_state(*args)
+    blocks = state.blocks()
+    assert calls
+    assert count is None or len(calls) == count
+    for block in blocks:
+        assert list(block.basis) == reynolds_basis(state, block)
+        assert block.dimension == trace_dimension(state, block)
+
 
 @pytest.mark.parametrize("name", list(MONOMIAL_FORM_STATES))
-def test_monomial_normal_forms_stay_on_orbit_walk(name, monkeypatch):
-    """Blocks whose images reduce to one monomial skip the projector."""
-    calls = reynolds_calls(monkeypatch)
+def test_monomial_normal_forms_leave_orbit_walk(name, monkeypatch):
+    """Blocks whose images reduce to one monomial take the fixed space, as orbits."""
+    calls = fixed_space_calls(monkeypatch)
     state = build_state(*MONOMIAL_FORM_STATES[name])
     blocks = state.blocks()
-    assert calls == []
+    assert calls
     for block in blocks:
         assert block.dimension == trace_dimension(state, block)
         assert orbit_basis(state, block) == list(block.basis)
@@ -514,14 +580,14 @@ def test_monomial_normal_forms_stay_on_orbit_walk(name, monkeypatch):
 
 
 def test_reynolds_fallback_blocks(monkeypatch):
-    """A normal form with two terms sends its block to the projector."""
-    calls = reynolds_calls(monkeypatch)
-    state = build_state(QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", [cycle(4, 0, 1)])
+    """A normal form with two terms sends its block to the generators' fixed space."""
+    calls = fixed_space_calls(monkeypatch)
+    state = build_state(QUARTIC_FALLBACK, [cycle(4, 0, 1)])
     blocks = state.blocks()
     assert len(calls) == 3
     for block in blocks:
         assert block.dimension == trace_dimension(state, block)
-    # the check applies each generator's matrix to the projector's basis
+    # the check carries the fixed-space basis by each generator's transport
     assert transpose_check(state)[0]
     projected = next(b for b in blocks if b.dimension and list(b.basis) in calls)
     double_one_term(projected, monkeypatch)
@@ -660,7 +726,7 @@ ORACLE_CHECK_STATES = {
     "main-jf": lambda: MAIN_STATE,
     "k3-sld-c4": k3_sld_c4,
     "quartic-reynolds": functools.cache(
-        lambda: build_state(QUARTIC + " + x1^2*x2^2 + x1*x2*x3*x4", [cycle(4, 0, 1)])
+        lambda: build_state(QUARTIC_FALLBACK, [cycle(4, 0, 1)])
     ),
     # images off the standard basis, reduced to one monomial on the orbit walk
     **{

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgdiamond._linalg import det, mat_mul, mat_vec
+from lgdiamond._linalg import det, mat_mul
 from lgdiamond.cyclotomic import CycNum, phase_unit, root_of_unity
 from lgdiamond.errors import (
     ClosureCapExceeded,
@@ -41,6 +41,7 @@ from oracles import (
     eigenvalue_phases,
     eigenvector_matrices,
     element_matrix,
+    mat_vec,
     ref_age,
     ref_compose,
     ref_conductor,
