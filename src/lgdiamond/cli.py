@@ -384,7 +384,7 @@ def _run_jacobian(f: Polynomial, w: WeightSystem) -> tuple[dict, bool]:
         "weights": _weights_payload(w),
         "mu": ring.mu,
         "c_hat": _frac(ring.c_hat),
-        "graded": [[_frac(d), ring.graded[d]] for d in sorted(ring.graded)],
+        "graded": [[_frac(d), c] for d, c in ring.graded.items()],
         "oracle_agrees": agrees,
     }, agrees
 

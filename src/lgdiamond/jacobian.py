@@ -14,7 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from heapq import heappop, heappush
+from itertools import chain
+from operator import add, le, mul
 
 from .cyclotomic import CycNum
 from .errors import NonHomogeneous, NotIsolated
@@ -27,7 +29,11 @@ def grevlex_key(mono: Monomial):
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _coprime(a: Monomial, b: Monomial) -> bool:
+    return not any(map(min, a, b))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -35,7 +41,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def leading_monomial(p: Polynomial) -> Monomial:
@@ -91,37 +97,64 @@ def _s_polynomial(lead_a, lead_b) -> Polynomial:
 
 
 def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomial]:
-    """Reduced monic Groebner basis in grevlex order, sorted by leading term."""
-    basis = [_monic(p) for p in polys if not p.is_zero()]
-    lms = [leading_monomial(b) for b in basis]
-    leads = list(zip(lms, basis))
-    pairs = {(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))}
-    done: set[tuple[int, int]] = set()
-    while pairs:
-        i, j = min(pairs, key=lambda ij: grevlex_key(_mono_lcm(lms[ij[0]], lms[ij[1]])))
-        pairs.remove((i, j))
-        done.add((i, j))
-        gamma = _mono_lcm(lms[i], lms[j])
-        # coprime criterion: disjoint leading supports give a zero reduction
-        if gamma == _mono_mul(lms[i], lms[j]):
-            continue
-        # chain criterion: a third basis element whose pairs are settled
-        if any(
-            k != i and k != j
-            and _divides(lms[k], gamma)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k in range(len(leads))
-        ):
+    """Reduced monic Groebner basis in grevlex order, sorted by leading term.
+
+    Buchberger's algorithm with the pair update of Gebauer and Moeller
+    (J. Symbolic Comput. 6, 1988): pairs wait in a heap by the grevlex
+    key of their lcm, and each new element prunes the pairs before it
+    joins.  Pairs that the update drops stay in the heap and are
+    skipped when popped.
+    """
+    leads: list[tuple[Monomial, Polynomial]] = []
+    # elements whose leading monomial no later leading monomial divides
+    active: list[int] = []
+    # the live pairs (i, j), i < j, with their lcms
+    pairs: dict[tuple[int, int], Monomial] = {}
+    heap: list = []
+
+    def update(b: Polynomial) -> None:
+        t = leading_monomial(b)
+        new = len(leads)
+        # criterion B: drop an old pair whose lcm t divides, unless the lcm
+        # of t with one of its ends is that lcm
+        for (i, j), gamma in list(pairs.items()):
+            if (
+                _divides(t, gamma)
+                and _mono_lcm(leads[i][0], t) != gamma
+                and _mono_lcm(leads[j][0], t) != gamma
+            ):
+                del pairs[i, j]
+        candidates = [
+            (_mono_lcm(leads[k][0], t), k, _coprime(leads[k][0], t)) for k in active
+        ]
+        # criteria M and F: drop a new pair whose lcm another new pair's lcm
+        # divides, keeping one of each lcm; a coprime pair always stays,
+        # so that it prunes the others, and is dropped last (Buchberger)
+        kept = []
+        for c, (gamma, k, coprime) in enumerate(candidates):
+            if coprime or not any(
+                _divides(other[0], gamma) for other in chain(candidates[c + 1 :], kept)
+            ):
+                kept.append((gamma, k, coprime))
+        for gamma, k, coprime in kept:
+            if not coprime:
+                pairs[k, new] = gamma
+                heappush(heap, (grevlex_key(gamma), k, new))
+        active[:] = [k for k in active if not _divides(t, leads[k][0])]
+        active.append(new)
+        leads.append((t, b))
+
+    for p in polys:
+        if not p.is_zero():
+            update(_monic(p))
+    while heap:
+        _, i, j = heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
         r = normal_form(_s_polynomial(leads[i], leads[j]), leads)
-        if r.is_zero():
-            continue
-        b = _monic(r)
-        lms.append(leading_monomial(b))
-        leads.append((lms[-1], b))
-        new = len(leads) - 1
-        pairs.update((k, new) for k in range(new))
+        if not r.is_zero():
+            update(_monic(r))
+    lms = [lm for lm, _ in leads]
     # minimalize: drop elements whose leading term another one divides;
     # of several equal leading terms the lowest-index element stays
     keep = [
@@ -153,26 +186,34 @@ def _standard_monomials(lms: list[Monomial], nvars: int) -> list[Monomial]:
                 "the critical point is not isolated"
             )
         bounds.append(min(pure))
-    # a leading monomial divides m exactly when it divides the prefix of m
-    # up to its own last variable, so prefixes grow one variable at a time
-    # and meet only the leading monomials that end at that variable
-    ending: list[list[Monomial]] = [[] for _ in range(nvars)]
+    # a leading monomial divides m exactly when its head (the exponents
+    # before its last variable) divides m's prefix there and its last
+    # exponent is at most m's; so prefixes grow one variable at a time,
+    # each below the smallest last exponent of the leading monomials that
+    # end at that variable with a head dividing the prefix
+    ending: list[list[tuple[Monomial, int]]] = [[] for _ in range(nvars)]
     for lm in lms:
         last = max((j for j, e in enumerate(lm) if e), default=0)
-        ending[last].append(lm[: last + 1])
+        ending[last].append((lm[:last], lm[last]))
     prefixes: list[Monomial] = [()]
-    for i, bound in enumerate(bounds):
+    for i, pure in enumerate(bounds):
         grown = []
         for prefix in prefixes:
+            bound = pure
+            for head, e in ending[i]:
+                if e < bound and _divides(head, prefix):
+                    bound = e
+            # one append at a time: no temporary list beside grown
             for e in range(bound):
-                mono = prefix + (e,)
-                # the standard monomials form an order ideal: past the
-                # first divisible exponent none is standard
-                if any(_divides(lm, mono) for lm in ending[i]):
-                    break
-                grown.append(mono)
+                grown.append(prefix + (e,))
         prefixes = grown
-    prefixes.sort(key=grevlex_key)
+    # sorted by grevlex_key packed into one integer (the total degree, then
+    # the exponents from the last variable on, each below base), so the
+    # sort holds one int per monomial rather than two tuples
+    base = max(bounds, default=0) + 1
+    places = [base**i for i in range(nvars)]
+    top = base**nvars
+    prefixes.sort(key=lambda m: sum(m) * top - sum(map(mul, m, places)))
     return prefixes
 
 
@@ -187,6 +228,7 @@ class JacobianRing:
     leads: tuple[tuple[Monomial, Polynomial], ...]
     basis: tuple[Monomial, ...]
     basis_index: dict[Monomial, int]
+    # {weighted degree: dimension}, keys in strictly ascending order
     graded: dict[Fraction, int]
     top_monomial: Monomial
     hess_coefficient: CycNum
@@ -279,7 +321,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     lms = [leading_monomial(b) for b in gb]
     basis = _standard_monomials(lms, f.nvars)
     counts = Counter(_integer_degree(mono, w) for mono in basis)
-    graded = {Fraction(deg, w.d0): c for deg, c in counts.items()}
+    graded = {Fraction(deg, w.d0): counts[deg] for deg in sorted(counts)}
     leads = tuple(zip(lms, gb))
     hess = normal_form(hessian_determinant(f), leads)
     if len(hess.terms) != 1:
@@ -306,7 +348,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
 
 def _integer_degree(mono: Monomial, w: WeightSystem) -> int:
     """d0 times the weighted degree of mono."""
-    return sum(e * dk for e, dk in zip(mono, w.d))
+    return sum(map(mul, mono, w.d))
 
 
 def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:

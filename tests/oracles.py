@@ -5,6 +5,7 @@ library takes, so a test can compare the two.  None of them is reached
 from the command line or the public API.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -125,22 +126,38 @@ def reynolds_invariants(matrices, count: int, n: int):
     return basis
 
 
+def averaging_columns(state, rep: int, monomials):
+    """Columns of the centralizer average of rep on the span of monomials.
+
+    Column k maps row indices to the coefficients of the normal form of
+    the k-th monomial, summed over every centralizer element through
+    apply_to_monomial and divided by the centralizer's order.
+    """
+    index_of = {m: k for k, m in enumerate(monomials)}
+    centralizer = state.centralizer(rep)
+    zero = CycNum.zero(state.n)
+    scale = CycNum.rational(Fraction(1, len(centralizer)), state.n)
+    columns = []
+    for mono in monomials:
+        col = {}
+        for hi in centralizer:
+            _, nf = state.apply_to_monomial(hi, rep, mono)
+            for m2, c2 in nf.terms.items():
+                r = index_of[m2]
+                col[r] = col.get(r, zero) + c2
+        columns.append({r: c * scale for r, c in col.items() if c})
+    return columns
+
+
 def reynolds_basis(state, block):
     """Invariants of a block as the image of the Reynolds projector.
 
-    Averages the matrices of every centralizer element on the block, read
-    column by column off apply_to_monomial, and returns the reduced
-    echelon basis of the image as reynolds_invariants does.
+    Averages the centralizer on the block with averaging_columns and
+    returns the reduced echelon basis of the image as
+    reynolds_invariants does.
     """
-    index_of = {m: k for k, m in enumerate(block.monomials)}
-    matrices = []
-    for hi in state.centralizer(block.rep):
-        cols = []
-        for mono in block.monomials:
-            _, nf = state.apply_to_monomial(hi, block.rep, mono)
-            cols.append({index_of[m]: c for m, c in nf.terms.items()})
-        matrices.append(cols)
-    return reynolds_invariants(matrices, len(block.monomials), state.n)
+    average = averaging_columns(state, block.rep, block.monomials)
+    return reynolds_invariants([average], len(block.monomials), state.n)
 
 
 # -- the symmetry checks over dense vectors ---------------------------------------
@@ -566,3 +583,82 @@ def standard_monomials_box(lms, nvars: int):
     ]
     out.sort(key=grevlex_key)
     return out
+
+
+def _lead(terms):
+    return max(terms, key=grevlex_key)
+
+
+def _monic_terms(terms):
+    inv = terms[_lead(terms)].inverse()
+    return {m: c * inv for m, c in terms.items()}
+
+
+def _reduce_terms(terms, basis):
+    """Full remainder of a term dict under division by monic term dicts."""
+    work = dict(terms)
+    rem = {}
+    while work:
+        mono = _lead(work)
+        c = work.pop(mono)
+        for g in basis:
+            lg = _lead(g)
+            if all(a <= b for a, b in zip(lg, mono)):
+                shift = tuple(a - b for a, b in zip(mono, lg))
+                for m2, c2 in g.items():
+                    if m2 != lg:
+                        target = tuple(a + b for a, b in zip(m2, shift))
+                        acc = work[target] - c * c2 if target in work else -(c * c2)
+                        if acc:
+                            work[target] = acc
+                        else:
+                            del work[target]
+                break
+        else:
+            rem[mono] = c
+    return rem
+
+
+def buchberger_basis(polys):
+    """Reduced monic Groebner basis in grevlex order by plain Buchberger.
+
+    Every pair is reduced, first in first out, with no criterion that
+    skips one.  The basis is then minimalized and the tail of each
+    element reduced against the rest.  Sorted by leading monomial, as
+    groebner_basis returns it.
+    """
+    nvars, n = polys[0].nvars, polys[0].n
+    basis = [_monic_terms(p.terms) for p in polys if p.terms]
+    queue = deque((i, j) for j in range(len(basis)) for i in range(j))
+    while queue:
+        i, j = queue.popleft()
+        a, b = basis[i], basis[j]
+        la, lb = _lead(a), _lead(b)
+        gamma = tuple(map(max, la, lb))
+        s = {}
+        for g, lg, sign in ((a, la, 1), (b, lb, -1)):
+            shift = tuple(x - y for x, y in zip(gamma, lg))
+            for m, c in g.items():
+                target = tuple(x + y for x, y in zip(m, shift))
+                s[target] = s[target] + c * sign if target in s else c * sign
+        r = _reduce_terms({m: c for m, c in s.items() if c}, basis)
+        if r:
+            basis.append(_monic_terms(r))
+            queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    leads = [_lead(g) for g in basis]
+    minimal = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            all(x <= y for x, y in zip(leads[k], leads[i]))
+            and (leads[k] != leads[i] or k < i)
+            for k in range(len(basis))
+        )
+    ]
+    reduced = []
+    for g in minimal:
+        lg = _lead(g)
+        tail = _reduce_terms({m: c for m, c in g.items() if m != lg}, minimal)
+        reduced.append(Polynomial(nvars, n, {lg: g[lg], **tail}))
+    reduced.sort(key=lambda p: grevlex_key(_lead(p.terms)))
+    return reduced

@@ -38,7 +38,7 @@ from lgdiamond.symmetry import (
     rho_constant,
 )
 
-from oracles import trace_dimension
+from oracles import averaging_columns, trace_dimension
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -184,11 +184,12 @@ def test_criterion_4_fermat_sectors():
         ]
 
 
-def random_invertible(rng: random.Random) -> str:
+def random_invertible(rng: random.Random, max_exponent: int = 5) -> str:
     """A random invertible polynomial on up to four variables.
 
     Variables are partitioned into consecutive blocks, each realized as
-    a power monomial, a chain, or a loop, with exponents in 2..5.
+    a power monomial, a chain, or a loop, with exponents in
+    2..max_exponent.
     """
     nv = rng.randint(1, 4)
     terms = []
@@ -196,7 +197,7 @@ def random_invertible(rng: random.Random) -> str:
     while pos < nv:
         size = rng.randint(1, min(3, nv - pos))
         block = list(range(pos, pos + size))
-        exps = [rng.randint(2, 5) for _ in block]
+        exps = [rng.randint(2, max_exponent) for _ in block]
         kind = "power" if size == 1 else rng.choice(("chain", "loop"))
         if kind == "power":
             terms.append(f"x{block[0] + 1}^{exps[0]}")
@@ -232,23 +233,11 @@ def test_criterion_5_oracle_equivalence():
 
 def _reynolds_blocks_idempotent(state: StateSpace) -> None:
     """Assert R o R == R for the averaging operator of every block."""
-    group = state.group
     zero = CycNum.zero(state.n)
-    for cls in group.classes:
+    for cls in state.group.classes:
         rep = cls[0]
-        cz = state.centralizer(rep)
-        scale = CycNum.rational(F(1, len(cz)), state.n)
         for monos in state.degree_monomials(rep).values():
-            index = {m: k for k, m in enumerate(monos)}
-            columns = []
-            for mono in monos:
-                col: dict[int, CycNum] = {}
-                for hi in cz:
-                    _, img = state.apply_to_monomial(hi, rep, mono)
-                    for m2, c2 in img.terms.items():
-                        r = index[m2]
-                        col[r] = col.get(r, zero) + c2
-                columns.append({r: c * scale for r, c in col.items() if c})
+            columns = averaging_columns(state, rep, monos)
             for j in range(len(monos)):
                 acc: dict[int, CycNum] = {}
                 for k, c in columns[j].items():

@@ -27,7 +27,7 @@ from lgdiamond.symmetry import (
     make_jf,
     restricted_weights,
 )
-from oracles import poincare_dense, standard_monomials_box
+from oracles import buchberger_basis, poincare_dense, standard_monomials_box
 
 F = Fraction
 
@@ -118,7 +118,12 @@ def test_hesse_cubic_swap_sectors():
     assert assemble_diamond(state)[1] == [[1, 0], [0, 1]]
 
 
-def sympy_leading_monomials(f: Polynomial):
+def partials(f: Polynomial) -> list[Polynomial]:
+    return [f.partial_derivative(i) for i in range(f.nvars)]
+
+
+def sympy_reduced_basis(f: Polynomial) -> list[Polynomial]:
+    """The monic reduced grevlex basis of the Jacobian ideal of f, by sympy."""
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x1:{f.nvars + 1}")
     expr = 0
@@ -128,18 +133,25 @@ def sympy_leading_monomials(f: Polynomial):
         for x, e in zip(xs, mono):
             term *= x**e
         expr += term
-    partials = [sympy.diff(expr, x) for x in xs]
-    gb = sympy.groebner(partials, *xs, order="grevlex")
-    return sorted(sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in gb.exprs)
+    gb = sympy.groebner([sympy.diff(expr, x) for x in xs], *xs, order="grevlex")
+    basis = []
+    for g in gb.exprs:
+        terms = {m: F(int(c.p), int(c.q)) for m, c in sympy.Poly(g, *xs).terms()}
+        lc = terms[max(terms, key=grevlex_key)]
+        monic = {m: CycNum.rational(c / lc) for m, c in terms.items()}
+        basis.append(Polynomial(f.nvars, 1, monic))
+    basis.sort(key=lambda b: grevlex_key(leading_monomial(b)))
+    return basis
 
 
 @pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN])
 def test_leading_monomials_match_sympy(text):
     f = poly(text)
-    gb = groebner_basis(
-        [f.partial_derivative(i) for i in range(f.nvars)], f.nvars, f.n
-    )
-    assert sorted(leading_monomial(b) for b in gb) == sympy_leading_monomials(f)
+    gb = groebner_basis(partials(f), f.nvars, f.n)
+    expected = sympy_reduced_basis(f)
+    assert [leading_monomial(b) for b in gb] == [leading_monomial(b) for b in expected]
+    # the whole monic reduced basis, rational coefficients included
+    assert gb == expected
 
 
 def test_hesse_swap_sector_leading_monomials_match_sympy():
@@ -149,8 +161,56 @@ def test_hesse_swap_sector_leading_monomials_match_sympy():
         if not ring.nvars:
             continue
         assert all(c.is_rational() for c in ring.f.terms.values())
-        got = sorted(leading_monomial(b) for b in ring.groebner)
-        assert got == sympy_leading_monomials(ring.f)
+        expected = sympy_reduced_basis(ring.f)
+        got = [leading_monomial(b) for b in ring.groebner]
+        assert got == [leading_monomial(b) for b in expected]
+        assert list(ring.groebner) == expected
+
+
+# rings with a permutation in the group: quartic-fallback's sectors
+QUARTIC_FALLBACK = (
+    "x1^4 + x2^4 + x3^4 + x4^4 + x1^2*x2^2 + x1*x2*x3*x4",
+    GroupElement((1, 0, 3, 2), (F(0),) * 4),
+)
+
+
+def sector_rings(text, *generators):
+    f, names = parse_polynomial(text)
+    w = analyze_weights(f)[2]
+    state = StateSpace(f, w, generate_group([make_jf(w), *generators], f), names)
+    return [sector.ring for sector in state.sectors]
+
+
+@pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN])
+def test_groebner_matches_buchberger_oracle(text):
+    f = poly(text)
+    assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(partials(f))
+
+
+def test_sector_groebner_matches_buchberger_oracle():
+    rings = [s.ring for s in hesse_swap_state().sectors]
+    rings += sector_rings(*QUARTIC_FALLBACK)
+    for ring in rings:
+        if ring.nvars:
+            assert list(ring.groebner) == buchberger_basis(partials(ring.f))
+
+
+def test_groebner_matches_buchberger_property():
+    """Random invertible polynomials with exponents up to 3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_acceptance import random_invertible
+
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
+    def check(rng):
+        f = poly(random_invertible(rng, max_exponent=3))
+        assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(
+            partials(f)
+        )
+
+    check()
 
 
 def test_normal_form_idempotent_and_kernel():
@@ -240,6 +300,14 @@ def test_mu_invariance():
     assert ring_of("x2^3 + x2*x1^2").mu == 4
     assert ring_of("7*x1^3 + 7*x1*x2^2").mu == 4
     assert ring_of("8*x1^3 + x2^3").mu == 4
+
+
+def test_graded_in_ascending_order():
+    quintic_a3 = sector_rings(QUINTIC, GroupElement((1, 2, 0, 3, 4), (F(0),) * 5))
+    hesse_swap = [s.ring for s in hesse_swap_state().sectors]
+    for ring in [ring_of(ANCHOR), *quintic_a3, *hesse_swap]:
+        degrees = list(ring.graded)
+        assert all(a < b for a, b in zip(degrees, degrees[1:]))
 
 
 def test_ring_cache():

@@ -15,6 +15,7 @@ from lgdiamond.errors import (
     PreconditionFailed,
 )
 from lgdiamond._linalg import mat_mul
+from lgdiamond.cli import parse_job, run
 from lgdiamond.orbits import _fixed_space, _orbit_invariants
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
@@ -826,3 +827,24 @@ def test_group_structure_property():
         assert_matches_tables(group, tables, sampled_pairs(group, limit=1024))
 
     check()
+
+
+def test_quintic_fallback_job_end_to_end(monkeypatch):
+    """A quintic whose sector rings once took minutes to build, with verification.
+
+    Regression pin: the diamond is what the code computed when its
+    Groebner pairs were still chosen by a scan, in about 147 s; the
+    fixed-space fallback is reached, and every check passes.
+    """
+    calls = fixed_space_calls(monkeypatch)
+    report = run(parse_job(
+        "f = x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x1*x2*x3*x4*x5 + x1^3*x2*x3\n"
+        "group = [jf, perm(2 3)*perm(4 5)]\n"
+    ))
+    assert report.payload["diamond"]["h"] == [
+        [1, 0, 0, 1], [0, 59, 3, 0], [0, 3, 59, 0], [1, 0, 0, 1]
+    ]
+    checks = report.payload["verification"]["checks"]
+    assert len(checks) == 6 and all(c["pass"] for c in checks)
+    assert report.ok
+    assert calls
