@@ -228,8 +228,8 @@ class JacobianRing:
     leads: tuple[tuple[Monomial, Polynomial], ...]
     basis: tuple[Monomial, ...]
     basis_index: dict[Monomial, int]
-    # {weighted degree: dimension}, keys in strictly ascending order
-    graded: dict[Fraction, int]
+    # {d0 * weighted degree: dimension}, keys in strictly ascending order
+    graded: dict[int, int]
     top_monomial: Monomial
     hess_coefficient: CycNum
     mu: int
@@ -321,7 +321,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     lms = [leading_monomial(b) for b in gb]
     basis = _standard_monomials(lms, f.nvars)
     counts = Counter(_integer_degree(mono, w) for mono in basis)
-    graded = {Fraction(deg, w.d0): counts[deg] for deg in sorted(counts)}
+    graded = {deg: counts[deg] for deg in sorted(counts)}
     leads = tuple(zip(lms, gb))
     hess = normal_form(hessian_determinant(f), leads)
     if len(hess.terms) != 1:
@@ -351,26 +351,56 @@ def _integer_degree(mono: Monomial, w: WeightSystem) -> int:
     return sum(map(mul, mono, w.d))
 
 
-def poincare_dimensions(w: WeightSystem) -> dict[Fraction, int]:
+def poincare_dimensions(w: WeightSystem) -> dict[int, int]:
     """Graded dimensions of the Milnor algebra from the weights alone.
 
-    Expands prod_k (t^(1 - q_k) - 1)/(t^(q_k) - 1) as a polynomial in
-    t^(1/d0) and returns {degree: dimension}.  Independent of any
-    Groebner computation, so it serves as a cross-check.
+    Expands prod_k (1 - t^(d0 - d_k))/(1 - t^(d_k)) and returns
+    {e: dimension} with e = d0 * degree, keys ascending.  Independent of
+    any Groebner computation, so it serves as a cross-check.
     """
-    # multiply by each binomial t^(d0 - d_k) - 1, then divide exactly by
-    # each t^(d_k) - 1; every step is linear in the length
-    num = [1]
-    for dk in w.d:
-        shift = w.d0 - dk
-        num = [a - b for a, b in zip([0] * shift + num, num + [0] * shift)]
-    for dk in w.d:
-        for i in range(len(num) - dk - 1, -1, -1):
-            num[i] += num[i + dk]
-        if any(num[:dk]):
-            raise ArithmeticError("inexact polynomial division")
-        num = num[dk:]
-    return {Fraction(e, w.d0): c for e, c in enumerate(num) if c}
+    from sys import byteorder
+
+    d0, d = w.d0, w.d
+    top = len(d) * d0 - 2 * sum(d)
+    if top < 0:
+        raise ArithmeticError("inexact polynomial division")
+    # the series below t^size at t = 2^W, one slot of W bits per degree: no
+    # coefficient there exceeds 2^N prod_k (size/d_k + 1) in absolute
+    # value, and W, a multiple of 32, keeps one bit above that bound
+    size = top + sum(d) + 1
+    bound = 1 << len(d)
+    for dk in d:
+        bound *= size // dk + 1
+    wide = bound.bit_length() // 32 + 1
+    W = 32 * wide
+    mask = (1 << W * size) - 1
+    s = 1
+    for dk in d:
+        s -= s << W * (d0 - dk)
+    for dk in d:
+        # times 1 + t^dk + t^2dk + ... = (1 + t^dk)(1 + t^2dk)(1 + t^4dk)...
+        step = dk
+        while step < size:
+            s = (s + (s << W * step)) & mask
+            step *= 2
+    # half = 2^(W - 1) added to every slot makes each slot c + half, so no
+    # slot borrows from the next
+    half = 1 << W - 1
+    s = (s + int.from_bytes((bytes(4 * wide - 1) + b"\x80") * size, "little")) & mask
+    # native 32-bit words, least significant first, wide of them per slot
+    words = memoryview(s.to_bytes(4 * wide * size, byteorder)).cast("I").tolist()
+    if byteorder == "big":
+        words.reverse()
+    slots = words[::wide]
+    for j in range(1, wide):
+        slots = [c + (x << 32 * j) for c, x in zip(slots, words[j::wide])]
+    # the series is Q + R/D with deg Q = top and R/D proper over the
+    # denominator D of degree sum(d), so its coefficients above top obey a
+    # recurrence of that order: the sum(d) slots above top are all zero
+    # exactly when R = 0
+    if slots[top + 1 :] != [half] * (size - top - 1):
+        raise ArithmeticError("inexact polynomial division")
+    return {e: c - half for e, c in enumerate(slots[: top + 1]) if c != half}
 
 
 def milnor_number(w: WeightSystem) -> int:

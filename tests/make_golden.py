@@ -1,4 +1,4 @@
-"""Golden reports of the command line on a fixed set of diamond jobs.
+"""Golden reports of the command line on fixed diamond and jacobian jobs.
 
     PYTHONPATH=src python3 tests/make_golden.py
 
@@ -50,16 +50,42 @@ JOBS = {
     "main-sld": (MAIN, "[SLd]"),
 }
 
+# name -> f of a `command = jacobian` job; the last is the milnor-batch anchor
+JACOBIAN_JOBS = {
+    "main-jacobian": MAIN,
+    "cubes-jacobian": "x1^3 + x2^3",
+    "anchor-jacobian": "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5",
+}
+
 MODES = {
     "text": [],
     "text-noverify": ["--no-verify"],
     "json": ["--format", "json"],
     "json-noverify": ["--format", "json", "--no-verify"],
 }
+# a jacobian job verifies nothing, so it runs without --no-verify only
+JACOBIAN_MODES = ("text", "json")
 
 
 def job_path(name: str) -> Path:
     return GOLDEN / f"{name}.job"
+
+
+def job_text(name: str) -> str:
+    if name in JACOBIAN_JOBS:
+        return f"f = {JACOBIAN_JOBS[name]}\ncommand = jacobian\n"
+    f, group = JOBS[name]
+    return f"f = {f}\ngroup = {group}\n"
+
+
+def golden_runs():
+    """(job name, mode) of every golden run."""
+    for name in JOBS:
+        for mode in MODES:
+            yield name, mode
+    for name in JACOBIAN_JOBS:
+        for mode in JACOBIAN_MODES:
+            yield name, mode
 
 
 def run_cli(argv) -> tuple[str, str, int]:
@@ -73,13 +99,12 @@ def run_cli(argv) -> tuple[str, str, int]:
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     status = {}
-    for name, (f, group) in JOBS.items():
-        job_path(name).write_text(f"f = {f}\ngroup = {group}\n")
-        for mode, flags in MODES.items():
-            out, err, code = run_cli([job_path(name), *flags])
-            (GOLDEN / f"{name}.{mode}.out").write_text(out)
-            status[f"{name}.{mode}"] = {"exit": code, "stderr": err}
-            print(f"{name}.{mode}: exit {code}", file=sys.stderr)
+    for name, mode in golden_runs():
+        job_path(name).write_text(job_text(name))
+        out, err, code = run_cli([job_path(name), *MODES[mode]])
+        (GOLDEN / f"{name}.{mode}.out").write_text(out)
+        status[f"{name}.{mode}"] = {"exit": code, "stderr": err}
+        print(f"{name}.{mode}: exit {code}", file=sys.stderr)
     (GOLDEN / "status.json").write_text(json.dumps(status, indent=1, sort_keys=True) + "\n")
 
 

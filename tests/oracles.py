@@ -548,11 +548,12 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def poincare_dense(w) -> dict[Fraction, int]:
+def poincare_dense(w) -> dict[int, int]:
     """The weight series by dense products and one long division.
 
     Multiplies out prod_k (t^(d0 - d_k) - 1) and prod_k (t^(d_k) - 1) as
-    dense coefficient lists and divides the first by the second.
+    dense coefficient lists and divides the first by the second.  Keys
+    are d0 times the weighted degree, as in poincare_dimensions.
     """
     num = [1]
     den = [1]
@@ -560,7 +561,7 @@ def poincare_dense(w) -> dict[Fraction, int]:
         num = _poly_mul(num, [-1] + [0] * (w.d0 - dk - 1) + [1])
         den = _poly_mul(den, [-1] + [0] * (dk - 1) + [1])
     quotient = _divide_exact(num, den)
-    return {Fraction(e, w.d0): c for e, c in enumerate(quotient) if c}
+    return {e: c for e, c in enumerate(quotient) if c}
 
 
 def standard_monomials_box(lms, nvars: int):

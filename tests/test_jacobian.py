@@ -55,6 +55,12 @@ def poly(text: str, variables=None) -> Polynomial:
     return parse_polynomial(text, variables=variables)[0]
 
 
+def keyed(w, dims: dict) -> dict[int, int]:
+    """{degree: dim} rewritten with the integer keys d0 * degree of gradings."""
+    assert all((deg * w.d0).denominator == 1 for deg in dims)
+    return {int(deg * w.d0): k for deg, k in dims.items()}
+
+
 # -- monomial order -----------------------------------------------------------
 
 
@@ -236,7 +242,7 @@ def test_two_cubes():
     ring = ring_of("x1^3 + x2^3")
     assert ring.mu == 4
     assert ring.basis == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert ring.graded == {F(0): 1, F(1, 3): 2, F(2, 3): 1}
+    assert ring.graded == keyed(ring.weights, {F(0): 1, F(1, 3): 2, F(2, 3): 1})
     assert ring.top_monomial == (1, 1)
 
 
@@ -244,9 +250,10 @@ def test_quintic_ring():
     ring = ring_of(QUINTIC)
     assert ring.mu == 1024
     assert ring.c_hat == 3
-    assert ring.graded[F(0)] == 1
-    assert ring.graded[F(1)] == 101
-    assert ring.graded[F(3)] == 1
+    d0 = ring.weights.d0
+    assert ring.graded[0] == 1
+    assert ring.graded[d0] == 101
+    assert ring.graded[3 * d0] == 1
     assert ring.top_monomial == (3, 3, 3, 3, 3)
     assert ring.graded == poincare_dimensions(ring.weights)
 
@@ -255,9 +262,10 @@ def test_main_ring():
     ring = ring_of(MAIN)
     assert ring.mu == 165
     assert ring.c_hat == 2
-    assert ring.graded[F(0)] == 1
-    assert ring.graded[F(1)] == 13
-    assert ring.graded[F(2)] == 1
+    d0 = ring.weights.d0
+    assert ring.graded[0] == 1
+    assert ring.graded[d0] == 13
+    assert ring.graded[2 * d0] == 1
     assert ring.graded == poincare_dimensions(ring.weights)
 
 
@@ -270,7 +278,9 @@ def test_star_ring():
 def test_loop_ring():
     ring = ring_of("x1^2*x2 + x2^3*x1")
     assert ring.mu == 6
-    expected = {F(0): 1, F(1, 5): 1, F(2, 5): 2, F(3, 5): 1, F(4, 5): 1}
+    expected = keyed(
+        ring.weights, {F(0): 1, F(1, 5): 1, F(2, 5): 2, F(3, 5): 1, F(4, 5): 1}
+    )
     assert ring.graded == expected
     assert poincare_dimensions(ring.weights) == expected
 
@@ -307,7 +317,9 @@ def test_graded_in_ascending_order():
     hesse_swap = [s.ring for s in hesse_swap_state().sectors]
     for ring in [ring_of(ANCHOR), *quintic_a3, *hesse_swap]:
         degrees = list(ring.graded)
+        assert all(type(e) is int for e in degrees)
         assert all(a < b for a, b in zip(degrees, degrees[1:]))
+        assert degrees == list(poincare_dimensions(ring.weights))
 
 
 def test_ring_cache():
@@ -346,7 +358,7 @@ def test_standard_monomials_match_box_on_sectors():
 
 def test_poincare_two_cubes():
     w = analyze_weights(poly("x1^3 + x2^3"))[2]
-    assert poincare_dimensions(w) == {F(0): 1, F(1, 3): 2, F(2, 3): 1}
+    assert poincare_dimensions(w) == keyed(w, {F(0): 1, F(1, 3): 2, F(2, 3): 1})
 
 
 def test_poincare_total_is_milnor_number():
@@ -384,6 +396,31 @@ def test_poincare_inexact_weights():
     # t^3 - 1 is not divisible by t^2 - 1
     with pytest.raises(ArithmeticError, match="inexact polynomial division"):
         poincare_dimensions(WeightSystem(5, (2,)))
+    # (t - 1)/(t^2 - 1) has the negative top degree 3 - 2 * 2
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        poincare_dimensions(WeightSystem(3, (2,)))
+
+
+def test_poincare_zero_variables():
+    assert poincare_dimensions(WeightSystem(1, ())) == {0: 1}
+
+
+@pytest.mark.parametrize(
+    "w, mu",
+    [
+        # x^20 in 8 variables: the coefficient bound 2^8 * 154^8 of the
+        # series below t^153 needs slots wider than 64 bits
+        (WeightSystem(20, (1,) * 8), 19**8),
+        # x^3 in 70 variables: the middle dimension C(70, 35) > 2^66 itself
+        # needs them
+        (WeightSystem(3, (1,) * 70), 2**70),
+    ],
+    ids=["x^20-8-vars", "x^3-70-vars"],
+)
+def test_poincare_wide_slots(w, mu):
+    dims = poincare_dimensions(w)
+    assert dims == poincare_dense(w)
+    assert sum(dims.values()) == milnor_number(w) == mu
 
 
 def test_milnor_number_not_integral():
@@ -405,8 +442,9 @@ def test_poincare_symmetry():
     for text in (MAIN, QUINTIC, STAR):
         w = analyze_weights(poly(text))[2]
         dims = poincare_dimensions(w)
-        c_hat = w.central_charge
-        assert all(dims[c_hat - d] == k for d, k in dims.items())
+        top = len(w.d) * w.d0 - 2 * sum(w.d)
+        assert top == w.central_charge * w.d0
+        assert all(dims[top - e] == k for e, k in dims.items())
 
 
 # -- residue pairing ----------------------------------------------------------
