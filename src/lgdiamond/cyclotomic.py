@@ -2,8 +2,11 @@
 
 A CycNum is a vector of rational coordinates in the power basis
 1, z, ..., z^(D-1) of Q(zeta_n), where z = e[1/n] = exp(2*pi*i/n) and
-D = deg Phi_n.  All arithmetic is exact; reduction uses the identities
-z^n = 1 and Phi_n(z) = 0.
+D = deg Phi_n.  The coordinates are held as integer numerators over one
+positive denominator in lowest terms, so every operation is integer
+arithmetic with one gcd per result, and equal numbers have equal keys.
+All arithmetic is exact; reduction uses the identities z^n = 1 and
+Phi_n(z) = 0.
 
 Binary operations accept ints and Fractions, which are coerced into the
 field, but two CycNums are only combined when they live in the same
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ConductorMismatch
 
@@ -69,42 +74,76 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(vals: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a sparse exponent->coefficient map to the power basis."""
+def _reduce(acc: list[int], n: int) -> tuple[int, ...]:
+    """Integer coefficients of 1, z, z^2, ... (acc, consumed) in the power basis."""
     deg = len(cyclotomic_polynomial(n)) - 1
-    acc = [_ZERO] * max(deg, n)
-    for e, c in vals.items():
-        acc[e % n] += c
+    for e in range(n, len(acc)):
+        acc[e % n] += acc[e]
+    del acc[n:]
+    acc += [0] * (deg - len(acc))
     rows = _reduction_rows(n)
-    for e in range(n - 1, deg - 1, -1):
+    for e in range(deg, len(acc)):
         c = acc[e]
         if c:
-            row = rows[e - deg]
-            for j in range(deg):
-                if row[j]:
-                    acc[j] += c * row[j]
+            for j, r in enumerate(rows[e - deg]):
+                if r:
+                    acc[j] += c * r
     return tuple(acc[:deg])
 
 
-class CycNum:
-    """An element of Q(zeta_n), held as exact coordinates mod Phi_n."""
+def _new(n: int, num: tuple[int, ...], den: int) -> "CycNum":
+    """The CycNum num/den at conductor n, for den > 0, brought to lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    x = object.__new__(CycNum)
+    x.n = n
+    x.num = num
+    x.den = den
+    return x
 
-    __slots__ = ("n", "c")
+
+def _scale(x: "CycNum", p: int, q: int) -> "CycNum":
+    """x * p/q for q > 0."""
+    return _new(x.n, tuple(a * p for a in x.num), x.den * q)
+
+
+def _combine(x: "CycNum", y: "CycNum", op) -> "CycNum":
+    """x + y or x - y, as op is add or sub."""
+    if x.den == y.den:
+        return _new(x.n, tuple(map(op, x.num, y.num)), x.den)
+    dx, dy = x.den, y.den
+    return _new(x.n, tuple(op(a * dy, b * dx) for a, b in zip(x.num, y.num)), dx * dy)
+
+
+class CycNum:
+    """An element of Q(zeta_n): integer coordinates num over one denominator den.
+
+    num holds one int per power-basis coordinate mod Phi_n and den > 0,
+    with gcd(den, *num) = 1; zero is (0, ..., 0)/1.
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coords) -> None:
         deg = len(cyclotomic_polynomial(n)) - 1
-        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
+        c = [x if type(x) is Fraction else Fraction(x) for x in coords]
         if len(c) != deg:
             raise ValueError(f"need {deg} coordinates for conductor {n}, got {len(c)}")
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(x.denominator for x in c))
         self.n = n
-        self.c = c
+        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
+        self.den = den
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def rational(value, n: int = 1) -> "CycNum":
         deg = len(cyclotomic_polynomial(n)) - 1
-        return CycNum(n, (Fraction(value),) + (_ZERO,) * (deg - 1))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _new(n, (q.numerator,) + (0,) * (deg - 1), q.denominator)
 
     @staticmethod
     def zero(n: int = 1) -> "CycNum":
@@ -117,19 +156,24 @@ class CycNum:
     # -- structure -------------------------------------------------------
 
     def key(self):
-        """Hashable identity (conductor, coordinates) for use in dict keys."""
-        return (self.n, self.c)
+        """Hashable identity (conductor, numerators, denominator) for dict keys."""
+        return (self.n, self.num, self.den)
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def lift(self, m: int) -> "CycNum":
         """Embed into Q(zeta_m) for any multiple m of the conductor."""
@@ -138,8 +182,10 @@ class CycNum:
         if m % self.n != 0:
             raise ConductorMismatch(f"cannot lift conductor {self.n} into {m}")
         step = m // self.n
-        vals = {k * step: x for k, x in enumerate(self.c) if x}
-        return CycNum(m, _reduce(vals, m))
+        acc = [0] * m
+        for k, a in enumerate(self.num):
+            acc[k * step] = a
+        return _new(m, _reduce(acc, m), self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -158,18 +204,18 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.n, tuple(a + b for a, b in zip(self.c, o.c)))
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.n, tuple(-a for a in self.c))
+        return _new(self.n, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.n, tuple(a - b for a, b in zip(self.c, o.c)))
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -179,25 +225,21 @@ class CycNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNum(self.n, tuple(a * q for a in self.c))
+            return _scale(self, other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_rational():
-            q = o.c[0]
-            return CycNum(self.n, tuple(a * q for a in self.c))
+            return _scale(self, o.num[0], o.den)
         if self.is_rational():
-            q = self.c[0]
-            return CycNum(self.n, tuple(q * b for b in o.c))
-        vals: dict[int, Fraction] = {}
-        for i, a in enumerate(self.c):
+            return _scale(o, self.num[0], self.den)
+        b = o.num
+        acc = [0] * (2 * len(b) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        k = i + j
-                        vals[k] = vals.get(k, _ZERO) + a * b
-        return CycNum(self.n, _reduce(vals, self.n))
+                for k, y in enumerate(b, i):
+                    acc[k] += a * y
+        return _new(self.n, _reduce(acc, self.n), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -205,18 +247,21 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
-            return CycNum.rational(1 / self.c[0], self.n)
-        # extended Euclid in Q[x]: u*self + v*Phi_n = gcd (a nonzero constant)
+            return CycNum.rational(Fraction(self.den, self.num[0]), self.n)
+        # extended Euclid in Q[x] on the numerators:
+        # u*num + v*Phi_n = gcd (a nonzero constant)
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
-        r0, r1 = phi, list(self.c)
+        r0, r1 = phi, [Fraction(a) for a in self.num]
         u0, u1 = [_ZERO], [_ONE]
         while True:
             while r1 and r1[-1] == 0:
                 r1.pop()
             if len(r1) == 1:
-                g = r1[0]
-                inv = {k: x / g for k, x in enumerate(u1) if x}
-                return CycNum(self.n, _reduce(inv, self.n))
+                # (num/den)^-1 = den * u / g, written over one denominator
+                inv = [x / r1[0] for x in u1]
+                d = lcm(*(x.denominator for x in inv))
+                acc = [x.numerator * (d // x.denominator) * self.den for x in inv]
+                return _new(self.n, _reduce(acc, self.n), d)
             # r0 = q*r1 + r2
             r2 = list(r0)
             q: dict[int, Fraction] = {}
@@ -239,10 +284,10 @@ class CycNum:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("division by zero")
-            return CycNum(self.n, tuple(a / q for a in self.c))
+            return _scale(self, q, p) if p > 0 else _scale(self, -q, -p)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -270,25 +315,24 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c[0] == other
+            p, q = other.numerator, other.denominator
+            return self.is_rational() and self.num[0] * q == p * self.den
         if not isinstance(other, CycNum):
             return NotImplemented
-        if self.n == other.n:
-            return self.c == other.c
-        from math import lcm
-
-        m = lcm(self.n, other.n)
-        return self.lift(m).c == other.lift(m).c
+        if self.n != other.n:
+            m = lcm(self.n, other.n)
+            return self.lift(m).key() == other.lift(m).key()
+        return self.num == other.num and self.den == other.den
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def __repr__(self) -> str:
         return f"CycNum({self.n}, {self.c})"
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.c[0])
+            return str(self.as_fraction())
         parts = []
         for k, x in enumerate(self.c):
             if x == 0:
@@ -299,6 +343,13 @@ class CycNum:
                 z = f"e[{Fraction(k, self.n)}]"
                 parts.append(z if x == 1 else f"({x})*{z}")
         return " + ".join(parts)
+
+
+def _power(k: int, n: int) -> CycNum:
+    """z^k in Q(zeta_n)."""
+    acc = [0] * n
+    acc[k % n] = 1
+    return _new(n, _reduce(acc, n), 1)
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +366,7 @@ def root_of_unity(alpha, n: int | None = None) -> CycNum:
         raise ConductorMismatch(
             f"phase {a} does not live in the field of conductor {n}"
         )
-    k = int(a * n)
-    return CycNum(n, _reduce({k: _ONE}, n))
+    return _power(int(a * n), n)
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +383,7 @@ def phase_unit(k: int, n: int) -> CycNum:
                 f"phase {Fraction(k, 2 * n)} does not live in the field of conductor {n}"
             )
         return -phase_unit(k - n, n)
-    return CycNum(n, _reduce({k // 2: _ONE}, n))
+    return _power(k // 2, n)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,13 @@ from itertools import product
 from math import lcm
 
 from lgdiamond._linalg import det, inverse, mat_mul, rref, solve
-from lgdiamond.cyclotomic import CycNum, _divide_exact, root_of_unity
+from lgdiamond.cyclotomic import (
+    CycNum,
+    _divide_exact,
+    _reduction_rows,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 from lgdiamond.errors import NotIsolated
 from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import Polynomial
@@ -431,6 +437,133 @@ def ref_conductor(a) -> int:
         total = sum(phase[i] for i in cyc) % 1
         n = lcm(n, len(cyc) * total.denominator)
     return n
+
+
+# -- cyclotomic numbers in Fraction coordinates ---------------------------------
+#
+# The arithmetic CycNum had before it held integer numerators over one
+# denominator: a pair (n, coords) with coords a tuple of Fractions in the
+# power basis of Q(zeta_n), every coordinate operation a Fraction operation.
+
+
+def ref_cyc(x):
+    """(n, coords) of a CycNum, its numerators read over its denominator."""
+    return x.n, tuple(Fraction(a, x.den) for a in x.num)
+
+
+def ref_cyc_rational(q, n: int):
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return n, (Fraction(q),) + (Fraction(0),) * (deg - 1)
+
+
+def _ref_cyc_reduce(vals: dict, n: int) -> tuple:
+    """Reduce a sparse exponent->Fraction map to the power basis."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    acc = [Fraction(0)] * max(deg, n)
+    for e, c in vals.items():
+        acc[e % n] += c
+    rows = _reduction_rows(n)
+    for e in range(n - 1, deg - 1, -1):
+        c = acc[e]
+        if c:
+            row = rows[e - deg]
+            for j in range(deg):
+                if row[j]:
+                    acc[j] += c * row[j]
+    return tuple(acc[:deg])
+
+
+def ref_cyc_add(a, b):
+    return a[0], tuple(x + y for x, y in zip(a[1], b[1]))
+
+
+def ref_cyc_sub(a, b):
+    return a[0], tuple(x - y for x, y in zip(a[1], b[1]))
+
+
+def ref_cyc_mul(a, b):
+    vals: dict[int, Fraction] = {}
+    for i, x in enumerate(a[1]):
+        if x:
+            for j, y in enumerate(b[1]):
+                if y:
+                    vals[i + j] = vals.get(i + j, Fraction(0)) + x * y
+    return a[0], _ref_cyc_reduce(vals, a[0])
+
+
+def ref_cyc_inverse(a):
+    """Extended Euclid in Q[x]: u*a + v*Phi_n = g, a nonzero constant."""
+    n, coords = a
+    if not any(coords):
+        raise ZeroDivisionError("division by zero in cyclotomic field")
+    r0 = [Fraction(x) for x in cyclotomic_polynomial(n)]
+    r1 = list(coords)
+    u0, u1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) == 1:
+            return n, _ref_cyc_reduce({k: x / r1[0] for k, x in enumerate(u1)}, n)
+        # r0 = q*r1 + r2
+        r2 = list(r0)
+        q: dict[int, Fraction] = {}
+        d1 = len(r1) - 1
+        for i in range(len(r2) - 1, d1 - 1, -1):
+            if r2[i]:
+                qc = r2[i] / r1[-1]
+                q[i - d1] = qc
+                for j in range(d1 + 1):
+                    r2[i - d1 + j] -= qc * r1[j]
+        u2 = list(u0) + [Fraction(0)] * max(0, len(u1) + max(q, default=0) - len(u0) + 1)
+        for k, qc in q.items():
+            for j, x in enumerate(u1):
+                if x:
+                    u2[k + j] -= qc * x
+        r0, r1 = r1, r2
+        u0, u1 = u1, u2
+
+
+def ref_cyc_div(a, b):
+    return ref_cyc_mul(a, ref_cyc_inverse(b))
+
+
+def ref_cyc_pow(a, k: int):
+    if k < 0:
+        return ref_cyc_pow(ref_cyc_inverse(a), -k)
+    out = ref_cyc_rational(1, a[0])
+    for _ in range(k):
+        out = ref_cyc_mul(out, a)
+    return out
+
+
+def ref_cyc_lift(a, m: int):
+    n, coords = a
+    return m, _ref_cyc_reduce({k * (m // n): x for k, x in enumerate(coords)}, m)
+
+
+def ref_cyc_eq(a, b) -> bool:
+    m = lcm(a[0], b[0])
+    return ref_cyc_lift(a, m) == ref_cyc_lift(b, m)
+
+
+def ref_cyc_is_rational(a) -> bool:
+    return not any(a[1][1:])
+
+
+def ref_cyc_str(a) -> str:
+    n, coords = a
+    if ref_cyc_is_rational(a):
+        return str(coords[0])
+    parts = []
+    for k, x in enumerate(coords):
+        if x == 0:
+            continue
+        if k == 0:
+            parts.append(str(x))
+        else:
+            z = f"e[{Fraction(k, n)}]"
+            parts.append(z if x == 1 else f"({x})*{z}")
+    return " + ".join(parts)
 
 
 # -- group elements and fixed loci as matrices -----------------------------------

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -11,8 +11,28 @@ from lgdiamond.cyclotomic import (
     cyclotomic_polynomial,
     phase_unit,
     root_of_unity,
+    unit_phases,
 )
 from lgdiamond.errors import ConductorMismatch
+from lgdiamond.jacobian import quotient_ring
+from lgdiamond.polynomial import Polynomial, WeightSystem
+from oracles import (
+    ref_cyc,
+    ref_cyc_add,
+    ref_cyc_div,
+    ref_cyc_eq,
+    ref_cyc_inverse,
+    ref_cyc_is_rational,
+    ref_cyc_lift,
+    ref_cyc_mul,
+    ref_cyc_pow,
+    ref_cyc_rational,
+    ref_cyc_str,
+    ref_cyc_sub,
+)
+
+F = Fraction
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 30)
 
 
 def test_cyclotomic_polynomials_match_known_tables():
@@ -103,16 +123,154 @@ def test_conductor_mismatch_is_rejected():
     with pytest.raises(ConductorMismatch):
         _ = a * b
     with pytest.raises(ConductorMismatch):
+        _ = a - b
+    with pytest.raises(ConductorMismatch):
+        _ = a / b
+    with pytest.raises(ConductorMismatch):
         a.lift(4)
     with pytest.raises(ConductorMismatch):
         root_of_unity(Fraction(1, 3), 4)
 
 
 def test_division_by_zero_raises():
+    x = root_of_unity(Fraction(1, 5)) + 2
     with pytest.raises(ZeroDivisionError):
         CycNum.zero(4).inverse()
     with pytest.raises(ZeroDivisionError):
         CycNum.one(4) / 0
+    for zero in (0, F(0), CycNum.zero(5)):
+        with pytest.raises(ZeroDivisionError):
+            _ = x / zero
+    with pytest.raises(ZeroDivisionError):
+        CycNum.zero(5) ** -1
+
+
+def test_wrong_coordinate_count_raises():
+    with pytest.raises(ValueError, match="need 4 coordinates for conductor 5, got 3"):
+        CycNum(5, [1, 2, 3])
+    with pytest.raises(ValueError):
+        CycNum(1, [])
+
+
+def test_negative_rationals_keep_a_positive_denominator():
+    x = CycNum.rational(F(-2, 3), 5)
+    inv = x.inverse()
+    assert inv == F(-3, 2) and inv.as_fraction() == F(-3, 2)
+    assert inv.num == (-3, 0, 0, 0) and inv.den == 2
+    z = root_of_unity(F(1, 5)) - F(1, 4)
+    for q in (F(-2, 3), -3):
+        y = z / q
+        assert y.den > 0
+        assert y.key() == (z * (1 / F(q))).key()
+        assert y * q == z
+
+
+def _canonical(x) -> bool:
+    """num/den in lowest terms, den > 0, one int per power-basis coordinate."""
+    deg = len(cyclotomic_polynomial(x.n)) - 1
+    return (
+        len(x.num) == deg
+        and all(type(a) is int for a in x.num + (x.den,))
+        and x.den > 0
+        and gcd(x.den, *x.num) == 1
+    )
+
+
+def test_keys_are_canonical():
+    for n in CONDUCTORS:
+        deg = len(cyclotomic_polynomial(n)) - 1
+        halves = CycNum(n, [F(2, 4)] + [F(-3, 6)] * (deg - 1))
+        assert halves.key() == CycNum(n, [F(1, 2)] + [F(-1, 2)] * (deg - 1)).key()
+        assert halves.key() == (n, (1,) + (-1,) * (deg - 1), 2)
+        x = halves * 7 + root_of_unity(F(1, n), n)
+        zero = x - x
+        assert zero.key() == CycNum.zero(n).key() == (n, (0,) * deg, 1)
+        y = x / -3
+        assert y.den > 0 and _canonical(y)
+        assert y.key() == (x * F(-1, 3)).key()
+        units = unit_phases(n)
+        step = 1 if n % 2 else 2
+        for j in range(0, 2 * n, step):
+            for k in range(0, 2 * n, step):
+                product = phase_unit(j, n) * phase_unit(k, n)
+                assert units[product.key()] == (j + k) % (2 * n)
+
+
+def test_equal_polynomials_share_a_ring():
+    """Polynomial.key() reads coefficient keys, so equal values hit the ring cache."""
+    w = root_of_unity(F(1, 3))
+    first = Polynomial(2, 3, {(3, 0): CycNum(3, [F(2, 4), 0]), (0, 3): w})
+    second = Polynomial(2, 3, {(0, 3): phase_unit(5, 3) * phase_unit(3, 3), (3, 0): F(1, 2)})
+    assert list(first.terms) != list(second.terms)
+    assert first.key() == second.key()
+    weights = WeightSystem(3, (1, 1))
+    assert quotient_ring(first, weights) is quotient_ring(second, weights)
+
+
+def test_arithmetic_matches_fraction_reference():
+    """Integer coordinates against the Fraction-coordinate reference."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+    @st.composite
+    def element(draw, n):
+        deg = len(cyclotomic_polynomial(n)) - 1
+        shape = draw(st.sampled_from(("dense", "sparse", "rational")))
+        if shape == "rational":
+            return CycNum(n, [draw(coord)] + [0] * (deg - 1))
+        if shape == "sparse":
+            return CycNum(n, [draw(coord) if draw(st.booleans()) else 0 for _ in range(deg)])
+        return CycNum(n, draw(st.lists(coord, min_size=deg, max_size=deg)))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.sampled_from(CONDUCTORS))
+        a = draw(element(n))
+        # b equals a by value a fifth of the time, built by another route
+        b = CycNum(n, a.c) if draw(st.integers(0, 4)) == 0 else draw(element(n))
+        m = draw(st.sampled_from([m for m in CONDUCTORS if m % n == 0]))
+        return a, b, draw(coord), draw(st.integers(-3, 3)), m
+
+    def agrees(x, ref):
+        assert _canonical(x)
+        assert ref_cyc(x) == ref
+        assert x.key() == CycNum(*ref).key()
+
+    @hypothesis.settings(
+        max_examples=200, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(cases())
+    def check(case):
+        a, b, q, k, m = case
+        ra, rb, rq = ref_cyc(a), ref_cyc(b), ref_cyc_rational(q, a.n)
+        agrees(a, ra)
+        agrees(a + b, ref_cyc_add(ra, rb))
+        agrees(a - b, ref_cyc_sub(ra, rb))
+        agrees(a * b, ref_cyc_mul(ra, rb))
+        agrees(-a, ref_cyc_sub(ref_cyc_rational(0, a.n), ra))
+        agrees(a + q, ref_cyc_add(ra, rq))
+        agrees(q - a, ref_cyc_sub(rq, ra))
+        agrees(a * q, ref_cyc_mul(ra, rq))
+        agrees(a * CycNum.rational(q, a.n), ref_cyc_mul(ra, rq))
+        if b:
+            agrees(a / b, ref_cyc_div(ra, rb))
+            agrees(b.inverse(), ref_cyc_inverse(rb))
+        if q:
+            agrees(a / q, ref_cyc_div(ra, rq))
+        if a:
+            agrees(q / a, ref_cyc_div(rq, ra))
+        if a or k >= 0:
+            agrees(a**k, ref_cyc_pow(ra, k))
+        agrees(a.lift(m), ref_cyc_lift(ra, m))
+        assert (a == b) == ref_cyc_eq(ra, rb)
+        assert (a.lift(m) == b) == ref_cyc_eq(ref_cyc_lift(ra, m), rb)
+        assert (a == q) == ref_cyc_eq(ra, rq)
+        assert a.is_rational() == ref_cyc_is_rational(ra)
+        assert str(a) == ref_cyc_str(ra)
+        assert repr(a) == f"CycNum({a.n}, {ra[1]})"
+
+    check()
 
 
 def _random_element(rng, n):
