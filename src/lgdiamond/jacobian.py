@@ -5,7 +5,8 @@ polynomial with isolated critical point is finite dimensional and
 graded by weighted degree.  This module computes a reduced Groebner
 basis of the Jacobian ideal in graded reverse lexicographic order,
 enumerates the standard monomial basis, grades it, and equips it with
-the residue pairing normalized against the Hessian class.
+the residue pairing normalized against the Hessian class, read from
+the few monomials whose residue is nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
-from operator import add, le, mul
+from operator import add, le, mul, sub
 
 from .cyclotomic import CycNum
 from .errors import NonHomogeneous, NotIsolated
@@ -233,12 +234,13 @@ class JacobianRing:
     top_monomial: Monomial
     hess_coefficient: CycNum
     mu: int
-    # Res of product monomials, filled on demand by residue()
-    residues: dict[Monomial, CycNum | None] = field(
-        default_factory=dict, repr=False, compare=False
+    # {monomial: Res} over every monomial with a nonzero residue, built by
+    # socle() on the first pairing, so a ring that never pairs skips it
+    support: dict[Monomial, CycNum] | None = field(
+        default=None, repr=False, compare=False
     )
-    # normal forms of the monomials that the group action reaches off the
-    # standard basis, filled on demand by monomial_form()
+    # normal forms of monomials off the standard basis that the group action
+    # or socle() reaches, filled on demand by monomial_form()
     forms: dict[Monomial, Polynomial] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -258,23 +260,69 @@ class JacobianRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         return normal_form(p, self.leads)
 
-    def monomial_degree(self, mono: Monomial) -> Fraction:
-        return Fraction(_integer_degree(mono, self.weights), self.weights.d0)
+    def socle(self) -> dict[Monomial, CycNum]:
+        """{monomial: Res} over every monomial whose residue is nonzero.
+
+        Res(m) is the top coefficient of NF(m) over the Hessian's, so the
+        only standard such monomial is the top one.  Any other p = s L, for
+        the lead L of a Groebner element, has Res(p) = -sum of c_t Res(s t)
+        over the element's tail terms c_t t, so some s t below p in grevlex
+        has a nonzero residue too.  Hence a search up from the top finds
+        them all: each kept q and tail monomial t dividing q give the
+        candidate q L / t, whose residue takes one normal form.
+        """
+        if self.support is None:
+            top = self.top_monomial
+            found = {top: CycNum.one(self.n) / self.hess_coefficient}
+            tails = [(lm, t) for lm, b in self.leads for t in b.terms if t != lm]
+            seen = {top}
+            stack = [top]
+            while stack:
+                q = stack.pop()
+                for lm, t in tails:
+                    if not _divides(t, q):
+                        continue
+                    p = tuple(map(add, map(sub, q, t), lm))
+                    if p in seen:
+                        continue
+                    seen.add(p)
+                    c = self.monomial_form(p).terms.get(top)
+                    if c is not None:
+                        found[p] = c / self.hess_coefficient
+                        stack.append(p)
+            self.support = found
+        return self.support
+
+    def dual(self, u: dict) -> dict[Monomial, CycNum]:
+        """The functional <u, .> as {k: sum of u_m Res(m k)} over the socle.
+
+        Each term u_m pairs only with the cofactors q/m of the socle
+        monomials q that m divides.
+        """
+        out: dict[Monomial, CycNum] = {}
+        socle = self.socle().items()
+        for m, c in u.items():
+            for q, r in socle:
+                if _divides(m, q):
+                    k = tuple(map(sub, q, m))
+                    acc = out.get(k)
+                    out[k] = c * r if acc is None else acc + c * r
+        return out
 
     def residue(self, u: dict, v: dict) -> CycNum:
         """Pairing <u, v>: sum of u_m v_m' Res(m m') over their terms.
 
         u and v are term dicts {monomial: CycNum} at the ring's conductor,
-        such as Polynomial.terms.  Res(m) is the top coefficient of NF(m)
-        against the Hessian, so that <1, hessian class> = 1.
+        such as Polynomial.terms, of any degrees: terms whose degrees do
+        not sum to c_hat pair to zero.  Res(m) is the top coefficient of
+        NF(m) against the Hessian, so that <1, hessian class> = 1.
         """
-        # most Gram entries are zero: they share one zero per conductor
+        # most pairings are zero: they share one zero per conductor
         total = _zero(self.n)
-        for m1, c1 in u.items():
-            for m2, c2 in v.items():
-                r = self._monomial_residue(_mono_mul(m1, m2))
-                if r is not None:
-                    total = total + c1 * c2 * r
+        for k, a in self.dual(u).items():
+            c = v.get(k)
+            if c is not None:
+                total = total + a * c
         return total
 
     def monomial_form(self, mono: Monomial) -> Polynomial:
@@ -284,14 +332,6 @@ class JacobianRing:
             nf = self.normal_form(Polynomial.monomial(mono, 1, self.nvars, self.n))
             self.forms[mono] = nf
         return nf
-
-    def _monomial_residue(self, mono: Monomial) -> CycNum | None:
-        """Res(mono), None when zero; one normal form per monomial and ring."""
-        if mono not in self.residues:
-            nf = self.normal_form(Polynomial.monomial(mono, 1, self.nvars, self.n))
-            top = nf.terms.get(self.top_monomial)
-            self.residues[mono] = None if top is None else top / self.hess_coefficient
-        return self.residues[mono]
 
 
 _RING_CACHE: dict[tuple, JacobianRing] = {}

@@ -31,7 +31,7 @@ from ._linalg import det
 from ._linalg import rref  # noqa: F401
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
-from .jacobian import JacobianRing, quotient_ring
+from .jacobian import JacobianRing, _integer_degree, quotient_ring
 from .orbits import _carry, _fixed_space, _generator_maps, _image, _orbit_invariants
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
@@ -132,7 +132,7 @@ class StateSpace:
             )
         self.sectors = tuple(sectors)
         self._transports: dict[tuple[int, int], tuple] = {}
-        self._degree_cache: dict[int, dict[Fraction, tuple[Monomial, ...]]] = {}
+        self._degree_cache: dict[int, dict[int, tuple[Monomial, ...]]] = {}
         self._blocks: list[InvariantBlock] | None = None
         # centralizer generators of each class's representative, set by blocks()
         self._generators: list[list[int]] = []
@@ -186,13 +186,14 @@ class StateSpace:
 
     # -- invariants ---------------------------------------------------------
 
-    def degree_monomials(self, gi: int) -> dict[Fraction, tuple[Monomial, ...]]:
+    def degree_monomials(self, gi: int) -> dict[int, tuple[Monomial, ...]]:
+        """Standard monomials of the sector ring of g, by d0 times their degree."""
         cached = self._degree_cache.get(gi)
         if cached is None:
             ring = self.sectors[gi].ring
-            split: dict[Fraction, list[Monomial]] = {}
+            split: dict[int, list[Monomial]] = {}
             for mono in ring.basis:
-                split.setdefault(ring.monomial_degree(mono), []).append(mono)
+                split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
             cached = {d: tuple(ms) for d, ms in split.items()}
             self._degree_cache[gi] = cached
         return cached
@@ -209,8 +210,10 @@ class StateSpace:
                     generators[cent] = _subgroup_generators(self.group, cent)
                 gens = generators[cent]
                 self._generators.append(gens)
-                for degree in sorted(self.degree_monomials(rep)):
-                    monos = self.degree_monomials(rep)[degree]
+                split = self.degree_monomials(rep)
+                d0 = self.sectors[rep].ring.weights.d0
+                for e in sorted(split):
+                    monos = split[e]
                     index_of = {m: k for k, m in enumerate(monos)}
                     maps = _generator_maps(
                         (self.transport(hi, rep) for hi in gens), index_of, self.n
@@ -222,6 +225,7 @@ class StateSpace:
                             [self.transport(hi, rep) for hi in gens],
                             monos, self.sectors, self.n,
                         )
+                    degree = Fraction(e, d0)
                     q_left, q_right = self.sectors[rep].charges(degree)
                     out.append(
                         InvariantBlock(
@@ -535,8 +539,10 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
     Pairs the block of a class at internal degree d against the block of
     the inverse class at the complementary degree of the sector ring,
     carried into the sector of the inverse element, and certifies a
-    nonzero Gram determinant.  Returns (passed, witness); independent of
-    any hypothesis on the group.
+    nonzero Gram determinant.  A Gram row is the dual functional of one
+    basis vector (JacobianRing.dual) read against the partner images,
+    indexed by monomial once per block.  Returns (passed, witness);
+    independent of any hypothesis on the group.
     """
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
@@ -558,7 +564,18 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
                 f"dual block of {name} at internal degree {dual_degree} has "
                 f"dimension {len(images)}, expected {b.dimension}"
             )
-        gram = [[ring.residue(b.terms(vec), w) for w in images] for vec in b.basis]
+        partners: dict[Monomial, list[tuple[int, CycNum]]] = {}
+        for j, image in enumerate(images):
+            for m, c in image.items():
+                partners.setdefault(m, []).append((j, c))
+        zero = CycNum.zero(ring.n)
+        gram = []
+        for vec in b.basis:
+            row = [zero] * len(images)
+            for k, a in ring.dual(b.terms(vec)).items():
+                for j, c in partners.get(k, ()):
+                    row[j] = row[j] + a * c
+            gram.append(row)
         if not det(gram):
             return False, (
                 f"residue pairing between the class of {name} at internal degree "

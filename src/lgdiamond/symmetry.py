@@ -479,11 +479,6 @@ class FixedLocus:
     def d_g(self) -> int:
         return len(self.moved)
 
-    @property
-    def w_phases(self) -> tuple[Fraction, ...]:
-        """Eigenvalue phases of the moved eigenvectors, as Fractions in [0, 1)."""
-        return tuple(Fraction(theta, 2 * self.n) for _, theta, _ in self.moved)
-
     def complement_indices(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.g.nvars) if k not in self.i_fixed)
 

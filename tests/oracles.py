@@ -9,6 +9,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import add
 
 from lgdiamond._linalg import det, inverse, mat_mul, rref, solve
 from lgdiamond.cyclotomic import (
@@ -275,11 +276,60 @@ def dense_transpose_check(state):
     )
 
 
-def dense_duality_check(state):
-    """duality_check over dense vectors: Gram matrices of Polynomials, then det."""
+def pairwise_residue(ring, u: dict, v: dict, residues: dict):
+    """<u, v> over every term pair: sum of u_m v_m' Res(m m').
+
+    Res of each product monomial is the top coefficient of its normal
+    form over the Hessian's, one normal form per product monomial;
+    residues caches them for this ring.
+    """
+    total = CycNum.zero(ring.n)
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            mono = tuple(map(add, m1, m2))
+            if mono not in residues:
+                nf = ring.normal_form(Polynomial.monomial(mono, 1, ring.nvars, ring.n))
+                top = nf.terms.get(ring.top_monomial)
+                residues[mono] = None if top is None else top / ring.hess_coefficient
+            r = residues[mono]
+            if r is not None:
+                total = total + c1 * c2 * r
+    return total
+
+
+def monomials_of_degree(d, e: int) -> list:
+    """Every exponent vector m with sum of m_k d_k equal to e."""
+    if not d:
+        return [()] if e == 0 else []
+    return [
+        (a,) + rest
+        for a in range(e // d[0] + 1)
+        for rest in monomials_of_degree(d[1:], e - a * d[0])
+    ]
+
+
+def brute_socle(ring) -> dict:
+    """{monomial: Res} over every monomial of degree c_hat with a nonzero residue."""
+    w = ring.weights
+    top = len(w.d) * w.d0 - 2 * sum(w.d)
+    residues = {}
+    one = {(0,) * ring.nvars: CycNum.one(ring.n)}
+    for mono in monomials_of_degree(w.d, top):
+        pairwise_residue(ring, {mono: CycNum.one(ring.n)}, one, residues)
+    return {m: r for m, r in residues.items() if r is not None}
+
+
+def dense_duality_check(state, caches=None):
+    """duality_check over dense vectors: Gram matrices of Polynomials, then det.
+
+    Each entry pairs every term of one vector with every term of the other
+    (pairwise_residue).  caches holds one residue cache per ring, keyed by
+    id(ring), and may be passed again to later calls on the same state.
+    """
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
     done_pairs = set()
+    caches = {} if caches is None else caches
     for b in state.blocks():
         if not b.dimension:
             continue
@@ -302,13 +352,27 @@ def dense_duality_check(state):
             Polynomial(nvars, state.n, {m: c for m, c in zip(b.monomials, vec) if c})
             for vec in dense_basis(state, b)
         ]
-        gram = [[ring.residue(v.terms, w.terms) for w in images] for v in rows]
+        residues = caches.setdefault(id(ring), {})
+        gram = [
+            [pairwise_residue(ring, v.terms, w.terms, residues) for w in images]
+            for v in rows
+        ]
         if not det(gram):
             return False, (
                 f"residue pairing between the class of {name} at internal degree "
                 f"{b.degree} and its dual block is degenerate"
             )
     return True, "residue pairings between dual blocks are nondegenerate"
+
+
+def w_phases(locus) -> tuple:
+    """Eigenvalue phases of a locus's moved eigenvectors, as Fractions in [0, 1)."""
+    return tuple(Fraction(theta, 2 * locus.n) for _, theta, _ in locus.moved)
+
+
+def monomial_degree(ring, mono) -> Fraction:
+    """Weighted degree of a monomial, summed from the weights q_k."""
+    return sum((e * q for e, q in zip(mono, ring.weights.q)), Fraction(0))
 
 
 def action_matrix(state, hi: int, bidegree):
@@ -323,7 +387,7 @@ def action_matrix(state, hi: int, bidegree):
     for gi in range(state.group.order):
         sector = state.sectors[gi]
         for mono in sector.ring.basis:
-            if sector.charges(sector.ring.monomial_degree(mono)) == (a, b):
+            if sector.charges(monomial_degree(sector.ring, mono)) == (a, b):
                 labels.append((gi, mono))
     index = {lab: k for k, lab in enumerate(labels)}
     zero = CycNum.zero(state.n)

@@ -1,13 +1,16 @@
 """Tests for the Milnor algebra machinery: Groebner bases, grading, residues."""
 
+import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lgdiamond._linalg import det
-from lgdiamond.cyclotomic import CycNum
+from lgdiamond.cyclotomic import CycNum, root_of_unity
 from lgdiamond.errors import NonHomogeneous, NotIsolated
 from lgdiamond.jacobian import (
+    _integer_degree,
     _standard_monomials,
     grevlex_key,
     groebner_basis,
@@ -17,7 +20,7 @@ from lgdiamond.jacobian import (
     poincare_dimensions,
     quotient_ring,
 )
-from lgdiamond.cli import parse_job, run
+from lgdiamond.cli import _resolve_generators, parse_job, run
 from lgdiamond.polynomial import Polynomial, WeightSystem, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 from lgdiamond.statespace import StateSpace, assemble_diamond
@@ -27,7 +30,14 @@ from lgdiamond.symmetry import (
     make_jf,
     restricted_weights,
 )
-from oracles import buchberger_basis, poincare_dense, standard_monomials_box
+from oracles import (
+    brute_socle,
+    buchberger_basis,
+    monomials_of_degree,
+    pairwise_residue,
+    poincare_dense,
+    standard_monomials_box,
+)
 
 F = Fraction
 
@@ -473,7 +483,8 @@ def test_residue_normalization_main():
 
 def test_residue_gram_nondegenerate():
     ring = ring_of(MAIN)
-    degree_one = [m for m in ring.basis if ring.monomial_degree(m) == 1]
+    d0 = ring.weights.d0
+    degree_one = [m for m in ring.basis if _integer_degree(m, ring.weights) == d0]
     assert len(degree_one) == 13
     gram = [
         [
@@ -490,7 +501,8 @@ def test_residue_gram_nondegenerate():
 
 def test_residue_gram_small():
     ring = ring_of("x1^3 + x2^3")
-    mid = [m for m in ring.basis if ring.monomial_degree(m) == F(1, 3)]
+    d0 = ring.weights.d0
+    mid = [m for m in ring.basis if 3 * _integer_degree(m, ring.weights) == d0]
     gram = [
         [
             ring.residue(
@@ -501,3 +513,89 @@ def test_residue_gram_small():
         for a in mid
     ]
     assert det(gram) != CycNum.zero(1)
+
+
+# rings whose Groebner bases have tails, so that monomials off the standard
+# basis have residues, and Fermat rings, whose socle is the top monomial
+RESIDUE_RINGS = (
+    MAIN, ANCHOR, QUARTIC_FALLBACK[0], HESSE, "x1^2*x2 + x2^3", "x1^3 + x2^3",
+)
+SOCLE_GOLDEN_JOBS = ("main-sld", "quartic-fallback", "quartic-pairs", "quintic-a3")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@functools.cache
+def residue_rings():
+    """The residue rings, each with its socle by brute force."""
+    rings = [ring_of(text) for text in RESIDUE_RINGS]
+    rings += [r for r in sector_rings(*QUARTIC_FALLBACK) if r.nvars]
+    return tuple((ring, brute_socle(ring)) for ring in rings)
+
+
+def golden_rings(name):
+    job = parse_job((GOLDEN / f"{name}.job").read_text())
+    w = analyze_weights(job.f)[2]
+    group = generate_group(_resolve_generators(job, job.f, w), job.f)
+    return [s.ring for s in StateSpace(job.f, w, group, job.names).sectors]
+
+
+def test_residue_off_the_standard_basis():
+    # x1^2 reduces to -3 x2^2, so x1 pairs with itself though x1^2 is not standard
+    ring = ring_of("x1^2*x2 + x2^3")
+    assert ring.top_monomial == (0, 2)
+    assert (2, 0) not in ring.basis_index
+    x1 = {(1, 0): CycNum.one(1)}
+    assert ring.residue(x1, x1) == CycNum.rational(F(-1, 8), 1)
+    assert ring.socle() == {
+        (0, 2): CycNum.rational(F(1, 24), 1), (2, 0): CycNum.rational(F(-1, 8), 1)
+    }
+
+
+def test_socle_matches_brute_force():
+    known = {id(ring): socle for ring, socle in residue_rings()}
+    rings = [ring for ring, _ in residue_rings()]
+    for name in SOCLE_GOLDEN_JOBS:
+        rings += golden_rings(name)
+    rings = {id(r): r for r in rings if r.mu <= 3000}
+    assert len(rings) > 20
+    for key, ring in rings.items():
+        assert ring.socle() == (known[key] if key in known else brute_socle(ring))
+
+
+def test_residue_matches_pairwise_oracle():
+    """Random term dicts, their terms often pairing at degree c_hat."""
+    hypothesis = pytest.importorskip("hypothesis")
+    rings = residue_rings()
+    # every monomial of degree c_hat, and those with a nonzero residue
+    pools = [
+        (monomials_of_degree(w.d, len(w.d) * w.d0 - 2 * sum(w.d)), sorted(socle))
+        for w, socle in ((r.weights, socle) for r, socle in rings)
+    ]
+    units = [[root_of_unity(F(k, r.n), r.n) for k in range(r.n)] for r, _ in rings]
+    caches = [{} for _ in rings]
+
+    @hypothesis.settings(
+        max_examples=100, deadline=None, derandomize=True, database=None
+    )
+    # a seeded random.Random: hypothesis records only its seed, not each call
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=True))
+    def check(rng):
+        i = rng.randrange(len(rings))
+        ring = rings[i][0]
+
+        def coefficient():
+            return rng.choice(units[i]) * rng.choice((1, -2, 3, F(1, 2)))
+
+        u, v = {}, {}
+        for _ in range(rng.randint(1, 4)):
+            q = rng.choice(rng.choice(pools[i]))
+            m = tuple(rng.randint(0, e) for e in q)
+            u[m] = coefficient()
+            v[tuple(a - b for a, b in zip(q, m))] = coefficient()
+        for _ in range(rng.randint(0, 2)):
+            noise = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+            (u if rng.random() < 0.5 else v)[noise] = coefficient()
+        assert ring.residue(u, v) == pairwise_residue(ring, u, v, caches[i])
+        assert ring.residue(v, u) == pairwise_residue(ring, v, u, caches[i])
+
+    check()

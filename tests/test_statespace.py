@@ -763,8 +763,9 @@ def mutation_targets(state):
 def test_checks_match_dense_oracle(name, monkeypatch):
     """Verdicts and witnesses of both checks against the dense route, intact and mutated."""
     state = ORACLE_CHECK_STATES[name]()
+    caches = {}
     assert transpose_check(state) == dense_transpose_check(state)
-    assert duality_check(state) == dense_duality_check(state)
+    assert duality_check(state) == dense_duality_check(state, caches)
     verdicts = set()
     for mutation, mutate in MUTATIONS.items():
         for block in mutation_targets(state):
@@ -773,7 +774,9 @@ def test_checks_match_dense_oracle(name, monkeypatch):
                 transpose = transpose_check(state)
                 duality = duality_check(state)
                 assert transpose == dense_transpose_check(state), (mutation, block.degree)
-                assert duality == dense_duality_check(state), (mutation, block.degree)
+                assert duality == dense_duality_check(state, caches), (
+                    mutation, block.degree
+                )
             verdicts.add((mutation, transpose[0], duality[0]))
     # a scaled vector spans the same line; a repeated one spans less
     assert ("scaled", True, True) in verdicts
