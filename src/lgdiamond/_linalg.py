@@ -8,8 +8,6 @@ arguments.  smith_normal_form works over the integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def mat_mul(a, b):
     """Matrix product of two (possibly empty) row-list matrices."""
@@ -108,16 +106,6 @@ def rref(a):
     return m, pivots
 
 
-def solve(a, b):
-    """Unique solution of a square system, or None if singular."""
-    n = len(a)
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [reduced[i][n] for i in range(n)]
-
-
 def _snf_swap_rows(s, u, i, j):
     s[i], s[j] = s[j], s[i]
     u[i], u[j] = u[j], u[i]
@@ -204,8 +192,3 @@ def smith_normal_form(a):
         if t == min(rows, cols):
             break
     return s, u, v
-
-
-def frac_matrix(a):
-    """Copy an integer or rational matrix with Fraction entries."""
-    return [[Fraction(x) for x in row] for row in a]

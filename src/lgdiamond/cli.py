@@ -30,6 +30,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .errors import JobSyntaxError, LgError, PreconditionFailed
@@ -331,6 +332,12 @@ def _frac(x) -> str:
     return str(Fraction(x))
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, through one gcd."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def _weights_payload(w: WeightSystem) -> dict:
     return {"d0": w.d0, "d": list(w.d), "q": [_frac(q) for q in w.q]}
 
@@ -384,7 +391,7 @@ def _run_jacobian(f: Polynomial, w: WeightSystem) -> tuple[dict, bool]:
         "weights": _weights_payload(w),
         "mu": ring.mu,
         "c_hat": _frac(ring.c_hat),
-        "graded": [[str(Fraction(e, w.d0)), c] for e, c in ring.graded.items()],
+        "graded": [[_ratio(e, w.d0), c] for e, c in ring.graded.items()],
         "oracle_agrees": agrees,
     }, agrees
 

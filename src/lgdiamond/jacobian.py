@@ -11,12 +11,12 @@ the few monomials whose residue is nonzero.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
+from math import gcd
 from operator import add, le, mul, sub
 
 from .cyclotomic import CycNum
@@ -49,10 +49,17 @@ def leading_monomial(p: Polynomial) -> Monomial:
     return max(p.terms, key=grevlex_key)
 
 
+def _polynomial(nvars: int, n: int, terms: dict) -> Polynomial:
+    """A Polynomial over terms known to be nonzero, of arity nvars, at conductor n."""
+    p = Polynomial(nvars, n)
+    p.terms = terms
+    return p
+
+
 def _monic(p: Polynomial) -> Polynomial:
     lc = p.terms[leading_monomial(p)]
     inv = lc.inverse()
-    return Polynomial(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
+    return _polynomial(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
 
 
 def normal_form(p: Polynomial, leads) -> Polynomial:
@@ -83,7 +90,7 @@ def normal_form(p: Polynomial, leads) -> Polynomial:
                 break
         else:
             remainder[lm] = lc
-    return Polynomial(p.nvars, p.n, remainder)
+    return _polynomial(p.nvars, p.n, remainder)
 
 
 def _s_polynomial(lead_a, lead_b) -> Polynomial:
@@ -92,8 +99,8 @@ def _s_polynomial(lead_a, lead_b) -> Polynomial:
     gamma = _mono_lcm(la, lb)
     sa = tuple(x - y for x, y in zip(gamma, la))
     sb = tuple(x - y for x, y in zip(gamma, lb))
-    ta = Polynomial(a.nvars, a.n, {_mono_mul(m, sa): c for m, c in a.terms.items()})
-    tb = Polynomial(b.nvars, b.n, {_mono_mul(m, sb): c for m, c in b.terms.items()})
+    ta = _polynomial(a.nvars, a.n, {_mono_mul(m, sa): c for m, c in a.terms.items()})
+    tb = _polynomial(b.nvars, b.n, {_mono_mul(m, sb): c for m, c in b.terms.items()})
     return ta - tb
 
 
@@ -176,8 +183,17 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
     return [b for _, b in reduced]
 
 
-def _standard_monomials(lms: list[Monomial], nvars: int) -> list[Monomial]:
-    """Monomials outside the leading-term ideal; NotIsolated if infinite."""
+def _standard_monomials(
+    lms: list[Monomial], d: tuple[int, ...]
+) -> tuple[list[Monomial], dict[int, int]]:
+    """Monomials outside the leading-term ideal in grevlex order, and their
+    grading {d0 * weighted degree: count} for the weights d, keys ascending.
+
+    NotIsolated if there are infinitely many.
+    """
+    nvars = len(d)
+    if not nvars:
+        return [()], {0: 1}
     bounds = []
     for i in range(nvars):
         pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
@@ -196,26 +212,47 @@ def _standard_monomials(lms: list[Monomial], nvars: int) -> list[Monomial]:
     for lm in lms:
         last = max((j for j, e in enumerate(lm) if e), default=0)
         ending[last].append((lm[:last], lm[last]))
+
+    def bound(i: int, prefix: Monomial) -> int:
+        b = bounds[i]
+        for head, e in ending[i]:
+            if e < b and _divides(head, prefix):
+                b = e
+        return b
+
     prefixes: list[Monomial] = [()]
-    for i, pure in enumerate(bounds):
+    for i in range(nvars - 1):
         grown = []
         for prefix in prefixes:
-            bound = pure
-            for head, e in ending[i]:
-                if e < bound and _divides(head, prefix):
-                    bound = e
             # one append at a time: no temporary list beside grown
-            for e in range(bound):
+            for e in range(bound(i, prefix)):
                 grown.append(prefix + (e,))
         prefixes = grown
-    # sorted by grevlex_key packed into one integer (the total degree, then
-    # the exponents from the last variable on, each below base), so the
-    # sort holds one int per monomial rather than two tuples
-    base = max(bounds, default=0) + 1
-    places = [base**i for i in range(nvars)]
+    # the grevlex key packed into one integer (the total degree, then the
+    # exponents from the last variable on, each below base), so the sort
+    # holds one int per monomial rather than two tuples; each prefix yields
+    # its key and d0 times its weighted degree, and the last variable steps
+    # both, so the monomials keep only their key and count their degree
+    base = max(bounds) + 1
     top = base**nvars
-    prefixes.sort(key=lambda m: sum(m) * top - sum(map(mul, m, places)))
-    return prefixes
+    steps = [top - base**i for i in range(nvars)]
+    step, di = steps[-1], d[-1]
+    basis: list[Monomial] = []
+    keys: list[int] = []
+    counts: dict[int, int] = {}
+    for prefix in prefixes:
+        key = sum(map(mul, prefix, steps))
+        deg = sum(map(mul, prefix, d))
+        for e in range(bound(nvars - 1, prefix)):
+            basis.append(prefix + (e,))
+            keys.append(key)
+            counts[deg] = counts.get(deg, 0) + 1
+            key += step
+            deg += di
+    # list.sort calls its key once per item, in list order, before it compares
+    ordered = iter(keys)
+    basis.sort(key=lambda _: next(ordered))
+    return basis, {deg: counts[deg] for deg in sorted(counts)}
 
 
 @dataclass
@@ -359,9 +396,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     partials = [f.partial_derivative(i) for i in range(f.nvars)]
     gb = groebner_basis(partials, f.nvars, f.n)
     lms = [leading_monomial(b) for b in gb]
-    basis = _standard_monomials(lms, f.nvars)
-    counts = Counter(_integer_degree(mono, w) for mono in basis)
-    graded = {deg: counts[deg] for deg in sorted(counts)}
+    basis, graded = _standard_monomials(lms, w.d)
     leads = tuple(zip(lms, gb))
     hess = normal_form(hessian_determinant(f), leads)
     if len(hess.terms) != 1:
@@ -395,12 +430,15 @@ def poincare_dimensions(w: WeightSystem) -> dict[int, int]:
     """Graded dimensions of the Milnor algebra from the weights alone.
 
     Expands prod_k (1 - t^(d0 - d_k))/(1 - t^(d_k)) and returns
-    {e: dimension} with e = d0 * degree, keys ascending.  Independent of
-    any Groebner computation, so it serves as a cross-check.
+    {e: dimension} with e = d0 * degree, keys ascending.  The expansion
+    runs over d0/g and d_k/g for g = gcd(d0, d_1, ..., d_N), and the keys
+    are scaled back by g.  Independent of any Groebner computation, so it
+    serves as a cross-check.
     """
     from sys import byteorder
 
-    d0, d = w.d0, w.d
+    g = gcd(w.d0, *w.d)
+    d0, d = w.d0 // g, [dk // g for dk in w.d]
     top = len(d) * d0 - 2 * sum(d)
     if top < 0:
         raise ArithmeticError("inexact polynomial division")
@@ -423,24 +461,26 @@ def poincare_dimensions(w: WeightSystem) -> dict[int, int]:
         while step < size:
             s = (s + (s << W * step)) & mask
             step *= 2
-    # half = 2^(W - 1) added to every slot makes each slot c + half, so no
-    # slot borrows from the next
-    half = 1 << W - 1
-    s = (s + int.from_bytes((bytes(4 * wide - 1) + b"\x80") * size, "little")) & mask
+    # 2^(W - 1) added to every slot makes each slot c + 2^(W - 1), so no
+    # slot borrows from the next; XOR-ing it back leaves c in each slot
+    # (c + 2^W for a negative c, which no Milnor algebra's series has, so
+    # the grading would disagree with it)
+    halves = int.from_bytes((bytes(4 * wide - 1) + b"\x80") * size, "little")
+    s = ((s + halves) & mask) ^ halves
+    # the series is Q + R/D with deg Q = top and R/D proper over the
+    # denominator D of degree sum(d), so its coefficients above top obey a
+    # recurrence of that order: the sum(d) slots above top are all zero
+    # exactly when R = 0
+    if s >> W * (top + 1):
+        raise ArithmeticError("inexact polynomial division")
     # native 32-bit words, least significant first, wide of them per slot
-    words = memoryview(s.to_bytes(4 * wide * size, byteorder)).cast("I").tolist()
+    words = memoryview(s.to_bytes(4 * wide * (top + 1), byteorder)).cast("I").tolist()
     if byteorder == "big":
         words.reverse()
     slots = words[::wide]
     for j in range(1, wide):
         slots = [c + (x << 32 * j) for c, x in zip(slots, words[j::wide])]
-    # the series is Q + R/D with deg Q = top and R/D proper over the
-    # denominator D of degree sum(d), so its coefficients above top obey a
-    # recurrence of that order: the sum(d) slots above top are all zero
-    # exactly when R = 0
-    if slots[top + 1 :] != [half] * (size - top - 1):
-        raise ArithmeticError("inexact polynomial division")
-    return {e: c - half for e, c in enumerate(slots[: top + 1]) if c != half}
+    return {e * g: c for e, c in enumerate(slots) if c}
 
 
 def milnor_number(w: WeightSystem) -> int:

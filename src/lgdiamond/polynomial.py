@@ -259,7 +259,12 @@ def hessian_determinant(f: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Integral weights d and degree d0 with reduced weights q = d/d0."""
+    """Integral weights d and degree d0 with reduced weights q = d/d0.
+
+    analyze_weights takes d0 = det(E) for the exponent matrix E and
+    d = adj(E)*1, so gcd(d0, d_1, ..., d_N) may exceed 1 (it is 625 on
+    the Fermat quintic); reports print this d0, not the lowest terms.
+    """
 
     d0: int
     d: tuple[int, ...]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from ._linalg import det, frac_matrix, solve
 from .errors import (
     LgError,
     NoGraphMonomial,
@@ -39,10 +39,15 @@ class SingularityGraph:
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """Rows are the chosen graph monomials; always invertible."""
+    """Rows are the chosen graph monomials; always invertible.
+
+    det is det(E) and adj_ones is adj(E)*1, so E q = 1 solves to
+    q = adj_ones / det.
+    """
 
     rows: tuple[Monomial, ...]
     det: int
+    adj_ones: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -142,36 +147,60 @@ def build_graph(f: Polynomial) -> SingularityGraph:
     return SingularityGraph(tuple(kappa), tuple(chosen), components, tuple(cycles))
 
 
+def fraction_free_solve(rows) -> tuple[int, tuple[int, ...]]:
+    """det(E) and adj(E)*1 of a square integer matrix E, or (0, ()).
+
+    Fraction-free Gauss-Jordan elimination of [E | 1] (Bareiss, Math.
+    Comp. 22, 1968): each division by the previous pivot is exact, and
+    the last pivot and column end as det(PE) and det(PE) E^-1 1 for the
+    row permutation P of the pivoting.
+    """
+    n = len(rows)
+    m = [[*row, 1] for row in rows]
+    prev = sign = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            return 0, ()
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for r, row in enumerate(m):
+            if r != k:
+                a = row[k]
+                m[r] = [(pivot * x - a * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return sign * prev, tuple(sign * row[n] for row in m)
+
+
 def exponent_matrix(graph: SingularityGraph) -> ExponentMatrix:
     rows = graph.monomial_of
-    d = det(frac_matrix(rows))
+    d, adj_ones = fraction_free_solve(rows)
     if d <= 0:
         raise SingularExponentMatrix(
             f"graph exponent matrix has determinant {d}; expected positive"
         )
-    return ExponentMatrix(rows, int(d))
+    return ExponentMatrix(rows, d, adj_ones)
 
 
 def solve_weights(f: Polynomial, e: ExponentMatrix) -> WeightSystem:
-    """Reduced weights from E*q = 1, validated against every monomial of f."""
-    nv = f.nvars
-    ones = [Fraction(1)] * nv
-    q = solve(frac_matrix(e.rows), ones)
-    if q is None:
-        raise SingularExponentMatrix("graph exponent matrix is singular")
+    """Weights d = adj(E)*1 over d0 = det(E), validated against every monomial of f."""
+    d0, d = e.det, e.adj_ones
     for mono in sorted(f.terms):
-        degree = sum(ek * qk for ek, qk in zip(mono, q))
-        if degree != 1:
+        degree = sum(map(mul, mono, d))
+        if degree != d0:
             raise NotQuasihomogeneous(
-                f"monomial with exponents {mono} has weighted degree {degree}, not 1"
+                f"monomial with exponents {mono} has weighted degree "
+                f"{Fraction(degree, d0)}, not 1"
             )
-    for k, qk in enumerate(q):
-        if not 0 < qk <= Fraction(1, 2):
-            raise WeightOutOfRange(f"weight q_{k + 1} = {qk} lies outside (0, 1/2]")
-    d = [qk * e.det for qk in q]
-    if any(dk.denominator != 1 for dk in d):
-        raise SingularExponentMatrix("canonical weights are not integral")
-    return WeightSystem(e.det, tuple(int(dk) for dk in d))
+    for k, dk in enumerate(d):
+        if not 0 < 2 * dk <= d0:
+            raise WeightOutOfRange(
+                f"weight q_{k + 1} = {Fraction(dk, d0)} lies outside (0, 1/2]"
+            )
+    return WeightSystem(d0, d)
 
 
 def analyze_weights(f: Polynomial) -> tuple[SingularityGraph, ExponentMatrix, WeightSystem]:
@@ -226,8 +255,8 @@ def transpose_polynomial(e: ExponentMatrix, coeffs=None) -> TransposeResult:
         mono = tuple(e.rows[j][i] for j in range(nv))
         terms[mono] = 1 if coeffs is None else coeffs[i]
     ft = Polynomial(nv, 1, terms)
-    transposed = [[Fraction(e.rows[j][i]) for j in range(nv)] for i in range(nv)]
-    qt = solve(transposed, [Fraction(1)] * nv)
-    if qt is None:
+    d0, d = fraction_free_solve(list(zip(*e.rows)))
+    if not d0:
         raise SingularExponentMatrix("transpose system is singular")
-    return TransposeResult(ft, tuple(qt), all(x > 0 for x in qt))
+    qt = tuple(Fraction(dk, d0) for dk in d)
+    return TransposeResult(ft, qt, all(x > 0 for x in qt))

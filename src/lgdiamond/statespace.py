@@ -507,15 +507,15 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
         index = {m: k for k, m in enumerate(b.monomials)}
         # each basis vector is nonzero at its lead and, in both invariant
         # constructions, zero at every other vector's lead (orbit vectors
-        # have disjoint supports; echelon rows have pivot columns)
-        leads = [min(vec) for vec in b.basis]
+        # have disjoint supports; echelon rows have pivot columns), so
+        # subtracting one changes the image at no other lead: the leads the
+        # image meets can be read once, up front, in any order
+        by_lead = {min(vec): vec for vec in b.basis}
         for image in images:
             w = {index[m]: c for m, c in image.items()}
-            for vec, lead in zip(b.basis, leads):
-                c = w.get(lead)
-                if c is None:
-                    continue
-                factor = c / vec[lead]
+            for lead in [i for i in w if i in by_lead]:
+                vec = by_lead[lead]
+                factor = w[lead] / vec[lead]
                 for i, x in vec.items():
                     y = w[i] - factor * x if i in w else -factor * x
                     if y:

@@ -11,7 +11,7 @@ from itertools import product
 from math import lcm
 from operator import add
 
-from lgdiamond._linalg import det, inverse, mat_mul, rref, solve
+from lgdiamond._linalg import det, inverse, mat_mul, rref
 from lgdiamond.cyclotomic import (
     CycNum,
     _divide_exact,
@@ -94,6 +94,32 @@ def orbit_basis(state, block):
         if alive:
             basis.append(values)
     return basis
+
+
+def frac_matrix(a):
+    """Copy an integer or rational matrix with Fraction entries."""
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def solve(a, b):
+    """Unique solution of a square system, or None if singular."""
+    n = len(a)
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [reduced[i][n] for i in range(n)]
+
+
+def fraction_weights(rows):
+    """(det(E), det(E) q) for the solution q of E q = 1, over Fraction.
+
+    The route the weights took before they were solved in integers:
+    Gauss-Jordan over Fraction entries, then q scaled by the determinant.
+    """
+    d0 = det(frac_matrix(rows))
+    q = solve(frac_matrix(rows), [Fraction(1)] * len(rows))
+    return d0, tuple(qk * d0 for qk in q)
 
 
 def mat_vec(a, v):
@@ -403,7 +429,7 @@ def action_matrix(state, hi: int, bidegree):
 def column_generators(e):
     """Columns of E^{-1} reduced mod 1; they generate the graph group."""
     nv = len(e.rows)
-    inv = inverse([[Fraction(x) for x in row] for row in e.rows])
+    inv = inverse(frac_matrix(e.rows))
     return tuple(tuple(inv[j][i] % 1 for j in range(nv)) for i in range(nv))
 
 
@@ -418,7 +444,7 @@ def age_via_matrix(gbar, e) -> Fraction:
     s = [sum(e.rows[i][j] * gbar[j] for j in range(nv)) for i in range(nv)]
     if any(x.denominator != 1 for x in s):
         raise ValueError(f"E*gbar = {s} is not an integer vector")
-    sol = solve([[Fraction(x) for x in row] for row in e.rows], s)
+    sol = solve(frac_matrix(e.rows), s)
     return sum(sol, Fraction(0))
 
 

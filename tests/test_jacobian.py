@@ -1,7 +1,9 @@
 """Tests for the Milnor algebra machinery: Groebner bases, grading, residues."""
 
 import functools
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -345,9 +347,13 @@ STAIRCASES = [
 
 def assert_staircase_matches_box(ring):
     lms = [leading_monomial(b) for b in ring.groebner]
-    got = _standard_monomials(lms, ring.nvars)
-    assert got == standard_monomials_box(lms, ring.nvars)
+    got, graded = _standard_monomials(lms, ring.weights.d)
+    box = standard_monomials_box(lms, ring.nvars)
+    assert got == box
     assert tuple(got) == ring.basis
+    counts = Counter(_integer_degree(mono, ring.weights) for mono in box)
+    assert list(graded.items()) == sorted(counts.items())
+    assert graded == ring.graded
 
 
 @pytest.mark.parametrize("text", STAIRCASES)
@@ -360,7 +366,7 @@ def test_standard_monomials_match_box_on_sectors():
         assert_staircase_matches_box(sector.ring)
     zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert_staircase_matches_box(zero)
-    assert _standard_monomials([], 0) == [()]
+    assert _standard_monomials([], ()) == ([()], {0: 1})
 
 
 # -- weight series oracle -----------------------------------------------------
@@ -378,9 +384,14 @@ def test_poincare_total_is_milnor_number():
         assert sum(dims.values()) == milnor_number(w)
 
 
-@pytest.mark.parametrize("text", ["x1^3 + x2^3", MAIN, QUINTIC, ANCHOR])
+# d0 = det(E) and g = gcd(d0, d); the series runs over d0/g and d/g
+LOWEST_TERMS = {"x1^3 + x2^3": (9, 3), MAIN: (144, 12), QUINTIC: (3125, 625), ANCHOR: (2175, 1)}
+
+
+@pytest.mark.parametrize("text", list(LOWEST_TERMS))
 def test_poincare_matches_dense_expansion(text):
     w = analyze_weights(poly(text))[2]
+    assert (w.d0, gcd(w.d0, *w.d)) == LOWEST_TERMS[text]
     assert poincare_dimensions(w) == poincare_dense(w)
 
 
@@ -424,8 +435,10 @@ def test_poincare_zero_variables():
         # x^3 in 70 variables: the middle dimension C(70, 35) > 2^66 itself
         # needs them
         (WeightSystem(3, (1,) * 70), 2**70),
+        # the first in lowest terms only after dividing by g = 3
+        (WeightSystem(60, (3,) * 8), 19**8),
     ],
-    ids=["x^20-8-vars", "x^3-70-vars"],
+    ids=["x^20-8-vars", "x^3-70-vars", "x^20-8-vars-over-g"],
 )
 def test_poincare_wide_slots(w, mu):
     dims = poincare_dimensions(w)

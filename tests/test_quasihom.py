@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from lgdiamond._linalg import det, frac_matrix
 from lgdiamond.errors import (
     NoGraphMonomial,
     NotQuasihomogeneous,
@@ -18,10 +17,13 @@ from lgdiamond.quasihom import (
     build_graph,
     classify_invertible,
     exponent_matrix,
+    fraction_free_solve,
     solve_weights,
     transpose_polynomial,
 )
 from lgdiamond.symmetry import make_jf
+
+from oracles import frac_matrix, fraction_weights, solve
 
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
@@ -55,8 +57,54 @@ def test_weights_are_tie_break_independent():
     _, e, w = analyze_weights(f)
     alt_rows = list(e.rows)
     alt_rows[2] = (1, 0, 9, 0)
-    alt_e = ExponentMatrix(tuple(alt_rows), int(det(frac_matrix(alt_rows))))
+    alt_e = ExponentMatrix(tuple(alt_rows), *fraction_free_solve(alt_rows))
+    assert (alt_e.det, alt_e.adj_ones) == fraction_weights(alt_rows)
     assert solve_weights(f, alt_e).q == w.q
+
+
+def test_integer_weights_match_fraction_route():
+    """Random invertible polynomials, as in the acceptance suite."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_acceptance import random_invertible
+
+    @hypothesis.settings(
+        max_examples=60, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
+    def check(rng):
+        f, _ = parse_polynomial(random_invertible(rng))
+        _, e, w = analyze_weights(f)
+        assert (e.det, e.adj_ones) == (w.d0, w.d) == fraction_weights(e.rows)
+
+    check()
+
+
+def test_fraction_free_solve_matches_fraction_route():
+    """Any square integer matrix: singular ones, negative determinants."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=200, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def check(rows):
+        d0, adj_ones = fraction_free_solve(rows)
+        q = solve(frac_matrix(rows), [Fraction(1)] * len(rows))
+        if q is None:
+            assert (d0, adj_ones) == (0, ())
+        else:
+            assert (d0, adj_ones) == fraction_weights(rows)
+
+    check()
 
 
 def test_triangular_chain_weights():
