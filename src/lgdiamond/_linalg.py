@@ -4,6 +4,10 @@ The generic routines work for any exact field type supporting +, -, *,
 /, equality with 0, and multiplication by int (both Fraction and CycNum
 qualify).  Matrices are lists of row lists; nothing here mutates its
 arguments.  smith_normal_form works over the integers.
+
+The library runs only smith_normal_form (it eliminates over CycNum in
+orbits.py); det, inverse, mat_mul and rref serve the test oracles and
+the names that the benchmark tracer wraps.
 """
 
 from __future__ import annotations

@@ -585,8 +585,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.jobfile).read_text()
-    except OSError as exc:
+        text = Path(args.jobfile).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -602,7 +602,11 @@ def main(argv=None) -> int:
         return 1
     rendered = report.to_json() if job.fmt == "json" else report.to_text()
     if args.output:
-        Path(args.output).write_text(rendered)
+        try:
+            Path(args.output).write_text(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     return 0 if report.ok else 2

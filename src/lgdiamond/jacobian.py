@@ -49,17 +49,10 @@ def leading_monomial(p: Polynomial) -> Monomial:
     return max(p.terms, key=grevlex_key)
 
 
-def _polynomial(nvars: int, n: int, terms: dict) -> Polynomial:
-    """A Polynomial over terms known to be nonzero, of arity nvars, at conductor n."""
-    p = Polynomial(nvars, n)
-    p.terms = terms
-    return p
-
-
 def _monic(p: Polynomial) -> Polynomial:
     lc = p.terms[leading_monomial(p)]
     inv = lc.inverse()
-    return _polynomial(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
+    return Polynomial._make(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
 
 
 def normal_form(p: Polynomial, leads) -> Polynomial:
@@ -90,7 +83,7 @@ def normal_form(p: Polynomial, leads) -> Polynomial:
                 break
         else:
             remainder[lm] = lc
-    return _polynomial(p.nvars, p.n, remainder)
+    return Polynomial._make(p.nvars, p.n, remainder)
 
 
 def _s_polynomial(lead_a, lead_b) -> Polynomial:
@@ -99,8 +92,8 @@ def _s_polynomial(lead_a, lead_b) -> Polynomial:
     gamma = _mono_lcm(la, lb)
     sa = tuple(x - y for x, y in zip(gamma, la))
     sb = tuple(x - y for x, y in zip(gamma, lb))
-    ta = _polynomial(a.nvars, a.n, {_mono_mul(m, sa): c for m, c in a.terms.items()})
-    tb = _polynomial(b.nvars, b.n, {_mono_mul(m, sb): c for m, c in b.terms.items()})
+    ta = Polynomial._make(a.nvars, a.n, {_mono_mul(m, sa): c for m, c in a.terms.items()})
+    tb = Polynomial._make(b.nvars, b.n, {_mono_mul(m, sb): c for m, c in b.terms.items()})
     return ta - tb
 
 

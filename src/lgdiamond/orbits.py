@@ -9,6 +9,10 @@ and walks their orbits for the invariants.  Any other block takes
 _fixed_space, which cuts the block space one generator at a time with
 vectors carried by _carry.  Vectors are held as their supports, and a
 CycNum is built only for a basis vector or a normal-form input.
+
+_echelon and _reduce, the one elimination over supports, serve _fixed_space
+and both symmetry checks: a pivot row is nonzero at its lead (its smallest
+column) and zero at every other lead, as orbit vectors are too.
 """
 
 from __future__ import annotations
@@ -155,16 +159,26 @@ def _add(row: dict, k, c) -> None:
         del row[k]
 
 
+def _reduce(row: dict, pivots: dict) -> dict:
+    """row less its parts along the pivot rows {lead: pivot}, as a new dict.
+
+    Subtracting a pivot changes the row at no other lead, so the leads that
+    the row meets are read once; dividing by the pivot's lead value lets a
+    scaled pivot reduce too.
+    """
+    w = dict(row)
+    for lead in [k for k in w if k in pivots]:
+        factor = w[lead] / pivots[lead][lead]
+        for k, x in pivots[lead].items():
+            _add(w, k, -factor * x)
+    return w
+
+
 def _echelon(rows):
     """Reduced echelon form of sparse rows {column: nonzero}, sorted by lead column."""
     pivots: dict = {}  # lead column -> row with 1 there and 0 at every other lead
     for row in rows:
-        w = dict(row)
-        for lead, p in pivots.items():
-            c = w.get(lead)
-            if c is not None:
-                for k, x in p.items():
-                    _add(w, k, -c * x)
+        w = _reduce(row, pivots)
         if not w:
             continue
         lead = min(w)

@@ -37,6 +37,13 @@ class Polynomial:
                 clean[tuple(mono)] = coeff
         self.terms = clean
 
+    @classmethod
+    def _make(cls, nvars: int, n: int, terms: dict) -> "Polynomial":
+        """A polynomial over terms already nonzero, of arity nvars, at conductor n."""
+        p = object.__new__(cls)
+        p.nvars, p.n, p.terms = nvars, n, terms
+        return p
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -93,14 +100,10 @@ class Polynomial:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        out = Polynomial(self.nvars, self.n)
-        out.terms = terms
-        return out
+        return Polynomial._make(self.nvars, self.n, terms)
 
     def __neg__(self):
-        out = Polynomial(self.nvars, self.n)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Polynomial._make(self.nvars, self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
@@ -109,14 +112,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
-            out = Polynomial(self.nvars, self.n)
             if isinstance(other, CycNum):
                 scale = other if other.n == self.n else other.lift(self.n)
             else:
                 scale = CycNum.rational(other, self.n)
-            if scale:
-                out.terms = {m: c * scale for m, c in self.terms.items()}
-            return out
+            terms = {m: c * scale for m, c in self.terms.items()} if scale else {}
+            return Polynomial._make(self.nvars, self.n, terms)
         self._check(other)
         terms: dict[Monomial, CycNum] = {}
         for m1, c1 in self.terms.items():
@@ -129,9 +130,7 @@ class Polynomial:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-        out = Polynomial(self.nvars, self.n)
-        out.terms = terms
-        return out
+        return Polynomial._make(self.nvars, self.n, terms)
 
     __rmul__ = __mul__
 
@@ -173,9 +172,7 @@ class Polynomial:
                     terms[lowered] = acc
                 else:
                     terms.pop(lowered, None)
-        out = Polynomial(self.nvars, self.n)
-        out.terms = terms
-        return out
+        return Polynomial._make(self.nvars, self.n, terms)
 
     def substitute_monomial(self, targets: list[int], scales: list[CycNum]) -> "Polynomial":
         """Apply the substitution x_i -> scales[i] * x_targets[i]."""
@@ -194,9 +191,7 @@ class Polynomial:
                 terms[key] = acc
             else:
                 terms.pop(key, None)
-        out = Polynomial(self.nvars, self.n)
-        out.terms = terms
-        return out
+        return Polynomial._make(self.nvars, self.n, terms)
 
     # -- display ---------------------------------------------------------
 

@@ -18,7 +18,9 @@ generators (see orbits.py) when every generator sends each block
 monomial to a block monomial; any other block takes the common fixed
 space of the generators, cut one generator at a time.  A basis vector is held as its
 support, and the symmetry checks walk supports only: partner bases are
-carried by one transport per block.
+carried by one transport per block.  Both checks reduce with the sparse
+elimination of orbits.py; duality certifies a full-rank Gram matrix by
+eliminating its dict rows, not by a determinant.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import det
-# unused here; the benchmark tracer wraps this name in this module
-from ._linalg import rref  # noqa: F401
+# unused here; the benchmark tracer wraps these names in this module
+from ._linalg import det, rref  # noqa: F401
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, _integer_degree, quotient_ring
-from .orbits import _carry, _fixed_space, _generator_maps, _image, _orbit_invariants
+from .orbits import (
+    _add, _carry, _echelon, _fixed_space, _generator_maps, _image, _orbit_invariants, _reduce,
+)
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
@@ -483,9 +486,9 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     generators that built it.  Then this matches the dimension of the
     block of the inverse class at the same internal degree, carries the
     partner basis into the sector of the inverse element and reduces it
-    against the block's own basis; with equal dimensions that is the
-    same statement as carrying the block onto the partner.  Returns
-    (passed, witness); independent of any hypothesis on the group.
+    against the block's own basis (orbits._reduce); with equal dimensions
+    that is the same statement as carrying the block onto the partner.
+    Returns (passed, witness); independent of any hypothesis on the group.
     """
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
@@ -505,24 +508,9 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
                 f"{b.degree} but the inverse class has {len(images)}"
             )
         index = {m: k for k, m in enumerate(b.monomials)}
-        # each basis vector is nonzero at its lead and, in both invariant
-        # constructions, zero at every other vector's lead (orbit vectors
-        # have disjoint supports; echelon rows have pivot columns), so
-        # subtracting one changes the image at no other lead: the leads the
-        # image meets can be read once, up front, in any order
         by_lead = {min(vec): vec for vec in b.basis}
         for image in images:
-            w = {index[m]: c for m, c in image.items()}
-            for lead in [i for i in w if i in by_lead]:
-                vec = by_lead[lead]
-                factor = w[lead] / vec[lead]
-                for i, x in vec.items():
-                    y = w[i] - factor * x if i in w else -factor * x
-                    if y:
-                        w[i] = y
-                    else:
-                        del w[i]
-            if w:
+            if _reduce({index[m]: c for m, c in image.items()}, by_lead):
                 return False, (
                     "sector-inversion image of an invariant of the class of "
                     f"{name} at internal degree {b.degree} is not invariant"
@@ -538,11 +526,12 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
 
     Pairs the block of a class at internal degree d against the block of
     the inverse class at the complementary degree of the sector ring,
-    carried into the sector of the inverse element, and certifies a
-    nonzero Gram determinant.  A Gram row is the dual functional of one
-    basis vector (JacobianRing.dual) read against the partner images,
-    indexed by monomial once per block.  Returns (passed, witness);
-    independent of any hypothesis on the group.
+    carried into the sector of the inverse element, and certifies full
+    rank by sparse elimination (orbits._echelon), not a Gram determinant.
+    A Gram row {j: nonzero} is the dual functional of one basis vector
+    (JacobianRing.dual) read against the partner images, indexed by
+    monomial once per block.  Returns (passed, witness); independent of
+    any hypothesis on the group.
     """
     group = state.group
     block_at = {(b.class_index, b.degree): b for b in state.blocks()}
@@ -568,15 +557,14 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
         for j, image in enumerate(images):
             for m, c in image.items():
                 partners.setdefault(m, []).append((j, c))
-        zero = CycNum.zero(ring.n)
         gram = []
         for vec in b.basis:
-            row = [zero] * len(images)
+            row: dict[int, CycNum] = {}
             for k, a in ring.dual(b.terms(vec)).items():
                 for j, c in partners.get(k, ()):
-                    row[j] = row[j] + a * c
+                    _add(row, j, a * c)
             gram.append(row)
-        if not det(gram):
+        if len(_echelon(gram)) != len(images):
             return False, (
                 f"residue pairing between the class of {name} at internal degree "
                 f"{b.degree} and its dual block is degenerate"

@@ -357,3 +357,24 @@ def test_cli_missing_file(tmp_path, capsys):
     code = main([str(tmp_path / "absent.job")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output(tmp_path, capsys):
+    jobfile = tmp_path / "job.job"
+    jobfile.write_text(MAIN_JOB)
+    code = main([str(jobfile), "--output", str(tmp_path / "absent" / "out.txt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "absent" in captured.err
+
+
+def test_cli_job_file_not_utf8(tmp_path, capsys):
+    jobfile = tmp_path / "job.job"
+    jobfile.write_bytes(b"\xff\xfe")
+    code = main([str(jobfile)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from lgdiamond._linalg import det, inverse, mat_mul, rref, smith_normal_form
 from lgdiamond.cyclotomic import CycNum, root_of_unity
+from lgdiamond.orbits import _echelon, _reduce
 
 from oracles import frac_matrix, mat_vec, solve
 
@@ -113,3 +114,71 @@ def test_smith_normal_form_random_properties():
                 assert b_ % a_ == 0
             else:
                 assert b_ == 0
+
+
+def test_sparse_echelon_matches_dense_rref():
+    """_echelon and _reduce on random sparse CycNum rows against the dense rref."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def entry(draw, n):
+        # zero two times in three; otherwise a small sum of roots of unity
+        if draw(st.integers(0, 2)):
+            return CycNum.zero(n)
+        terms = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, n - 1)),
+                              min_size=1, max_size=2))
+        return sum((c * root_of_unity(Fraction(k, n), n) for c, k in terms), CycNum.zero(n))
+
+    @st.composite
+    def combination(draw, rows, n):
+        """A sum of the rows with coefficients from entry, as a sparse dict."""
+        out = {}
+        for row in rows:
+            c = draw(entry(n))
+            for k, x in row.items():
+                out[k] = out.get(k, CycNum.zero(n)) + c * x
+        return {k: x for k, x in out.items() if x}
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.sampled_from((3, 5, 15)))
+        cols = draw(st.integers(1, 6))
+        dense = [[draw(entry(n)) for _ in range(cols)] for _ in range(draw(st.integers(1, 6)))]
+        rows = [{k: x for k, x in enumerate(row) if x} for row in dense]
+        # a later row may be replaced by a combination of the rows before it
+        for i in range(1, len(rows)):
+            if draw(st.integers(0, 3)) == 0:
+                rows[i] = draw(combination(rows[:i], n))
+                dense[i] = [rows[i].get(k, CycNum.zero(n)) for k in range(cols)]
+        return n, cols, dense, rows
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases(), st.data())
+    def check(case, data):
+        n, cols, dense, rows = case
+        draw = data.draw
+        zero = CycNum.zero(n)
+        basis = _echelon(rows)
+        m, pivots = rref(dense)
+        assert len(basis) == len(pivots)
+        assert [[row.get(k, zero) for k in range(cols)] for row in basis] == m[: len(pivots)]
+        leads = [min(row) for row in basis]
+        assert leads == pivots
+        for row in basis:
+            assert all(row.get(lead, zero) == (lead == min(row)) for lead in leads)
+        by_lead = dict(zip(leads, basis))
+        inside = draw(combination(basis, n))
+        assert _reduce(inside, by_lead) == {}
+        if basis:
+            lead = draw(st.sampled_from(leads))
+            scaled = dict(by_lead)
+            scaled[lead] = {k: 2 * x for k, x in by_lead[lead].items()}
+            assert _reduce(inside, scaled) == {}
+        outside = [k for k in range(cols + 1) if k not in pivots]
+        k = draw(st.sampled_from(outside))
+        off = dict(inside)
+        off[k] = off.get(k, zero) + CycNum.one(n)
+        assert _reduce({k: x for k, x in off.items() if x}, by_lead)
+
+    check()
