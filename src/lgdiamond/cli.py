@@ -61,7 +61,6 @@ class Job:
     names: tuple[str, ...]
     generators: tuple[tuple[GenAtom, ...], ...]
     command: str
-    fmt: str = "text"
     closure_cap: int = 100000
     verify: bool = True
 
@@ -591,8 +590,7 @@ def main(argv=None) -> int:
         return 1
     try:
         job = parse_job(text)
-        job = replace(job, fmt=args.format, closure_cap=args.closure_cap,
-                      verify=not args.no_verify)
+        job = replace(job, closure_cap=args.closure_cap, verify=not args.no_verify)
         report = run(job)
     except PreconditionFailed as exc:
         print(f"verification precondition failed: {exc}", file=sys.stderr)
@@ -600,7 +598,7 @@ def main(argv=None) -> int:
     except LgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rendered = report.to_json() if job.fmt == "json" else report.to_text()
+    rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.output:
         try:
             Path(args.output).write_text(rendered)

@@ -52,6 +52,10 @@ class ClosureCapExceeded(LgError):
     """Group generation exceeded the configured element cap."""
 
 
+class MilnorBoundExceeded(LgError):
+    """A Milnor algebra's dimension, read from the weights, is over the bound."""
+
+
 class MissingJ(LgError):
     """The group does not contain the grading element j_f."""
 

@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import add, le, mul, sub
 
 from .cyclotomic import CycNum
-from .errors import NonHomogeneous, NotIsolated
+from .errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
 from .polynomial import Monomial, Polynomial, WeightSystem, hessian_determinant
 
 
@@ -365,6 +365,8 @@ class JacobianRing:
 
 
 _RING_CACHE: dict[tuple, JacobianRing] = {}
+# largest Milnor number quotient_ring builds; memory grows with mu (223 MiB at 10^6)
+MAX_MILNOR = 10**7
 _zero = lru_cache(maxsize=None)(CycNum.zero)
 
 
@@ -373,7 +375,9 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
 
     f must be quasihomogeneous of degree 1 for w.  The zero polynomial
     in zero variables yields the one-dimensional algebra C.  Raises
-    NotIsolated when the critical point of f is not isolated.
+    NotIsolated when the critical point of f is not isolated, and
+    MilnorBoundExceeded, before any Groebner work, when the weights give
+    a Milnor number over MAX_MILNOR.
     """
     key = (f.key(), w)
     cached = _RING_CACHE.get(key)
@@ -386,6 +390,11 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
                 f"monomial with exponents {mono} has weighted degree "
                 f"{Fraction(deg, w.d0)}, not 1"
             )
+    if prod(w.d0 - dk for dk in w.d) > MAX_MILNOR * prod(w.d):
+        raise MilnorBoundExceeded(
+            f"the weights give Milnor number {milnor_number(w)}, "
+            f"over the bound {MAX_MILNOR}"
+        )
     partials = [f.partial_derivative(i) for i in range(f.nvars)]
     gb = groebner_basis(partials, f.nvars, f.n)
     lms = [leading_monomial(b) for b in gb]

@@ -2,13 +2,12 @@
 
 A sector transport (StateSpace.transport) sends a monomial of one sector
 to e[t/2n] times a monomial of another.  On a block, the standard
-monomials of one sector at one degree, a centralizer generator that
-keeps every block monomial standard acts as m_k -> e[phases[k]/2n]
-m_perm[k], with phases integers mod 2n.  This module builds those maps
-and walks their orbits for the invariants.  Any other block takes
-_fixed_space, which cuts the block space one generator at a time with
-vectors carried by _carry.  Vectors are held as their supports, and a
-CycNum is built only for a basis vector or a normal-form input.
+monomials of one sector at one degree, _generator_maps turns each
+centralizer generator that keeps every block monomial standard into a map
+m_k -> e[phases[k]/2n] m_perm[k]; _orbit_invariants walks these maps, and
+_fixed_space cuts the result by the other generators, carrying vectors by
+_carry.  Vectors are held as their supports, and a CycNum is built only
+for a basis vector or a normal-form input.
 
 _echelon and _reduce, the one elimination over supports, serve _fixed_space
 and both symmetry checks: a pivot row is nonzero at its lead (its smallest
@@ -33,26 +32,29 @@ def _image(rows, t: int, mono: Monomial, two_n: int) -> tuple[Monomial, int]:
     return tuple(out), phase % two_n
 
 
-def _generator_maps(transports, index_of, n: int):
-    """(perm, phases) of each generator on a block, or None.
+def _generator_maps(transports, monomials, n: int):
+    """Split a block's generator transports (g', t, rows) into (maps, rest).
 
-    transports yields each generator's transport (g', t, rows) of the
-    block's sector; it is read lazily, and this returns None at the
-    first generator that sends a block monomial outside the block.
+    maps holds (perm, phases) of each transport that sends every block
+    monomial to a block monomial; rest holds the other transports.
     """
     two_n = 2 * n
-    maps = []
-    for _, t, rows in transports:
+    index_of = {m: k for k, m in enumerate(monomials)}
+    maps, rest = [], []
+    for transport in transports:
+        _, t, rows = transport
         perm, phases = [], []
-        for m in index_of:
+        for m in monomials:
             target, phase = _image(rows, t, m, two_n)
             k = index_of.get(target)
             if k is None:
-                return None
+                rest.append(transport)
+                break
             perm.append(k)
             phases.append(phase)
-        maps.append((perm, phases))
-    return maps
+        else:
+            maps.append((perm, phases))
+    return maps, rest
 
 
 def _orbit_invariants(maps, count: int, n: int):
@@ -118,20 +120,19 @@ def _carry(vec, monomials, transport, sectors, n: int) -> dict:
     return {m: x for m, x in out.items() if x}
 
 
-def _fixed_space(transports, monomials, sectors, n: int):
-    """Reduced echelon basis of the block vectors that every transport fixes.
+def _fixed_space(space, transports, monomials, sectors, n: int):
+    """Reduced echelon basis of the vectors in space that every transport fixes.
 
-    Starts from the whole block and, one generator transport at a time,
-    keeps the vectors of the space so far that the transport fixes.  A
-    vector v gives a row with (v carried - v) in columns k and v itself
-    in columns count + k.  In the reduced echelon form of these rows, the
-    rows with zero difference span the fixed vectors, and their second
-    halves are in reduced echelon form over the block.  Raises LgError
-    when an image leaves the block.
+    space is in reduced echelon form over the block.  Per transport, each
+    vector v of the space so far gives a row: v carried - v in columns k,
+    v in columns count + k.  The rows of the reduced echelon form with zero
+    difference are, by their second halves, the next space.  Raises
+    LgError when an image leaves the block.
     """
+    if not transports:
+        return space
     index_of = {m: k for k, m in enumerate(monomials)}
     count = len(monomials)
-    space = [{k: phase_unit(0, n)} for k in range(count)]
     for transport in transports:
         rows = []
         for vec in space:
@@ -177,6 +178,7 @@ def _reduce(row: dict, pivots: dict) -> dict:
 def _echelon(rows):
     """Reduced echelon form of sparse rows {column: nonzero}, sorted by lead column."""
     pivots: dict = {}  # lead column -> row with 1 there and 0 at every other lead
+    holders: dict = {}  # column -> leads of the pivots that may be nonzero there
     for row in rows:
         w = _reduce(row, pivots)
         if not w:
@@ -184,10 +186,14 @@ def _echelon(rows):
         lead = min(w)
         inv = 1 / w[lead]
         w = {k: x * inv for k, x in w.items()}
-        for p in pivots.values():
+        for p_lead in holders.pop(lead, ()):
+            p = pivots[p_lead]
             c = p.get(lead)
             if c is not None:
                 for k, x in w.items():
                     _add(p, k, -c * x)
+                    holders.setdefault(k, set()).add(p_lead)
+        for k in w:
+            holders.setdefault(k, set()).add(lead)
         pivots[lead] = w
     return [pivots[lead] for lead in sorted(pivots)]

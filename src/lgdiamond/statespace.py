@@ -13,10 +13,9 @@ Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
 stays exact at odd n.  Transports, transition constants and orbit values
 are such integers, and a CycNum is built (by phase_unit) only for a
-basis vector or a normal-form input.  Blocks walk orbits over centralizer
-generators (see orbits.py) when every generator sends each block
-monomial to a block monomial; any other block takes the common fixed
-space of the generators, cut one generator at a time.  A basis vector is held as its
+basis vector or a normal-form input.  Each block walks the orbits of
+the centralizer generators that keep its monomials in it, and the other
+generators cut that basis (orbits.py).  A basis vector is held as its
 support, and the symmetry checks walk supports only: partner bases are
 carried by one transport per block.  Both checks reduce with the sparse
 elimination of orbits.py; duality certifies a full-rank Gram matrix by
@@ -213,21 +212,15 @@ class StateSpace:
                     generators[cent] = _subgroup_generators(self.group, cent)
                 gens = generators[cent]
                 self._generators.append(gens)
-                split = self.degree_monomials(rep)
                 d0 = self.sectors[rep].ring.weights.d0
-                for e in sorted(split):
-                    monos = split[e]
-                    index_of = {m: k for k, m in enumerate(monos)}
-                    maps = _generator_maps(
-                        (self.transport(hi, rep) for hi in gens), index_of, self.n
+                for e, monos in sorted(self.degree_monomials(rep).items()):
+                    maps, rest = _generator_maps(
+                        [self.transport(hi, rep) for hi in gens], monos, self.n
                     )
-                    if maps is not None:
-                        basis = _orbit_invariants(maps, len(monos), self.n)
-                    else:
-                        basis = _fixed_space(
-                            [self.transport(hi, rep) for hi in gens],
-                            monos, self.sectors, self.n,
-                        )
+                    basis = _fixed_space(
+                        _orbit_invariants(maps, len(monos), self.n),
+                        rest, monos, self.sectors, self.n,
+                    )
                     degree = Fraction(e, d0)
                     q_left, q_right = self.sectors[rep].charges(degree)
                     out.append(

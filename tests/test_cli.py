@@ -75,7 +75,7 @@ def test_parse_job_full():
         (("diag", (F(1, 3), F(2, 3))), ("perm", (0, 1))),
     )
     assert job.command == "jacobian"
-    assert job.verify and job.fmt == "text" and job.closure_cap == 100000
+    assert job.verify and job.closure_cap == 100000
 
 
 def test_parse_job_defaults():
@@ -329,6 +329,15 @@ def test_cli_closure_cap(tmp_path, capsys):
     )
     assert code == 1
     assert "cap" in err
+
+
+def test_cli_milnor_bound(tmp_path, capsys):
+    # mu = 19999^2 is read from the weights and refused before any Groebner work
+    code, out, err = run_cli(
+        tmp_path, capsys, "f = x1^20000 + x2^20000\ncommand = jacobian\n"
+    )
+    assert code == 1 and not out
+    assert err == "error: the weights give Milnor number 399960001, over the bound 10000000\n"
 
 
 def test_cli_no_verify_and_json(tmp_path, capsys):

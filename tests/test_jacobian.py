@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from lgdiamond import jacobian
 from lgdiamond._linalg import det
 from lgdiamond.cyclotomic import CycNum, root_of_unity
-from lgdiamond.errors import NonHomogeneous, NotIsolated
+from lgdiamond.errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
 from lgdiamond.jacobian import (
     _integer_degree,
     _standard_monomials,
@@ -450,6 +451,21 @@ def test_milnor_number_not_integral():
     # mu = 1/q - 1 = 3/2; the check must hold under python -O as well
     with pytest.raises(NotIsolated, match=r"q = \(2/5\).*3/2"):
         milnor_number(WeightSystem(5, (2,)))
+
+
+def test_milnor_bound(monkeypatch):
+    # the cubes (mu 8) sit on a bound of 8 and over a bound of 7; weights
+    # whose mu is not an integer stay NotIsolated over the bound
+    cubes = "x1^3 + x2^3 + x3^3"
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    monkeypatch.setattr(jacobian, "MAX_MILNOR", 8)
+    assert ring_of(cubes).mu == 8
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    monkeypatch.setattr(jacobian, "MAX_MILNOR", 7)
+    with pytest.raises(MilnorBoundExceeded, match="Milnor number 8, over the bound 7"):
+        ring_of(cubes)
+    with pytest.raises(NotIsolated, match="non-integral Milnor number 28/3"):
+        quotient_ring(poly("x1^5 + x1^2*x2^2"), WeightSystem(10, (2, 3)))
 
 
 def test_weight_system_derives_q():

@@ -116,6 +116,14 @@ def test_smith_normal_form_random_properties():
                 assert b_ == 0
 
 
+def test_echelon_back_substitutes_through_changed_pivots():
+    # rows e_i + e_(i+1), then e_3: each new lead reaches every earlier
+    # pivot only through the leads that were subtracted from it
+    one = CycNum.one(3)
+    rows = [{i: one, i + 1: one} for i in range(3)] + [{3: one}]
+    assert _echelon(rows) == [{i: one} for i in range(4)]
+
+
 def test_sparse_echelon_matches_dense_rref():
     """_echelon and _reduce on random sparse CycNum rows against the dense rref."""
     hypothesis = pytest.importorskip("hypothesis")

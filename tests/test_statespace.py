@@ -16,7 +16,7 @@ from lgdiamond.errors import (
 )
 from lgdiamond._linalg import mat_mul
 from lgdiamond.cli import parse_job, run
-from lgdiamond.orbits import _fixed_space, _orbit_invariants
+from lgdiamond.orbits import _fixed_space, _generator_maps, _orbit_invariants
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 import lgdiamond.statespace as statespace
@@ -426,23 +426,28 @@ class FormRing:
 X, Y, U, V = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def fixed_space(n, rows, forms, standard=(X, Y)):
-    """_fixed_space on the block x, y under one transport (0, 0, rows)."""
+def fixed_space(n, space, rows, forms, standard=(X, Y)):
+    """_fixed_space from space on the block x, y under one transport (0, 0, rows)."""
     sectors = [SimpleNamespace(ring=FormRing(n, standard, forms))]
-    return _fixed_space([(0, 0, rows)], (X, Y), sectors, n)
+    return _fixed_space(space, [(0, 0, rows)], (X, Y), sectors, n)
+
+
+def units(n):
+    """The unit vectors of the block x, y."""
+    return [{0: CycNum.one(n)}, {1: CycNum.one(n)}]
 
 
 def test_fixed_space_unit():
     n = 1
     one = CycNum.one(n)
     # x -> u = x + y, y -> -y: involution with invariant line spanned by (1, 1/2)
-    basis = fixed_space(n, [(2, 0), (1, n), (2, 0), (3, 0)], {U: {X: 1, Y: 1}})
+    basis = fixed_space(n, units(n), [(2, 0), (1, n), (2, 0), (3, 0)], {U: {X: 1, Y: 1}})
     assert basis == [{0: one, 1: CycNum.rational(F(1, 2), n)}]
     # x -> x, y -> y: the whole block, in reduced echelon form
-    assert fixed_space(n, [(0, 0), (1, 0), (2, 0), (3, 0)], {}) == [{0: one}, {1: one}]
+    assert fixed_space(n, units(n), [(0, 0), (1, 0), (2, 0), (3, 0)], {}) == units(n)
     # y -> u, a standard monomial outside the block
     with pytest.raises(LgError, match="does not preserve the degree"):
-        fixed_space(n, [(0, 0), (2, 0), (2, 0), (3, 0)], {}, standard=(X, Y, U))
+        fixed_space(n, units(n), [(0, 0), (2, 0), (2, 0), (3, 0)], {}, standard=(X, Y, U))
 
 
 def test_fixed_space_rational_sizes():
@@ -451,9 +456,26 @@ def test_fixed_space_rational_sizes():
     # x -> -u = -2y, y -> -v = -x/2 (phase n is -1): x - 2y is invariant
     forms = {U: {Y: 2}, V: {X: F(1, 2)}}
     rows = [(2, n), (3, n), (2, 0), (3, 0)]
-    assert fixed_space(n, rows, forms) == [{0: one, 1: CycNum.rational(-2, n)}]
+    assert fixed_space(n, units(n), rows, forms) == [{0: one, 1: CycNum.rational(-2, n)}]
     # x -> u = 2y, y -> x: the loop scalar is 2, so nothing survives
-    assert fixed_space(n, [(2, 0), (0, 0), (2, 0), (3, 0)], forms) == []
+    assert fixed_space(n, units(n), [(2, 0), (0, 0), (2, 0), (3, 0)], forms) == []
+
+
+def test_fixed_space_from_orbit_invariant():
+    n = 2
+    one, minus = CycNum.one(n), CycNum.rational(-1, n)
+    # x - y, the invariant of x <-> y with phase n (-1), is the walk's start
+    (odd,) = _orbit_invariants([([1, 0], [n, n])], 2, n)
+    assert odd == {0: one, 1: minus}
+    # x -> u = 2x - y, y -> v = x fixes x - y and nothing else
+    forms = {U: {X: 2, Y: -1}, V: {X: 1}}
+    rows = [(2, 0), (3, 0), (2, 0), (3, 0)]
+    assert fixed_space(n, [odd], rows, forms) == [odd]
+    assert fixed_space(n, units(n), rows, forms) == [odd]
+    # x + y is not fixed, so the cut leaves nothing
+    assert fixed_space(n, [{0: one, 1: one}], rows, forms) == []
+    # with no transport to cut by, the start comes back as it is
+    assert _fixed_space([odd], [], (X, Y), [], n) == [odd]
 
 
 def test_reynolds_invariants_unit():
@@ -518,15 +540,30 @@ def double_one_term(block, monkeypatch):
 
 
 def fixed_space_calls(monkeypatch):
-    """Bases the generators' fixed space returns from now on, one per call."""
+    """Bases of the blocks whose cut has generators, one per block from now on."""
     calls = []
 
-    def spy(*args):
-        calls.append(_fixed_space(*args))
-        return calls[-1]
+    def spy(space, transports, *args):
+        basis = _fixed_space(space, transports, *args)
+        if transports:
+            calls.append(basis)
+        return basis
 
     monkeypatch.setattr(statespace, "_fixed_space", spy)
     return calls
+
+
+def mixed_blocks(state, monkeypatch):
+    """The state's blocks whose generators are partly walked and partly cut."""
+    splits = []
+
+    def spy(*args):
+        splits.append(_generator_maps(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(statespace, "_generator_maps", spy)
+    blocks = state.blocks()
+    return [b for b, (maps, rest) in zip(blocks, splits) if maps and rest]
 
 
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
@@ -542,8 +579,8 @@ MONOMIAL_FORM_STATES = {
     "hesse-123": (HESSE, [cycle(3, 0, 1, 2)]),
 }
 
-# states with fallback blocks, and how many: normal forms with two terms
-# in the first two, one block monomial in the others
+# states with blocks cut by a generator, and how many: normal forms with
+# two terms in the first two, one block monomial in the others
 FALLBACK_STATES = {
     "quartic-reynolds": ((QUARTIC_FALLBACK, [cycle(4, 0, 1)]), 3),
     "quartic-fallback": (
@@ -555,12 +592,17 @@ FALLBACK_STATES = {
 
 @pytest.mark.parametrize("name", list(FALLBACK_STATES))
 def test_fallback_blocks_match_reynolds_oracle(name, monkeypatch):
-    """Fixed-space bases against the projector over the whole centralizer."""
+    """Blocks with a cut against the projector over the whole centralizer.
+
+    j_f keeps every monomial in its block, so each cut block is mixed:
+    walked by some generators before the others cut it.
+    """
     calls = fixed_space_calls(monkeypatch)
     args, count = FALLBACK_STATES[name]
     state = build_state(*args)
+    mixed = mixed_blocks(state, monkeypatch)
     blocks = state.blocks()
-    assert calls
+    assert calls and len(mixed) == len(calls)
     assert count is None or len(calls) == count
     for block in blocks:
         assert list(block.basis) == reynolds_basis(state, block)
@@ -569,7 +611,7 @@ def test_fallback_blocks_match_reynolds_oracle(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(MONOMIAL_FORM_STATES))
 def test_monomial_normal_forms_leave_orbit_walk(name, monkeypatch):
-    """Blocks whose images reduce to one monomial take the fixed space, as orbits."""
+    """Blocks cut by generators whose images reduce to one monomial match the orbits."""
     calls = fixed_space_calls(monkeypatch)
     state = build_state(*MONOMIAL_FORM_STATES[name])
     blocks = state.blocks()
@@ -581,14 +623,14 @@ def test_monomial_normal_forms_leave_orbit_walk(name, monkeypatch):
 
 
 def test_reynolds_fallback_blocks(monkeypatch):
-    """A normal form with two terms sends its block to the generators' fixed space."""
+    """A generator image whose normal form has two terms cuts its block."""
     calls = fixed_space_calls(monkeypatch)
     state = build_state(QUARTIC_FALLBACK, [cycle(4, 0, 1)])
     blocks = state.blocks()
     assert len(calls) == 3
     for block in blocks:
         assert block.dimension == trace_dimension(state, block)
-    # the check carries the fixed-space basis by each generator's transport
+    # the check carries the cut basis by each generator's transport
     assert transpose_check(state)[0]
     projected = next(b for b in blocks if b.dimension and list(b.basis) in calls)
     double_one_term(projected, monkeypatch)
@@ -836,18 +878,22 @@ def test_quintic_fallback_job_end_to_end(monkeypatch):
     """A quintic whose sector rings once took minutes to build, with verification.
 
     Regression pin: the diamond is what the code computed when its
-    Groebner pairs were still chosen by a scan, in about 147 s; the
-    fixed-space fallback is reached, and every check passes.
+    Groebner pairs were still chosen by a scan, in about 147 s; 12 blocks
+    are cut by a generator after the others are walked, each of them
+    matches the projector, and every check passes.
     """
+    f = QUINTIC + " + x1*x2*x3*x4*x5 + x1^3*x2*x3"
     calls = fixed_space_calls(monkeypatch)
-    report = run(parse_job(
-        "f = x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x1*x2*x3*x4*x5 + x1^3*x2*x3\n"
-        "group = [jf, perm(2 3)*perm(4 5)]\n"
-    ))
+    report = run(parse_job(f"f = {f}\ngroup = [jf, perm(2 3)*perm(4 5)]\n"))
     assert report.payload["diamond"]["h"] == [
         [1, 0, 0, 1], [0, 59, 3, 0], [0, 3, 59, 0], [1, 0, 0, 1]
     ]
     checks = report.payload["verification"]["checks"]
     assert len(checks) == 6 and all(c["pass"] for c in checks)
     assert report.ok
-    assert calls
+    assert len(calls) == 12
+    state = build_state(f, [cycle(5, 1, 2).compose(cycle(5, 3, 4))])
+    mixed = mixed_blocks(state, monkeypatch)
+    assert len(mixed) == 12
+    for block in mixed:
+        assert list(block.basis) == reynolds_basis(state, block)
