@@ -13,13 +13,14 @@ Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
 stays exact at odd n.  Transports, transition constants and orbit values
 are such integers, and a CycNum is built (by phase_unit) only for a
-basis vector or a normal-form input.  Each block walks the orbits of
-the centralizer generators that keep its monomials in it, and the other
-generators cut that basis (orbits.py).  A basis vector is held as its
-support, and the symmetry checks walk supports only: partner bases are
-carried by one transport per block.  Both checks reduce with the sparse
-elimination of orbits.py; duality certifies a full-rank Gram matrix by
-eliminating its dict rows, not by a determinant.
+basis vector or a normal-form input.  Centralizer generators come from
+the class walk by Schreier's lemma, not a scan of the group.  Each block
+walks the orbits of those that keep its monomials in it, and the others
+cut that basis (orbits.py).  A basis vector is held as its support, and
+the symmetry checks walk supports only: partner bases are carried by one
+transport per block.  Both checks reduce with the sparse elimination of
+orbits.py; duality certifies a full-rank Gram matrix by eliminating its
+dict rows, not by a determinant.
 """
 
 from __future__ import annotations
@@ -142,6 +143,11 @@ class StateSpace:
     # -- group action on sectors ------------------------------------------
 
     def centralizer(self, gi: int) -> list[int]:
+        """Every element that commutes with g, by a scan of the whole group.
+
+        Only tests/oracles.py and the tracer call it (traced
+        statespace.centralizer_s reads 0); blocks() never does.
+        """
         group = self.group
         if len(group.classes[group.class_of[gi]]) == 1:
             return list(range(group.order))
@@ -203,14 +209,10 @@ class StateSpace:
     def blocks(self) -> list[InvariantBlock]:
         if self._blocks is None:
             out = []
-            generators: dict[tuple[int, ...], list[int]] = {}
             self._generators = []
             for ci, cls in enumerate(self.group.classes):
                 rep = cls[0]
-                cent = tuple(self.centralizer(rep))
-                if cent not in generators:  # abelian groups share one centralizer
-                    generators[cent] = _subgroup_generators(self.group, cent)
-                gens = generators[cent]
+                gens = _centralizer_generators(self.group, cls)
                 self._generators.append(gens)
                 d0 = self.sectors[rep].ring.weights.d0
                 for e, monos in sorted(self.degree_monomials(rep).items()):
@@ -250,23 +252,21 @@ class StateSpace:
         return f"[{poly.to_string(names)}] xi_{{{format_element(sector.g)}}}"
 
 
-def _subgroup_generators(group: FiniteGroup, members) -> list[int]:
-    """Members, in order, not in the subgroup generated by those kept before."""
-    gens: list[int] = []
-    span = {group.identity_index}
-    for h in members:
-        if h in span:
-            continue
-        gens.append(h)
-        stack = list(span)
-        while stack:
-            x = stack.pop()
-            for s in gens:
-                y = group.product(x, s)
-                if y not in span:
-                    span.add(y)
-                    stack.append(y)
-    return gens
+def _centralizer_generators(group: FiniteGroup, cls) -> list[int]:
+    """Schreier generators of the centralizer of the class representative.
+
+    Over members x and closure generators s, with y = s x s^-1, the
+    conjugator[y]^-1 s conjugator[x] generate it (Schreier's lemma; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    """
+    if len(cls) == 1:
+        return list(group.generators)
+    conj, inv, product = group.conjugator, group.inv, group.product
+    gens = dict.fromkeys(
+        product(inv[conj[group.conjugate(s, x)]], product(s, conj[x]))
+        for x in cls for s in group.generators
+    )
+    return [t for t in gens if t != group.identity_index]
 
 
 def _charge_fault(state: StateSpace, block: InvariantBlock, top: int) -> LgError | None:

@@ -326,27 +326,26 @@ def sl_diagonal_symmetries(f: Polynomial) -> DiagonalGroup:
 class FiniteGroup:
     """A closed list of monomial symmetries, sorted by (sigma, phase), and its classes.
 
-    Every element is held over one denominator den, and index maps each
-    element's (sigma, numerators) to its position; index_of lifts an
-    element from outside to den before looking it up.  Products and
-    conjugates are composed on demand; nothing of size |G|^2 is stored.
-    Classes are orbits of one walk under conjugation by the generators,
+    The elements share one denominator den, and index maps each element's
+    (sigma, numerators) to its position; index_of lifts an element from
+    outside to den first.  Products and conjugates are composed on demand.
+    generators indexes the closure generators, without repeats or the
+    identity.  Classes are orbits of one walk under conjugation by them,
     begun at each smallest unclassified index, so each is led by its
     representative rep; conjugator[x] * rep * conjugator[x]^-1 = x.
     """
 
     def __init__(self, elements: list[GroupElement], generators) -> None:
-        den = lcm(*(g.den for g in elements))
-        lifted = [g if g.den == den else g.over(den) for g in elements]
-        ordered = sorted(lifted, key=lambda g: (g.sigma, g.num))
-        self.den = den
+        self.den = elements[0].den
+        ordered = sorted(elements, key=lambda g: (g.sigma, g.num))
         self.elements: tuple[GroupElement, ...] = tuple(ordered)
         self.index = {(g.sigma, g.num): i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
         self.nvars = self.elements[0].nvars
         self.identity_index = self.index_of(GroupElement.identity(self.nvars))
         self.inv = tuple(self.index_of(g.inverse()) for g in self.elements)
-        gens = [self.index_of(s) for s in generators]
+        gens = dict.fromkeys(map(self.index_of, generators))
+        self.generators = tuple(s for s in gens if s != self.identity_index)
         class_of = [-1] * self.order
         conjugator = [self.identity_index] * self.order
         classes: list[tuple[int, ...]] = []
@@ -356,7 +355,7 @@ class FiniteGroup:
             class_of[g] = len(classes)
             orbit = [g]
             for x in orbit:  # the orbit grows while it is walked
-                for s in gens:
+                for s in self.generators:
                     y = self.conjugate(s, x)
                     if class_of[y] < 0:
                         class_of[y] = len(classes)

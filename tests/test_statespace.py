@@ -22,7 +22,7 @@ from lgdiamond.quasihom import analyze_weights
 import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
-    _subgroup_generators,
+    _centralizer_generators,
     assemble_diamond,
     duality_check,
     invariant_basis,
@@ -255,6 +255,74 @@ def test_mirror_quintic_diamond_and_verification():
     report = verify_theorem(state)
     assert report.passed
     assert len(report.checks) == 6
+
+
+def permutation_subgroups(perms):
+    """Every subgroup of the group the permutation tuples generate."""
+    identity = tuple(range(len(perms[0])))
+
+    def close(elems):
+        group = {identity, *elems}
+        stack = list(group)
+        while stack:
+            a = stack.pop()
+            for b in list(group):
+                for c in (tuple(a[i] for i in b), tuple(b[i] for i in a)):
+                    if c not in group:
+                        group.add(c)
+                        stack.append(c)
+        return frozenset(group)
+
+    whole = close(perms)
+    found = {close(())}
+    stack = list(found)
+    while stack:
+        sub = stack.pop()
+        for g in whole - sub:
+            bigger = close(sub | {g})
+            if bigger not in found:
+                found.add(bigger)
+                stack.append(bigger)
+    return found
+
+
+def parity_holds(perms):
+    """dim (C^N)^T = N mod 2 for every subgroup T (Ebeling and Gusein-Zade).
+
+    The fixed space of a permutation group has one dimension per orbit.
+    """
+    n = len(perms[0])
+    for sub in permutation_subgroups(perms):
+        orbits = {frozenset(t[i] for t in sub) for i in range(n)}
+        if (len(orbits) - n) % 2:
+            return False
+    return True
+
+
+def test_non_abelian_mirror_row_three_cycle():
+    """SLd x| <(1 2 3)> mirrors <J> x| <(1 2 3)> on the Fermat quintic.
+
+    The dual of (f, G x| S) is (f^T, G^T x| S) when S satisfies the
+    parity condition (Ebeling and Gusein-Zade, arXiv:1907.11421; Priddis,
+    Ward and Williams, arXiv:1812.06200); on the Fermat quintic f^T = f
+    and the dual of <J> is SLd, so the tables are each other's rows
+    reversed.
+    """
+    assert parity_holds([QUINTIC_C123.sigma])
+    # S3 = <(1 2 3), (1 2)(4 5)> fails it: the whole S3 fixes a 2-dim space
+    s3 = [QUINTIC_C123.sigma, (1, 0, 2, 4, 3)]
+    assert len(permutation_subgroups(s3)) == 6 and not parity_holds(s3)
+    large = build_state(QUINTIC, [*diagonal_generators(QUINTIC, sl=True), QUINTIC_C123])
+    assert (large.group.order, len(large.group.classes)) == (1875, 275)
+    tables = []
+    for state in (A3_STATE, large):
+        report = verify_theorem(state)
+        assert len(report.checks) == 6 and report.passed
+        tables.append(assemble_diamond(state)[1])
+    small_table, large_table = tables
+    assert (small_table[1][1], small_table[1][2]) == (49, 5)
+    assert (large_table[1][1], large_table[1][2]) == (5, 49)
+    assert large_table == small_table[::-1]
 
 
 def test_quintic_a3_three_cycle_blocks():
@@ -492,26 +560,61 @@ def test_reynolds_invariants_unit():
         reynolds_invariants([refl], 2, n)
 
 
-@pytest.mark.parametrize("name", list(ORBIT_STATES))
+@pytest.mark.parametrize("name", list(STRUCTURE_STATES))
 def test_centralizer_generators_span_centralizer(name):
+    """Schreier generators of each class against the whole-group scan."""
     state = named_state(name)
     group = state.group
     for cls in group.classes:
         cent = state.centralizer(cls[0])
-        gens = [group.elements[h] for h in _subgroup_generators(group, cent)]
-        # each kept generator at least doubles the subgroup
-        assert 2 ** len(gens) <= len(cent)
-        ident = GroupElement.identity(group.nvars)
-        span = {ident.key(): ident}
-        stack = [ident]
+        gens = _centralizer_generators(group, cls)
+        assert group.identity_index not in gens
+        assert len(set(gens)) == len(gens)
+        assert set(gens) <= set(cent)
+        span = {group.identity_index}
+        stack = [group.identity_index]
         while stack:
             x = stack.pop()
             for s in gens:
-                y = x.compose(s)
-                if y.key() not in span:
-                    span[y.key()] = y
+                y = group.product(x, s)
+                if y not in span:
+                    span.add(y)
                     stack.append(y)
-        assert set(span) == {group.elements[h].key() for h in cent}
+        assert span == set(cent)
+
+
+# fresh states, so that blocks() runs under the test; only the last is in SL
+GUARD_STATES = {
+    "quintic-s3": lambda: build_state(QUINTIC, [QUINTIC_T12, QUINTIC_T23]),
+    "cubic-gd-s3": ORBIT_STATES["cubic-gd-s3"],
+    "quintic-even-s3": lambda: build_state(
+        QUINTIC, [QUINTIC_C123, GroupElement((1, 0, 2, 4, 3), (F(0),) * 5)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_STATES))
+def test_no_library_path_scans_the_group_for_a_centralizer(name, monkeypatch):
+    """blocks() and the verification checks never call StateSpace.centralizer."""
+    reference = GUARD_STATES[name]()
+    expected = (
+        assemble_diamond(reference), transpose_check(reference), duality_check(reference)
+    )
+    state = GUARD_STATES[name]()
+    assert len(state.group.classes) < state.group.order  # non-abelian
+
+    def scan(self, gi):
+        raise AssertionError("whole-group centralizer scan")
+
+    monkeypatch.setattr(StateSpace, "centralizer", scan)
+    assert (assemble_diamond(state), transpose_check(state), duality_check(state)) == expected
+    if state.group.all_sl:
+        report = verify_theorem(state)
+        assert len(report.checks) == 6 and report.passed
+    else:
+        # a transposition has determinant -1 and Gd is not in SL
+        with pytest.raises(PreconditionFailed, match="determinant"):
+            verify_theorem(state)
 
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))

@@ -393,6 +393,14 @@ def test_main_group_structure():
     assert MAIN_G.contains(MAIN_JF.power(7))
 
 
+def test_closure_generators_drop_repeats_and_identity():
+    f, _ = parse_polynomial("x1^3 + x2^3 + x3^3")
+    jf = make_jf(analyze_weights(f)[2])
+    group = generate_group([jf, jf, diag(0, 0, 0)], f)
+    assert group.order == 3
+    assert group.generators == (group.index_of(jf),)
+
+
 def test_quintic_group_structure():
     assert QUINTIC_G.order == 30
     assert not QUINTIC_G.all_sl
