@@ -26,6 +26,7 @@ JSON form is versioned and round-trips through the standard parser.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -609,6 +610,10 @@ def main(argv=None) -> int:
         sys.stdout.write(rendered)
     return 0 if report.ok else 2
 
+
+# what the command line imported lives as long as its one-job process, so
+# the collector's passes during the job walk only the job's own objects
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import chain
 from math import gcd, prod
 from operator import add, le, mul, sub
 
@@ -129,13 +128,14 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
             (_mono_lcm(leads[k][0], t), k, _coprime(leads[k][0], t)) for k in active
         ]
         # criteria M and F: drop a new pair whose lcm another new pair's lcm
-        # divides, keeping one of each lcm; a coprime pair always stays,
-        # so that it prunes the others, and is dropped last (Buchberger)
+        # divides, keeping one of each lcm; a coprime pair always stays, so it
+        # prunes the others, and is dropped last (Buchberger).  Sorted by lcm
+        # degree, coprime first, a pair comes after each pair whose lcm divides
+        # its own, so testing against the kept pairs is enough
+        candidates.sort(key=lambda c: (sum(c[0]), not c[2]))
         kept = []
-        for c, (gamma, k, coprime) in enumerate(candidates):
-            if coprime or not any(
-                _divides(other[0], gamma) for other in chain(candidates[c + 1 :], kept)
-            ):
+        for gamma, k, coprime in candidates:
+            if coprime or not any(_divides(other[0], gamma) for other in kept):
                 kept.append((gamma, k, coprime))
         for gamma, k, coprime in kept:
             if not coprime:
@@ -178,15 +178,15 @@ def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomi
 
 def _standard_monomials(
     lms: list[Monomial], d: tuple[int, ...]
-) -> tuple[list[Monomial], dict[int, int]]:
-    """Monomials outside the leading-term ideal in grevlex order, and their
-    grading {d0 * weighted degree: count} for the weights d, keys ascending.
-
-    NotIsolated if there are infinitely many.
+) -> tuple[list[tuple[Monomial, int]], dict[int, int]]:
+    """Monomials outside the leading-term ideal as stairs (prefix, b), each
+    for the prefix + (e,) with e < b (for 1 if there are no variables), and
+    their grading {d0 * weighted degree: count} for the weights d, keys
+    ascending.  NotIsolated if there are infinitely many.
     """
     nvars = len(d)
     if not nvars:
-        return [()], {0: 1}
+        return [((), 1)], {0: 1}
     bounds = []
     for i in range(nvars):
         pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
@@ -221,31 +221,17 @@ def _standard_monomials(
             for e in range(bound(i, prefix)):
                 grown.append(prefix + (e,))
         prefixes = grown
-    # the grevlex key packed into one integer (the total degree, then the
-    # exponents from the last variable on, each below base), so the sort
-    # holds one int per monomial rather than two tuples; each prefix yields
-    # its key and d0 times its weighted degree, and the last variable steps
-    # both, so the monomials keep only their key and count their degree
-    base = max(bounds) + 1
-    top = base**nvars
-    steps = [top - base**i for i in range(nvars)]
-    step, di = steps[-1], d[-1]
-    basis: list[Monomial] = []
-    keys: list[int] = []
+    # each prefix carries d0 times its weighted degree and the last
+    # variable steps it, so the grading builds no monomial
+    stairs = [(prefix, bound(nvars - 1, prefix)) for prefix in prefixes]
+    di = d[-1]
     counts: dict[int, int] = {}
-    for prefix in prefixes:
-        key = sum(map(mul, prefix, steps))
+    for prefix, b in stairs:
         deg = sum(map(mul, prefix, d))
-        for e in range(bound(nvars - 1, prefix)):
-            basis.append(prefix + (e,))
-            keys.append(key)
+        for e in range(b):
             counts[deg] = counts.get(deg, 0) + 1
-            key += step
             deg += di
-    # list.sort calls its key once per item, in list order, before it compares
-    ordered = iter(keys)
-    basis.sort(key=lambda _: next(ordered))
-    return basis, {deg: counts[deg] for deg in sorted(counts)}
+    return stairs, {deg: counts[deg] for deg in sorted(counts)}
 
 
 @dataclass
@@ -257,8 +243,8 @@ class JacobianRing:
     groebner: tuple[Polynomial, ...]
     # (leading monomial, element) of each Groebner element, for normal_form
     leads: tuple[tuple[Monomial, Polynomial], ...]
-    basis: tuple[Monomial, ...]
-    basis_index: dict[Monomial, int]
+    # the standard monomials as _standard_monomials' stairs; basis lists them
+    stairs: tuple[tuple[Monomial, int], ...]
     # {d0 * weighted degree: dimension}, keys in strictly ascending order
     graded: dict[int, int]
     top_monomial: Monomial
@@ -286,6 +272,32 @@ class JacobianRing:
     @property
     def c_hat(self) -> Fraction:
         return self.weights.central_charge
+
+    @cached_property
+    def basis(self) -> tuple[Monomial, ...]:
+        """The standard monomials in grevlex order, listed on first read."""
+        if not self.nvars:
+            return ((),)
+        # the grevlex key packed into one int (the total degree, then the exponents
+        # from the last variable on, each below base), not two tuples per monomial
+        base = 1 + max(max(prefix + (b,)) for prefix, b in self.stairs)
+        steps = [base**self.nvars - base**i for i in range(self.nvars)]
+        basis: list[Monomial] = []
+        keys: list[int] = []
+        for prefix, b in self.stairs:
+            key = sum(map(mul, prefix, steps))
+            for e in range(b):
+                basis.append(prefix + (e,))
+                keys.append(key)
+                key += steps[-1]
+        # list.sort calls its key once per item, in list order, before it compares
+        ordered = iter(keys)
+        basis.sort(key=lambda _: next(ordered))
+        return tuple(basis)
+
+    @cached_property
+    def basis_index(self) -> dict[Monomial, int]:
+        return {m: i for i, m in enumerate(self.basis)}
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         return normal_form(p, self.leads)
@@ -398,7 +410,7 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     partials = [f.partial_derivative(i) for i in range(f.nvars)]
     gb = groebner_basis(partials, f.nvars, f.n)
     lms = [leading_monomial(b) for b in gb]
-    basis, graded = _standard_monomials(lms, w.d)
+    stairs, graded = _standard_monomials(lms, w.d)
     leads = tuple(zip(lms, gb))
     hess = normal_form(hessian_determinant(f), leads)
     if len(hess.terms) != 1:
@@ -412,12 +424,11 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
         weights=w,
         groebner=tuple(gb),
         leads=leads,
-        basis=tuple(basis),
-        basis_index={m: i for i, m in enumerate(basis)},
+        stairs=tuple(stairs),
         graded=graded,
         top_monomial=top,
         hess_coefficient=coeff,
-        mu=len(basis),
+        mu=sum(b for _, b in stairs),
     )
     _RING_CACHE[key] = ring
     return ring

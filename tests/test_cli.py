@@ -1,11 +1,13 @@
 """Job parsing, command payloads, text/JSON rendering, exit codes."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from lgdiamond import cli
+from lgdiamond import cli, jacobian
 from lgdiamond.cli import (
     COMMANDS,
     Job,
@@ -16,6 +18,7 @@ from lgdiamond.cli import (
 )
 from lgdiamond.errors import JobSyntaxError
 from lgdiamond.polynomial import parse_polynomial
+from lgdiamond.quasihom import analyze_weights
 
 MAIN_JOB = """\
 # the running four-variable example
@@ -387,3 +390,17 @@ def test_cli_job_file_not_utf8(tmp_path, capsys):
     assert captured.err == (
         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
+
+
+def test_cli_import_freezes_the_heap_and_later_rings_are_collected(monkeypatch):
+    # importing lgdiamond.cli froze what it imported
+    assert gc.get_freeze_count() > 0
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    f, _ = parse_polynomial("x1^3 + x2^5")
+    ring = jacobian.quotient_ring(f, analyze_weights(f)[2])
+    assert ring.basis_index  # listed, so the ring holds all it can
+    ref = weakref.ref(ring)
+    del ring
+    jacobian._RING_CACHE.clear()
+    gc.collect()
+    assert ref() is None

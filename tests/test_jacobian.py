@@ -49,6 +49,8 @@ QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 STAR = "x1^4 + x1*x2^3 + x1*x3^3 + x1*x4^3 + x2^2*x3^2 + x2^2*x4^2 + x3^2*x4^2"
 CONE = "x1^3 + x1*x2^2 + x1*x3^2 + x1*x4^2"
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
+# a Dwork-type deformation: its Jacobian ideal is not monomial
+QUARTIC_DWORK = "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4"
 # the milnor-batch benchmark anchor: mu = 1920, d0 = 2175
 ANCHOR = "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5"
 # partial derivatives that share a leading monomial, with their Milnor numbers
@@ -163,7 +165,7 @@ def sympy_reduced_basis(f: Polynomial) -> list[Polynomial]:
     return basis
 
 
-@pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN])
+@pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN, QUARTIC_DWORK])
 def test_leading_monomials_match_sympy(text):
     f = poly(text)
     gb = groebner_basis(partials(f), f.nvars, f.n)
@@ -339,6 +341,28 @@ def test_ring_cache():
     assert ring_of(MAIN) is ring_of(MAIN)
 
 
+def test_jacobian_job_reads_mu_and_grading_from_the_stairs(monkeypatch):
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    report = run(parse_job(f"f = {ANCHOR}\ncommand = jacobian"))
+    (ring,) = jacobian._RING_CACHE.values()
+    assert "basis" not in ring.__dict__ and "basis_index" not in ring.__dict__
+    # the forced listing gives the same mu and grading
+    counts = Counter(_integer_degree(m, ring.weights) for m in ring.basis)
+    assert report.payload["mu"] == ring.mu == len(ring.basis) == 1920
+    assert list(ring.graded.items()) == sorted(counts.items())
+    assert ring.basis_index == {m: i for i, m in enumerate(ring.basis)}
+
+
+@pytest.mark.parametrize("command", ["jacobian", "diamond"])
+def test_degenerate_hessian_class_is_not_isolated(monkeypatch, command):
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    monkeypatch.setattr(
+        jacobian, "hessian_determinant", lambda f: Polynomial.zero(f.nvars, f.n)
+    )
+    with pytest.raises(NotIsolated, match="does not span the top graded piece"):
+        run(parse_job(f"f = x1^3 + x2^3 + x3^3\ncommand = {command}"))
+
+
 STAIRCASES = [
     "x1^3 + x2^3", QUINTIC, MAIN, STAR, "x1^2*x2 + x2^3*x1", *SHARED_LEADS, HESSE,
     "x1^3 + x1*x2^2", "x2^3 + x2*x1^2", "7*x1^3 + 7*x1*x2^2", "8*x1^3 + x2^3",
@@ -348,10 +372,12 @@ STAIRCASES = [
 
 def assert_staircase_matches_box(ring):
     lms = [leading_monomial(b) for b in ring.groebner]
-    got, graded = _standard_monomials(lms, ring.weights.d)
+    stairs, graded = _standard_monomials(lms, ring.weights.d)
     box = standard_monomials_box(lms, ring.nvars)
-    assert got == box
-    assert tuple(got) == ring.basis
+    assert tuple(stairs) == ring.stairs
+    # the basis is listed from the stairs on first read
+    assert ring.basis == tuple(box)
+    assert ring.mu == sum(b for _, b in stairs) == len(box)
     counts = Counter(_integer_degree(mono, ring.weights) for mono in box)
     assert list(graded.items()) == sorted(counts.items())
     assert graded == ring.graded
@@ -367,7 +393,7 @@ def test_standard_monomials_match_box_on_sectors():
         assert_staircase_matches_box(sector.ring)
     zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert_staircase_matches_box(zero)
-    assert _standard_monomials([], ()) == ([()], {0: 1})
+    assert _standard_monomials([], ()) == ([((), 1)], {0: 1})
 
 
 # -- weight series oracle -----------------------------------------------------
