@@ -408,7 +408,7 @@ def _run_diamond(job: Job, w: WeightSystem) -> tuple[dict, bool]:
             "g": format_element(g),
             "Ng": state.loci[i].n_g,
             "age": _frac(g.age()),
-            "mu": state.sectors[i].ring.mu,
+            "mu": state.ring(group.classes[group.class_of[i]][0]).mu,
         }
         for i, g in enumerate(group.elements)
     ]
@@ -583,7 +583,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.closure_cap < 1:
+        parser.error(f"--closure-cap must be at least 1, not {args.closure_cap}")
     try:
         text = Path(args.jobfile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -240,7 +240,6 @@ class JacobianRing:
 
     f: Polynomial
     weights: WeightSystem
-    groebner: tuple[Polynomial, ...]
     # (leading monomial, element) of each Groebner element, for normal_form
     leads: tuple[tuple[Monomial, Polynomial], ...]
     # the standard monomials as _standard_monomials' stairs; basis lists them
@@ -422,7 +421,6 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     ring = JacobianRing(
         f=f,
         weights=w,
-        groebner=tuple(gb),
         leads=leads,
         stairs=tuple(stairs),
         graded=graded,

@@ -91,16 +91,15 @@ def _orbit_invariants(maps, count: int, n: int):
     return basis
 
 
-def _carry(vec, monomials, transport, sectors, n: int) -> dict:
+def _carry(vec, monomials, transport, ring, n: int) -> dict:
     """A vector {k: coefficient of monomials[k]} carried by a transport (g', t, rows).
 
-    Returns {monomial: nonzero CycNum} over the standard monomials of the
-    ring of sectors[g'].  A unit coefficient times the transport phase is
-    one phase_unit of the summed phase; a target off the standard basis
-    is replaced by its normal form.
+    Returns {monomial: nonzero CycNum} over the standard monomials of
+    ring, the ring of sector g'.  A unit coefficient times the transport
+    phase is one phase_unit of the summed phase; a target off the standard
+    basis is replaced by its normal form.
     """
-    gpi, t, rows = transport
-    ring = sectors[gpi].ring
+    _, t, rows = transport
     two_n = 2 * n
     units = unit_phases(n)
     out = {}
@@ -120,14 +119,15 @@ def _carry(vec, monomials, transport, sectors, n: int) -> dict:
     return {m: x for m, x in out.items() if x}
 
 
-def _fixed_space(space, transports, monomials, sectors, n: int):
+def _fixed_space(space, transports, monomials, ring, n: int):
     """Reduced echelon basis of the vectors in space that every transport fixes.
 
-    space is in reduced echelon form over the block.  Per transport, each
-    vector v of the space so far gives a row: v carried - v in columns k,
-    v in columns count + k.  The rows of the reduced echelon form with zero
-    difference are, by their second halves, the next space.  Raises
-    LgError when an image leaves the block.
+    ring is the ring of the block's sector, which every transport maps to
+    itself.  space is in reduced echelon form over the block.  Per
+    transport, each vector v of the space so far gives a row: v carried - v
+    in columns k, v in columns count + k.  The rows of the reduced echelon
+    form with zero difference are, by their second halves, the next space.
+    Raises LgError when an image leaves the block.
     """
     if not transports:
         return space
@@ -137,7 +137,7 @@ def _fixed_space(space, transports, monomials, sectors, n: int):
         rows = []
         for vec in space:
             row = {count + k: c for k, c in vec.items()}
-            for m, c in _carry(vec, monomials, transport, sectors, n).items():
+            for m, c in _carry(vec, monomials, transport, ring, n).items():
                 if m not in index_of:
                     raise LgError("sector action does not preserve the degree")
                 row[index_of[m]] = c

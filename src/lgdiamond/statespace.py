@@ -7,7 +7,9 @@ sector spaces through monomial coordinate transports times a transition
 constant, the determinant of h on the directions that g moves; the
 invariants form the state space.  This module computes the invariants per
 conjugacy class and internal degree, assembles the charge table (the
-diamond), and mechanically verifies its structural properties.
+diamond), and mechanically verifies its structural properties.  Rings and
+charge shifts are class functions, so a sector's ring is built on first
+read, and blocks() reads only those of class representatives.
 
 Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
@@ -39,8 +41,6 @@ from .orbits import (
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
-    FixedLocus,
-    GroupElement,
     _half_steps,
     fixed_locus,
     format_element,
@@ -52,22 +52,6 @@ from .symmetry import (
 )
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Sector:
-    """One group element's contribution before taking invariants."""
-
-    index: int
-    g: GroupElement
-    locus: FixedLocus
-    ring: JacobianRing
-    shift_left: Fraction
-    shift_right: Fraction
-
-    def charges(self, degree: Fraction) -> tuple[Fraction, Fraction]:
-        """Bigrade of a class of the given internal weighted degree."""
-        return (degree + self.shift_left, degree + self.shift_right)
 
 
 @dataclass
@@ -114,31 +98,26 @@ class StateSpace:
             f"x{i + 1}" for i in range(f.nvars)
         )
         self.loci = tuple(fixed_locus(g, self.n) for g in group.elements)
-        sectors = []
-        for i, g in enumerate(group.elements):
-            locus = self.loci[i]
-            ring = quotient_ring(
-                restrict(self.f, locus), restricted_weights(locus, weights)
-            )
-            comp = sum(
-                (weights.q[k] for k in locus.complement_indices()), _ZERO
-            )
-            sectors.append(
-                Sector(
-                    index=i,
-                    g=g,
-                    locus=locus,
-                    ring=ring,
-                    shift_left=g.age() - comp,
-                    shift_right=g.inverse().age() - comp,
-                )
-            )
-        self.sectors = tuple(sectors)
+        self._rings: dict[int, JacobianRing] = {}
         self._transports: dict[tuple[int, int], tuple] = {}
         self._degree_cache: dict[int, dict[int, tuple[Monomial, ...]]] = {}
         self._blocks: list[InvariantBlock] | None = None
-        # centralizer generators of each class's representative, set by blocks()
-        self._generators: list[list[int]] = []
+
+    # -- sectors ------------------------------------------------------------
+
+    def ring(self, gi: int) -> JacobianRing:
+        """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate."""
+        if gi not in self._rings:
+            locus = self.loci[gi]
+            f = restrict(self.f, locus)
+            self._rings[gi] = quotient_ring(f, restricted_weights(locus, self.weights))
+        return self._rings[gi]
+
+    def shifts(self, gi: int) -> tuple[Fraction, Fraction]:
+        """Charges of sector g less internal degree: ages of g and g^-1 less moved weights."""
+        moved = sum((self.weights.q[k] for k in self.loci[gi].complement_indices()), _ZERO)
+        g = self.group.elements[gi]
+        return g.age() - moved, g.inverse().age() - moved
 
     # -- group action on sectors ------------------------------------------
 
@@ -186,7 +165,7 @@ class StateSpace:
         """Image of the class of a sector monomial under h, in normal form."""
         gpi, t, rows = self.transport(hi, gi)
         target, phase = _image(rows, t, mono, 2 * self.n)
-        ring = self.sectors[gpi].ring
+        ring = self.ring(gpi)
         poly = Polynomial(len(rows), self.n, {target: phase_unit(phase, self.n)})
         if target in ring.basis_index:
             return gpi, poly
@@ -198,7 +177,7 @@ class StateSpace:
         """Standard monomials of the sector ring of g, by d0 times their degree."""
         cached = self._degree_cache.get(gi)
         if cached is None:
-            ring = self.sectors[gi].ring
+            ring = self.ring(gi)
             split: dict[int, list[Monomial]] = {}
             for mono in ring.basis:
                 split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
@@ -209,27 +188,20 @@ class StateSpace:
     def blocks(self) -> list[InvariantBlock]:
         if self._blocks is None:
             out = []
-            self._generators = []
-            for ci, cls in enumerate(self.group.classes):
+            # every ring before any block: interleaving the two ran slower, measured cold
+            rings = [self.ring(cls[0]) for cls in self.group.classes]
+            for ci, (cls, ring) in enumerate(zip(self.group.classes, rings)):
                 rep = cls[0]
-                gens = _centralizer_generators(self.group, cls)
-                self._generators.append(gens)
-                d0 = self.sectors[rep].ring.weights.d0
+                left, right = self.shifts(rep)
+                transports = [self.transport(hi, rep) for hi in self.group.centralizers[ci]]
                 for e, monos in sorted(self.degree_monomials(rep).items()):
-                    maps, rest = _generator_maps(
-                        [self.transport(hi, rep) for hi in gens], monos, self.n
-                    )
+                    maps, rest = _generator_maps(transports, monos, self.n)
                     basis = _fixed_space(
-                        _orbit_invariants(maps, len(monos), self.n),
-                        rest, monos, self.sectors, self.n,
+                        _orbit_invariants(maps, len(monos), self.n), rest, monos, ring, self.n
                     )
-                    degree = Fraction(e, d0)
-                    q_left, q_right = self.sectors[rep].charges(degree)
-                    out.append(
-                        InvariantBlock(
-                            ci, rep, degree, q_left, q_right, monos, tuple(basis)
-                        )
-                    )
+                    degree = Fraction(e, ring.weights.d0)
+                    q = (degree + left, degree + right)
+                    out.append(InvariantBlock(ci, rep, degree, *q, monos, tuple(basis)))
             self._blocks = out
         return self._blocks
 
@@ -246,27 +218,10 @@ class StateSpace:
         )
 
     def format_block_vector(self, block: InvariantBlock, vec) -> str:
-        sector = self.sectors[block.rep]
-        names = [self.names[i] for i in sector.locus.i_fixed]
+        names = [self.names[i] for i in self.loci[block.rep].i_fixed]
         poly = self.block_polynomial(block, vec)
-        return f"[{poly.to_string(names)}] xi_{{{format_element(sector.g)}}}"
-
-
-def _centralizer_generators(group: FiniteGroup, cls) -> list[int]:
-    """Schreier generators of the centralizer of the class representative.
-
-    Over members x and closure generators s, with y = s x s^-1, the
-    conjugator[y]^-1 s conjugator[x] generate it (Schreier's lemma; Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-    """
-    if len(cls) == 1:
-        return list(group.generators)
-    conj, inv, product = group.conjugator, group.inv, group.product
-    gens = dict.fromkeys(
-        product(inv[conj[group.conjugate(s, x)]], product(s, conj[x]))
-        for x in cls for s in group.generators
-    )
-    return [t for t in gens if t != group.identity_index]
+        g = self.group.elements[block.rep]
+        return f"[{poly.to_string(names)}] xi_{{{format_element(g)}}}"
 
 
 def _charge_fault(state: StateSpace, block: InvariantBlock, top: int) -> LgError | None:
@@ -418,7 +373,7 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
             + state.format_block_vector(blk, vec)
         )
 
-    id_ring = state.sectors[group.classes[id_class][0]].ring
+    id_ring = state.ring(group.classes[id_class][0])
     c1 = corner_check(0, 0, id_class, (0,) * state.f.nvars, "corner-unit")
     c2 = corner_check(top, top, id_class, id_ring.top_monomial, "corner-hessian")
     checks.append(_both("identity-corners", c1, c2))
@@ -453,7 +408,7 @@ def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
         return []
     transport = state.transport(group.conjugator[inv], partner.rep)
     return [
-        _carry(vec, partner.monomials, transport, state.sectors, state.n)
+        _carry(vec, partner.monomials, transport, state.ring(inv), state.n)
         for vec in partner.basis
     ]
 
@@ -461,13 +416,14 @@ def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
 def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
     """Whether the centralizer generators of the block's class fix its basis.
 
-    Each basis vector is carried by each generator's transport, read from
-    the cache that blocks() filled, and must come back to itself.
+    Each basis vector is carried by each generator's transport and must
+    come back to itself.
     """
+    ring = state.ring(block.rep)
     return all(
-        _carry(vec, block.monomials, state._transports[hi, block.rep], state.sectors,
-               state.n) == block.terms(vec)
-        for hi in state._generators[block.class_index]
+        _carry(vec, block.monomials, state.transport(hi, block.rep), ring, state.n)
+        == block.terms(vec)
+        for hi in state.group.centralizers[block.class_index]
         for vec in block.basis
     )
 
@@ -532,7 +488,7 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
     for b in state.blocks():
         if not b.dimension:
             continue
-        ring = state.sectors[b.rep].ring
+        ring = state.ring(b.rep)
         inverse_class = group.class_of[group.inv[b.rep]]
         dual_degree = ring.c_hat - b.degree
         key = tuple(sorted([(b.class_index, b.degree), (inverse_class, dual_degree)]))

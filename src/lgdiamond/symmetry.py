@@ -332,7 +332,12 @@ class FiniteGroup:
     generators indexes the closure generators, without repeats or the
     identity.  Classes are orbits of one walk under conjugation by them,
     begun at each smallest unclassified index, so each is led by its
-    representative rep; conjugator[x] * rep * conjugator[x]^-1 = x.
+    representative rep; conjugator[x] * rep * conjugator[x]^-1 = x.  The
+    same walk gives centralizers[c], generators of the centralizer of
+    class c's rep: over members x and generators s, with y = s x s^-1,
+    the distinct non-identity conjugator[y]^-1 s conjugator[x] (Schreier's
+    lemma; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005).
     """
 
     def __init__(self, elements: list[GroupElement], generators) -> None:
@@ -349,20 +354,30 @@ class FiniteGroup:
         class_of = [-1] * self.order
         conjugator = [self.identity_index] * self.order
         classes: list[tuple[int, ...]] = []
+        centralizers: list[tuple[int, ...]] = []
         for g in range(self.order):
             if class_of[g] >= 0:
                 continue
             class_of[g] = len(classes)
             orbit = [g]
+            schreier: dict[int, None] = {}
             for x in orbit:  # the orbit grows while it is walked
                 for s in self.generators:
                     y = self.conjugate(s, x)
-                    if class_of[y] < 0:
+                    if class_of[y] < 0:  # its Schreier generator is the identity
                         class_of[y] = len(classes)
                         conjugator[y] = self.product(s, conjugator[x])
                         orbit.append(y)
+                    elif x == y == g:
+                        schreier[s] = None
+                    else:
+                        t = self.product(self.inv[conjugator[y]], self.product(s, conjugator[x]))
+                        schreier[t] = None
+            schreier.pop(self.identity_index, None)
             classes.append(tuple(sorted(orbit)))
+            centralizers.append(tuple(schreier))
         self.classes = tuple(classes)
+        self.centralizers = tuple(centralizers)
         self.class_of = tuple(class_of)
         self.conjugator = tuple(conjugator)
         self.all_sl = all(g.is_sl() for g in self.elements)

@@ -34,7 +34,7 @@ def trace_dimension(state, block) -> int:
     integer, which no genuine group action allows.
     """
     zero = CycNum.zero(state.n)
-    standard = state.sectors[block.rep].ring.basis_index
+    standard = state.ring(block.rep).basis_index
     centralizer = state.centralizer(block.rep)
     total = zero
     for hi in centralizer:
@@ -242,7 +242,7 @@ def dense_inverse_images(state, block_at, g: int, degree) -> list:
                 _, img = state.apply_to_monomial(hi, partner.rep, mono)
                 for mono2, c2 in img.terms.items():
                     out[mono2] = out.get(mono2, zero) + c * c2
-        images.append(Polynomial(state.sectors[inv].locus.n_g, state.n, out))
+        images.append(Polynomial(state.loci[inv].n_g, state.n, out))
     return images
 
 
@@ -251,7 +251,7 @@ def dense_fixed_by_generators(state, block) -> bool:
     zero = CycNum.zero(state.n)
     index_of = {m: k for k, m in enumerate(block.monomials)}
     basis = dense_basis(state, block)
-    for hi in state._generators[block.class_index]:
+    for hi in state.group.centralizers[block.class_index]:
         for vec in basis:
             image = [zero] * len(vec)
             for mono, c in zip(block.monomials, vec):
@@ -359,7 +359,7 @@ def dense_duality_check(state, caches=None):
     for b in state.blocks():
         if not b.dimension:
             continue
-        ring = state.sectors[b.rep].ring
+        ring = state.ring(b.rep)
         inverse_class = group.class_of[group.inv[b.rep]]
         dual_degree = ring.c_hat - b.degree
         key = tuple(sorted([(b.class_index, b.degree), (inverse_class, dual_degree)]))
@@ -411,9 +411,10 @@ def action_matrix(state, hi: int, bidegree):
     a, b = Fraction(bidegree[0]), Fraction(bidegree[1])
     labels = []
     for gi in range(state.group.order):
-        sector = state.sectors[gi]
-        for mono in sector.ring.basis:
-            if sector.charges(monomial_degree(sector.ring, mono)) == (a, b):
+        ring, (left, right) = state.ring(gi), state.shifts(gi)
+        for mono in ring.basis:
+            degree = monomial_degree(ring, mono)
+            if (degree + left, degree + right) == (a, b):
                 labels.append((gi, mono))
     index = {lab: k for k, lab in enumerate(labels)}
     zero = CycNum.zero(state.n)

@@ -334,6 +334,21 @@ def test_cli_closure_cap(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_closure_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    jobfile = tmp_path / "job.job"
+    jobfile.write_text("f = x1^3 + x2^3 + x3^3\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(jobfile), "--closure-cap", cap])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"--closure-cap must be at least 1, not {cap}" in captured.err
+    # a cap equal to the order of <J> lets its closure finish
+    code, out, _ = run_cli(tmp_path, capsys, "f = x1^3 + x2^3 + x3^3\n", "--closure-cap", "3")
+    assert code == 0 and "group: order 3," in out
+
+
 def test_cli_milnor_bound(tmp_path, capsys):
     # mu = 19999^2 is read from the weights and refused before any Groebner work
     code, out, err = run_cli(

@@ -3,7 +3,6 @@
 import functools
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +21,6 @@ from lgdiamond.quasihom import analyze_weights
 import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
-    _centralizer_generators,
     assemble_diamond,
     duality_check,
     invariant_basis,
@@ -160,7 +158,7 @@ def test_main_named_generators():
     # [x4^2] spans the j^6 sector contribution
     (b6,) = [b for b in blocks_of_element(MAIN_STATE, jf.power(6)) if b.dimension]
     assert b6.monomials == ((0, 2),)
-    assert MAIN_STATE.sectors[b6.rep].locus.i_fixed == (1, 3)
+    assert MAIN_STATE.loci[b6.rep].i_fixed == (1, 3)
 
 
 def test_main_verification():
@@ -312,7 +310,7 @@ def test_non_abelian_mirror_row_three_cycle():
     # S3 = <(1 2 3), (1 2)(4 5)> fails it: the whole S3 fixes a 2-dim space
     s3 = [QUINTIC_C123.sigma, (1, 0, 2, 4, 3)]
     assert len(permutation_subgroups(s3)) == 6 and not parity_holds(s3)
-    large = build_state(QUINTIC, [*diagonal_generators(QUINTIC, sl=True), QUINTIC_C123])
+    large = per_class_state("quintic-sld-c3")
     assert (large.group.order, len(large.group.classes)) == (1875, 275)
     tables = []
     for state in (A3_STATE, large):
@@ -355,9 +353,8 @@ def test_fermat_sector_invariants():
 def test_charge_relation_all_blocks():
     for state in (MAIN_STATE, S3_STATE, A3_STATE):
         for b in state.blocks():
-            sector = state.sectors[b.rep]
             g = state.group.elements[b.rep]
-            assert b.q_right - b.q_left == sector.locus.d_g - 2 * g.age()
+            assert b.q_right - b.q_left == state.loci[b.rep].d_g - 2 * g.age()
 
 
 def test_diagonal_lines():
@@ -422,7 +419,7 @@ def test_charge_additivity_disjoint_supports():
     group = generate_group([GroupElement.diagonal(p) for p in dg.generators], f)
     assert group.order == 27
     state = StateSpace(f, w, group, names)
-    charges = [s.charges(F(0)) for s in state.sectors]
+    charges = [state.shifts(i) for i in range(group.order)]
     complements = [set(locus.complement_indices()) for locus in state.loci]
     for i, u in enumerate(group.elements):
         for j, v in enumerate(group.elements):
@@ -496,8 +493,7 @@ X, Y, U, V = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 def fixed_space(n, space, rows, forms, standard=(X, Y)):
     """_fixed_space from space on the block x, y under one transport (0, 0, rows)."""
-    sectors = [SimpleNamespace(ring=FormRing(n, standard, forms))]
-    return _fixed_space(space, [(0, 0, rows)], (X, Y), sectors, n)
+    return _fixed_space(space, [(0, 0, rows)], (X, Y), FormRing(n, standard, forms), n)
 
 
 def units(n):
@@ -543,7 +539,7 @@ def test_fixed_space_from_orbit_invariant():
     # x + y is not fixed, so the cut leaves nothing
     assert fixed_space(n, [{0: one, 1: one}], rows, forms) == []
     # with no transport to cut by, the start comes back as it is
-    assert _fixed_space([odd], [], (X, Y), [], n) == [odd]
+    assert _fixed_space([odd], [], (X, Y), None, n) == [odd]
 
 
 def test_reynolds_invariants_unit():
@@ -565,9 +561,8 @@ def test_centralizer_generators_span_centralizer(name):
     """Schreier generators of each class against the whole-group scan."""
     state = named_state(name)
     group = state.group
-    for cls in group.classes:
+    for cls, gens in zip(group.classes, group.centralizers):
         cent = state.centralizer(cls[0])
-        gens = _centralizer_generators(group, cls)
         assert group.identity_index not in gens
         assert len(set(gens)) == len(gens)
         assert set(gens) <= set(cent)
@@ -615,6 +610,65 @@ def test_no_library_path_scans_the_group_for_a_centralizer(name, monkeypatch):
         # a transposition has determinant -1 and Gd is not in SL
         with pytest.raises(PreconditionFailed, match="determinant"):
             verify_theorem(state)
+
+
+def quintic_sld_c3():
+    """SLd x| <(1 2 3)> on the Fermat quintic: order 1875, 275 classes."""
+    return build_state(QUINTIC, [*diagonal_generators(QUINTIC, sl=True), QUINTIC_C123])
+
+
+# the states on which sector data is read per class
+PER_CLASS_STATES = {**STRUCTURE_STATES, "quintic-sld-c3": quintic_sld_c3}
+
+
+@functools.cache
+def per_class_state(name):
+    return named_state(name) if name in STRUCTURE_STATES else PER_CLASS_STATES[name]()
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_inverse_sector_has_the_ring_of_g(name):
+    """g^-1 has the fixed locus of g, in the same coordinates, so the same ring."""
+    state = per_class_state(name)
+    group = state.group
+    for gi, locus in enumerate(state.loci):
+        inverse = state.loci[group.inv[gi]]
+        assert (inverse.i_fixed, inverse.fixed) == (locus.i_fixed, locus.fixed)
+        assert state.ring(group.inv[gi]) is state.ring(gi)
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_sector_data_are_class_functions(name):
+    """Every element has its class representative's N_g, mu and charge shifts.
+
+    blocks() reads rings and shifts at representatives only, and the
+    sector listing reads mu there.
+    """
+    state = per_class_state(name)
+    for cls in state.group.classes:
+        rep = cls[0]
+        for gi in cls:
+            assert state.loci[gi].n_g == state.loci[rep].n_g
+            assert state.ring(gi).mu == state.ring(rep).mu
+            assert state.shifts(gi) == state.shifts(rep)
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_rings_are_built_at_class_representatives(name):
+    """Blocks and every check build only the rings of representatives and their inverses."""
+    # a fresh state, so that no other test has read its rings
+    state = {
+        "quintic-a3": lambda: build_state(QUINTIC, [QUINTIC_C123]),
+        "quintic-s3": GUARD_STATES["quintic-s3"],
+    }.get(name, PER_CLASS_STATES[name])()
+    # outside SL verification stops at its precondition, so run both checks here
+    transpose_check(state)
+    duality_check(state)
+    if state.group.all_sl:
+        assert verify_theorem(state).passed
+    group = state.group
+    reps = {cls[0] for cls in group.classes}
+    assert reps <= set(state._rings) <= reps | {group.inv[r] for r in reps}
 
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))
@@ -806,7 +860,7 @@ def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
     for b in state.blocks():
         inv = group.inv[b.rep]
         # the degrees that transpose and duality ask for
-        for degree in (b.degree, state.sectors[b.rep].ring.c_hat - b.degree):
+        for degree in (b.degree, state.ring(b.rep).c_hat - b.degree):
             calls.clear()
             images = statespace._inverse_images(state, block_at, b.rep, degree)
             partner = block_at.get((group.class_of[inv], degree))
