@@ -403,13 +403,13 @@ def _run_diamond(job: Job, w: WeightSystem) -> tuple[dict, bool]:
     )
     state = StateSpace(f, w, group, job.names)
     top, table = assemble_diamond(state)
+    # N_g, age and mu are class functions, read once at each representative
+    per_class = [
+        {"Ng": state.locus(r).n_g, "age": _frac(group.elements[r].age()), "mu": state.ring(r).mu}
+        for r in (cls[0] for cls in group.classes)
+    ]
     sectors = [
-        {
-            "g": format_element(g),
-            "Ng": state.loci[i].n_g,
-            "age": _frac(g.age()),
-            "mu": state.ring(group.classes[group.class_of[i]][0]).mu,
-        }
+        {"g": format_element(g), **per_class[group.class_of[i]]}
         for i, g in enumerate(group.elements)
     ]
     payload = {

@@ -7,9 +7,9 @@ sector spaces through monomial coordinate transports times a transition
 constant, the determinant of h on the directions that g moves; the
 invariants form the state space.  This module computes the invariants per
 conjugacy class and internal degree, assembles the charge table (the
-diamond), and mechanically verifies its structural properties.  Rings and
-charge shifts are class functions, so a sector's ring is built on first
-read, and blocks() reads only those of class representatives.
+diamond), and mechanically verifies its structural properties.  Loci and
+rings (up to coordinates) and charge shifts are class functions, built on
+first read; blocks() reads only those of class representatives.
 
 Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
@@ -41,6 +41,7 @@ from .orbits import (
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
+    FixedLocus,
     _half_steps,
     fixed_locus,
     format_element,
@@ -97,25 +98,30 @@ class StateSpace:
         self.names = tuple(names) if names else tuple(
             f"x{i + 1}" for i in range(f.nvars)
         )
-        self.loci = tuple(fixed_locus(g, self.n) for g in group.elements)
+        self._loci: dict[int, FixedLocus] = {}
         self._rings: dict[int, JacobianRing] = {}
         self._transports: dict[tuple[int, int], tuple] = {}
-        self._degree_cache: dict[int, dict[int, tuple[Monomial, ...]]] = {}
         self._blocks: list[InvariantBlock] | None = None
 
     # -- sectors ------------------------------------------------------------
 
+    def locus(self, gi: int) -> FixedLocus:
+        """Fixed locus of g at the state's conductor, built on first read."""
+        if gi not in self._loci:
+            self._loci[gi] = fixed_locus(self.group.elements[gi], self.n)
+        return self._loci[gi]
+
     def ring(self, gi: int) -> JacobianRing:
         """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate."""
         if gi not in self._rings:
-            locus = self.loci[gi]
+            locus = self.locus(gi)
             f = restrict(self.f, locus)
             self._rings[gi] = quotient_ring(f, restricted_weights(locus, self.weights))
         return self._rings[gi]
 
     def shifts(self, gi: int) -> tuple[Fraction, Fraction]:
         """Charges of sector g less internal degree: ages of g and g^-1 less moved weights."""
-        moved = sum((self.weights.q[k] for k in self.loci[gi].complement_indices()), _ZERO)
+        moved = sum((self.weights.q[k] for k in self.locus(gi).complement_indices()), _ZERO)
         g = self.group.elements[gi]
         return g.age() - moved, g.inverse().age() - moved
 
@@ -148,7 +154,7 @@ class StateSpace:
         gpi = self.group.conjugate(hi, gi)
         hinv = self.group.elements[self.group.inv[hi]]
         half = _half_steps(hinv, self.n)
-        lg, lgp = self.loci[gi], self.loci[gpi]
+        lg, lgp = self.locus(gi), self.locus(gpi)
         two_n = 2 * self.n
         rows = []
         for i_c in lg.i_fixed:
@@ -175,15 +181,11 @@ class StateSpace:
 
     def degree_monomials(self, gi: int) -> dict[int, tuple[Monomial, ...]]:
         """Standard monomials of the sector ring of g, by d0 times their degree."""
-        cached = self._degree_cache.get(gi)
-        if cached is None:
-            ring = self.ring(gi)
-            split: dict[int, list[Monomial]] = {}
-            for mono in ring.basis:
-                split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
-            cached = {d: tuple(ms) for d, ms in split.items()}
-            self._degree_cache[gi] = cached
-        return cached
+        ring = self.ring(gi)
+        split: dict[int, list[Monomial]] = {}
+        for mono in ring.basis:
+            split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
+        return {d: tuple(ms) for d, ms in split.items()}
 
     def blocks(self) -> list[InvariantBlock]:
         if self._blocks is None:
@@ -210,16 +212,10 @@ class StateSpace:
     def total_dimension(self) -> int:
         return sum(b.dimension for b in self.blocks())
 
-    def block_polynomial(self, block: InvariantBlock, vec) -> Polynomial:
-        return Polynomial(
-            len(block.monomials[0]) if block.monomials else 0,
-            self.n,
-            block.terms(vec),
-        )
-
     def format_block_vector(self, block: InvariantBlock, vec) -> str:
-        names = [self.names[i] for i in self.loci[block.rep].i_fixed]
-        poly = self.block_polynomial(block, vec)
+        i_fixed = self.locus(block.rep).i_fixed
+        names = [self.names[i] for i in i_fixed]
+        poly = Polynomial(len(i_fixed), self.n, block.terms(vec))
         g = self.group.elements[block.rep]
         return f"[{poly.to_string(names)}] xi_{{{format_element(g)}}}"
 

@@ -240,7 +240,7 @@ def format_element(g: GroupElement) -> str:
     for cyc in g.cycles():
         if len(cyc) > 1:
             parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-    if any(a != 0 for a in g.phase):
+    if any(g.num):
         parts.append("diag(" + ", ".join(str(a) for a in g.phase) + ")")
     return "*".join(parts)
 
@@ -380,7 +380,8 @@ class FiniteGroup:
         self.centralizers = tuple(centralizers)
         self.class_of = tuple(class_of)
         self.conjugator = tuple(conjugator)
-        self.all_sl = all(g.is_sl() for g in self.elements)
+        # the determinant is a character, so the generators decide it
+        self.all_sl = all(self.elements[s].is_sl() for s in self.generators)
 
     def index_of(self, g: GroupElement) -> int | None:
         """Position of g, given over any denominator; None when g is not in the group."""
@@ -450,10 +451,14 @@ def generate_group(
 
 
 def group_conductor(group: FiniteGroup, extra: int = 1) -> int:
-    """Conductor covering all phases, orders, and eigenvalue phases of G."""
+    """Conductor covering all phases, orders, and eigenvalue phases of G.
+
+    Generators' phases span all phases and conjugates share eigenvalues, so
+    generators and class representatives suffice; orders divide conductors.
+    """
     n = extra
-    for g in group.elements:
-        n = lcm(n, g.conductor(), g.order())
+    for gi in (*group.generators, *(cls[0] for cls in group.classes)):
+        n = lcm(n, group.elements[gi].conductor())
     return n
 
 
@@ -488,10 +493,6 @@ class FixedLocus:
     @property
     def n_g(self) -> int:
         return len(self.i_fixed)
-
-    @property
-    def d_g(self) -> int:
-        return len(self.moved)
 
     def complement_indices(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.g.nvars) if k not in self.i_fixed)

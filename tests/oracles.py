@@ -242,7 +242,7 @@ def dense_inverse_images(state, block_at, g: int, degree) -> list:
                 _, img = state.apply_to_monomial(hi, partner.rep, mono)
                 for mono2, c2 in img.terms.items():
                     out[mono2] = out.get(mono2, zero) + c * c2
-        images.append(Polynomial(state.loci[inv].n_g, state.n, out))
+        images.append(Polynomial(state.locus(inv).n_g, state.n, out))
     return images
 
 
@@ -674,6 +674,19 @@ def conjugate(g, h):
     return h.compose(g).compose(h.inverse())
 
 
+def conductor_by_elements(group, extra: int = 1) -> int:
+    """The conductor as an lcm of every element's conductor and order."""
+    n = extra
+    for g in group.elements:
+        n = lcm(n, g.conductor(), g.order())
+    return n
+
+
+def all_sl_by_elements(group) -> bool:
+    """Whether every element, not only every generator, has determinant one."""
+    return all(g.is_sl() for g in group.elements)
+
+
 def group_tables(group):
     """Group structure by brute force: every pair composed, classes by scan.
 
@@ -723,7 +736,7 @@ def eigenvector_matrices(locus):
     l_rows = [[zero] * locus.n_g for _ in range(nv)]
     for i, (c, a) in locus.fixed.items():
         l_rows[i][c] = root_of_unity(Fraction(a, 2 * n), n)
-    w_rows = [[zero] * locus.d_g for _ in range(nv)]
+    w_rows = [[zero] * len(locus.moved) for _ in range(nv)]
     for c, (_, _, phases) in enumerate(locus.moved):
         for i, a in phases.items():
             w_rows[i][c] = root_of_unity(Fraction(a, 2 * n), n)
@@ -733,13 +746,13 @@ def eigenvector_matrices(locus):
 def rho_via_matrices(h, locus_g, locus_conj):
     """rho_{h,g} as det of h on C^N/Fix(g), in the bases [L | W] of both loci."""
     n = locus_g.n
-    if locus_g.d_g == 0:
+    if not locus_g.moved:
         return CycNum.one(n)
     l_conj, w_conj = eigenvector_matrices(locus_conj)
     basis = inverse([lr + wr for lr, wr in zip(l_conj, w_conj)])
     _, w_g = eigenvector_matrices(locus_g)
     image = mat_mul(mat_mul(basis, element_matrix(h, n)), w_g)
-    return det([image[locus_conj.n_g + i] for i in range(locus_g.d_g)])
+    return det([image[locus_conj.n_g + i] for i in range(len(locus_g.moved))])
 
 
 def restrict_via_matrices(f, locus):

@@ -262,14 +262,14 @@ def test_criterion_6_invariant_suites():
         group = state.group
         nv = state.f.nvars
         for gi, g in enumerate(group.elements):
-            assert g.age() + group.elements[group.inv[gi]].age() == nv - state.loci[gi].n_g
+            assert g.age() + group.elements[group.inv[gi]].age() == nv - state.locus(gi).n_g
 
     # age lower bound under the weight-sum-one and determinant-one hypotheses
     for state in (main, cubic):
         assert state.group.all_sl and state.weights.is_calabi_yau
         jf_idx = state.group.index_of(make_jf(state.weights))
         for gi, g in enumerate(state.group.elements):
-            if gi == state.group.identity_index or state.loci[gi].n_g:
+            if gi == state.group.identity_index or state.locus(gi).n_g:
                 continue
             assert g.age() >= 1
             assert (g.age() == 1) == (gi == jf_idx)
@@ -277,7 +277,7 @@ def test_criterion_6_invariant_suites():
     # transition-constant cocycle identity on 100 random triples
     rng = random.Random(7)
     group = quintic.group
-    loci = quintic.loci
+    locus = quintic.locus
     n = quintic.n
     for _ in range(100):
         h1 = rng.randrange(group.order)
@@ -287,10 +287,10 @@ def test_criterion_6_invariant_suites():
         g2 = group.conjugate(h2, g1)
         h21 = group.product(h2, h1)
         assert group.conjugate(h21, g) == g2
-        lhs = phase_unit(rho_constant(group.elements[h21], loci[g], loci[g2]), n)
+        lhs = phase_unit(rho_constant(group.elements[h21], locus(g), locus(g2)), n)
         rhs = phase_unit(
-            rho_constant(group.elements[h2], loci[g1], loci[g2]), n
-        ) * phase_unit(rho_constant(group.elements[h1], loci[g], loci[g1]), n)
+            rho_constant(group.elements[h2], locus(g1), locus(g2)), n
+        ) * phase_unit(rho_constant(group.elements[h1], locus(g), locus(g1)), n)
         assert lhs == rhs
 
     # averaging operator is idempotent on every block

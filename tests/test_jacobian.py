@@ -131,8 +131,8 @@ def hesse_swap_state():
 
 def test_hesse_cubic_swap_sectors():
     state = hesse_swap_state()
-    for gi, locus in enumerate(state.loci):
-        weights = restricted_weights(locus, state.weights)
+    for gi in range(state.group.order):
+        weights = restricted_weights(state.locus(gi), state.weights)
         assert state.ring(gi).graded == poincare_dimensions(weights)
     # E/(x1 <-> x2) has genus 0: the swap fixes four points of the cubic
     # curve, the line x1 = x2 meets it three times and (1 : -1 : 0) lies on it

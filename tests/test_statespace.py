@@ -32,12 +32,15 @@ from lgdiamond.symmetry import (
     diagonal_symmetries,
     format_element,
     generate_group,
+    group_conductor,
     make_jf,
     sl_diagonal_symmetries,
 )
 
 from oracles import (
     action_matrix,
+    all_sl_by_elements,
+    conductor_by_elements,
     dense_duality_check,
     dense_transpose_check,
     group_tables,
@@ -158,7 +161,7 @@ def test_main_named_generators():
     # [x4^2] spans the j^6 sector contribution
     (b6,) = [b for b in blocks_of_element(MAIN_STATE, jf.power(6)) if b.dimension]
     assert b6.monomials == ((0, 2),)
-    assert MAIN_STATE.loci[b6.rep].i_fixed == (1, 3)
+    assert MAIN_STATE.locus(b6.rep).i_fixed == (1, 3)
 
 
 def test_main_verification():
@@ -354,7 +357,7 @@ def test_charge_relation_all_blocks():
     for state in (MAIN_STATE, S3_STATE, A3_STATE):
         for b in state.blocks():
             g = state.group.elements[b.rep]
-            assert b.q_right - b.q_left == state.loci[b.rep].d_g - 2 * g.age()
+            assert b.q_right - b.q_left == len(state.locus(b.rep).moved) - 2 * g.age()
 
 
 def test_diagonal_lines():
@@ -369,7 +372,7 @@ def test_diagonal_lines():
         for k in range(1, jf.order()):
             g = jf.power(k)
             gi = state.group.index_of(g)
-            if state.loci[gi].n_g:
+            if state.locus(gi).n_g:
                 continue
             for b in blocks_of_element(state, g):
                 if b.dimension:
@@ -420,7 +423,7 @@ def test_charge_additivity_disjoint_supports():
     assert group.order == 27
     state = StateSpace(f, w, group, names)
     charges = [state.shifts(i) for i in range(group.order)]
-    complements = [set(locus.complement_indices()) for locus in state.loci]
+    complements = [set(state.locus(i).complement_indices()) for i in range(group.order)]
     for i, u in enumerate(group.elements):
         for j, v in enumerate(group.elements):
             if complements[i] & complements[j]:
@@ -627,35 +630,53 @@ def per_class_state(name):
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_group_facts_from_generators_and_representatives(name):
+    """The conductor and the SL test read generators and representatives only.
+
+    Both agree with the per-element formulas, and every element's order
+    divides its conductor.
+    """
+    state = per_class_state(name)
+    group = state.group
+    for extra in (1, 4, 7):
+        assert group_conductor(group, extra) == conductor_by_elements(group, extra)
+    for g in group.elements:
+        assert g.conductor() % g.order() == 0
+    assert group.all_sl == all_sl_by_elements(group)
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_inverse_sector_has_the_ring_of_g(name):
     """g^-1 has the fixed locus of g, in the same coordinates, so the same ring."""
     state = per_class_state(name)
     group = state.group
-    for gi, locus in enumerate(state.loci):
-        inverse = state.loci[group.inv[gi]]
+    for gi in range(group.order):
+        locus, inverse = state.locus(gi), state.locus(group.inv[gi])
         assert (inverse.i_fixed, inverse.fixed) == (locus.i_fixed, locus.fixed)
         assert state.ring(group.inv[gi]) is state.ring(gi)
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_sector_data_are_class_functions(name):
-    """Every element has its class representative's N_g, mu and charge shifts.
+    """Every element has its class representative's N_g, age, mu and charge shifts.
 
     blocks() reads rings and shifts at representatives only, and the
-    sector listing reads mu there.
+    sector listing reads N_g, the age and mu there.
     """
     state = per_class_state(name)
+    elements = state.group.elements
     for cls in state.group.classes:
         rep = cls[0]
         for gi in cls:
-            assert state.loci[gi].n_g == state.loci[rep].n_g
+            assert state.locus(gi).n_g == state.locus(rep).n_g
+            assert elements[gi].age() == elements[rep].age()
             assert state.ring(gi).mu == state.ring(rep).mu
             assert state.shifts(gi) == state.shifts(rep)
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_rings_are_built_at_class_representatives(name):
-    """Blocks and every check build only the rings of representatives and their inverses."""
+    """Blocks and every check build loci and rings only at representatives and their inverses."""
     # a fresh state, so that no other test has read its rings
     state = {
         "quintic-a3": lambda: build_state(QUINTIC, [QUINTIC_C123]),
@@ -668,7 +689,9 @@ def test_rings_are_built_at_class_representatives(name):
         assert verify_theorem(state).passed
     group = state.group
     reps = {cls[0] for cls in group.classes}
-    assert reps <= set(state._rings) <= reps | {group.inv[r] for r in reps}
+    inverses = {group.inv[r] for r in reps}
+    assert reps <= set(state._rings) <= reps | inverses
+    assert reps <= set(state._loci) <= reps | inverses
 
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))

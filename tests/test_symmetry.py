@@ -453,7 +453,7 @@ def test_group_conductor():
 def test_fixed_locus_diagonal():
     locus = fixed_locus(diag(0, F(1, 2)), 2)
     assert locus.n_g == 1
-    assert locus.d_g == 1
+    assert len(locus.moved) == 1
     assert locus.i_fixed == (0,)
     assert w_phases(locus) == (F(1, 2),)
     one, zero = CycNum.one(2), CycNum.zero(2)
@@ -503,7 +503,7 @@ def test_fixed_locus_eigen_property():
             for c in range(locus.n_g):
                 col = [l_matrix[i][c] for i in range(g.nvars)]
                 assert mat_vec(m, col) == col
-            for c in range(locus.d_g):
+            for c in range(len(locus.moved)):
                 col = [w_matrix[i][c] for i in range(g.nvars)]
                 scale = root_of_unity(w_phases(locus)[c], n)
                 assert mat_vec(m, col) == [scale * x for x in col]
