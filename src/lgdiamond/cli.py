@@ -31,7 +31,6 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from .errors import JobSyntaxError, LgError, PreconditionFailed
@@ -41,6 +40,7 @@ from .quasihom import analyze_weights, classify_invertible, require_variables
 from .statespace import StateSpace, assemble_diamond, verify_theorem
 from .symmetry import (
     GroupElement,
+    _ratio,
     diagonal_symmetries,
     format_element,
     generate_group,
@@ -332,12 +332,6 @@ def _frac(x) -> str:
     return str(Fraction(x))
 
 
-def _ratio(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, through one gcd."""
-    g = gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
-
-
 def _weights_payload(w: WeightSystem) -> dict:
     return {"d0": w.d0, "d": list(w.d), "q": [_frac(q) for q in w.q]}
 
@@ -405,7 +399,11 @@ def _run_diamond(job: Job, w: WeightSystem) -> tuple[dict, bool]:
     top, table = assemble_diamond(state)
     # N_g, age and mu are class functions, read once at each representative
     per_class = [
-        {"Ng": state.locus(r).n_g, "age": _frac(group.elements[r].age()), "mu": state.ring(r).mu}
+        {
+            "Ng": state.locus(r).n_g,
+            "age": _ratio(group.elements[r].age_num(), 2 * group.den),
+            "mu": state.ring(r).mu,
+        }
         for r in (cls[0] for cls in group.classes)
     ]
     sectors = [

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
+from itertools import accumulate
 from math import gcd, prod
 from operator import add, le, mul, sub
 
@@ -221,17 +222,22 @@ def _standard_monomials(
             for e in range(bound(i, prefix)):
                 grown.append(prefix + (e,))
         prefixes = grown
-    # each prefix carries d0 times its weighted degree and the last
-    # variable steps it, so the grading builds no monomial
+    # a stair's degrees step by the last weight from its prefix's: +1 at the
+    # first and -1 one stride past the last in a difference array, then
+    # prefix sums along each residue class; over d / gcd(d), so the array
+    # spans the degrees in lowest terms
     stairs = [(prefix, bound(nvars - 1, prefix)) for prefix in prefixes]
+    g = gcd(*d)
+    d = [dk // g for dk in d]
     di = d[-1]
-    counts: dict[int, int] = {}
-    for prefix, b in stairs:
-        deg = sum(map(mul, prefix, d))
-        for e in range(b):
-            counts[deg] = counts.get(deg, 0) + 1
-            deg += di
-    return stairs, {deg: counts[deg] for deg in sorted(counts)}
+    starts = [(sum(map(mul, prefix, d)), b) for prefix, b in stairs]
+    diff = [0] * (max(deg + b * di for deg, b in starts) + 1)
+    for deg, b in starts:
+        diff[deg] += 1
+        diff[deg + b * di] -= 1
+    for r in range(di):
+        diff[r::di] = accumulate(diff[r::di])
+    return stairs, {deg * g: c for deg, c in enumerate(diff) if c}
 
 
 @dataclass

@@ -9,7 +9,10 @@ invariants form the state space.  This module computes the invariants per
 conjugacy class and internal degree, assembles the charge table (the
 diamond), and mechanically verifies its structural properties.  Loci and
 rings (up to coordinates) and charge shifts are class functions, built on
-first read; blocks() reads only those of class representatives.
+first read; blocks() reads only those of class representatives, and loci
+that restrict f alike share one ring.  Charges are integers over the
+state's unit = lcm(d0, 2 * den), which every age, moved weight and
+internal degree divides into.
 
 Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 # unused here; the benchmark tracer wraps these names in this module
 from ._linalg import det, rref  # noqa: F401
@@ -52,25 +56,39 @@ from .symmetry import (
     rho_constant,
 )
 
-_ZERO = Fraction(0)
-
 
 @dataclass
 class InvariantBlock:
     """Invariant classes of one conjugacy class at one internal degree.
 
-    Each basis vector is its support {k: nonzero CycNum}, the coefficient
-    of monomials[k], a standard monomial of the class representative's
-    sector ring.
+    e is d0 times the internal degree and left, right are unit times the
+    two charges, all integers; degree, q_left and q_right are their
+    Fraction views.  Each basis vector is its support {k: nonzero
+    CycNum}, the coefficient of monomials[k], a standard monomial of the
+    class representative's sector ring.
     """
 
     class_index: int
     rep: int
-    degree: Fraction
-    q_left: Fraction
-    q_right: Fraction
+    e: int
+    left: int
+    right: int
+    d0: int
+    unit: int
     monomials: tuple[Monomial, ...]
     basis: tuple[dict[int, CycNum], ...]
+
+    @property
+    def degree(self) -> Fraction:
+        return Fraction(self.e, self.d0)
+
+    @property
+    def q_left(self) -> Fraction:
+        return Fraction(self.left, self.unit)
+
+    @property
+    def q_right(self) -> Fraction:
+        return Fraction(self.right, self.unit)
 
     @property
     def dimension(self) -> int:
@@ -94,12 +112,15 @@ class StateSpace:
         self.group = group
         self.weights = weights
         self.n = group_conductor(group, extra=f.n)
+        self.unit = lcm(weights.d0, 2 * group.den)
         self.f = f.lift(self.n)
         self.names = tuple(names) if names else tuple(
             f"x{i + 1}" for i in range(f.nvars)
         )
         self._loci: dict[int, FixedLocus] = {}
         self._rings: dict[int, JacobianRing] = {}
+        # restrict(f, locus) reads only locus.fixed, so loci equal there share a ring
+        self._restricted: dict[tuple, JacobianRing] = {}
         self._transports: dict[tuple[int, int], tuple] = {}
         self._blocks: list[InvariantBlock] | None = None
 
@@ -113,17 +134,29 @@ class StateSpace:
 
     def ring(self, gi: int) -> JacobianRing:
         """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate."""
-        if gi not in self._rings:
+        ring = self._rings.get(gi)
+        if ring is None:
             locus = self.locus(gi)
-            f = restrict(self.f, locus)
-            self._rings[gi] = quotient_ring(f, restricted_weights(locus, self.weights))
-        return self._rings[gi]
+            key = tuple(locus.fixed.items())
+            ring = self._restricted.get(key)
+            if ring is None:
+                f = restrict(self.f, locus)
+                ring = quotient_ring(f, restricted_weights(locus, self.weights))
+                self._restricted[key] = ring
+            self._rings[gi] = ring
+        return ring
 
-    def shifts(self, gi: int) -> tuple[Fraction, Fraction]:
-        """Charges of sector g less internal degree: ages of g and g^-1 less moved weights."""
-        moved = sum((self.weights.q[k] for k in self.locus(gi).complement_indices()), _ZERO)
-        g = self.group.elements[gi]
-        return g.age() - moved, g.inverse().age() - moved
+    def shifts(self, gi: int) -> tuple[int, int]:
+        """Charges of sector g less internal degree, times unit.
+
+        They are the ages of g and g^-1 less the moved weights; the two
+        ages sum to the number of moved coordinates.
+        """
+        w, unit, locus = self.weights, self.unit, self.locus(gi)
+        moved = locus.complement_indices()
+        weight = sum(w.d[k] for k in moved) * (unit // w.d0)
+        age = self.group.elements[gi].age_num() * (unit // (2 * self.group.den))
+        return age - weight, len(moved) * unit - age - weight
 
     # -- group action on sectors ------------------------------------------
 
@@ -149,9 +182,10 @@ class StateSpace:
         are integers mod 2n.
         """
         cached = self._transports.get((hi, gi))
-        if cached is not None:
-            return cached
-        gpi = self.group.conjugate(hi, gi)
+        return cached or self._transport(hi, gi, self.group.conjugate(hi, gi))
+
+    def _transport(self, hi: int, gi: int, gpi: int):
+        """transport(hi, gi) computed for its known target gpi = hgh^{-1}, and cached."""
         hinv = self.group.elements[self.group.inv[hi]]
         half = _half_steps(hinv, self.n)
         lg, lgp = self.locus(gi), self.locus(gpi)
@@ -192,18 +226,24 @@ class StateSpace:
             out = []
             # every ring before any block: interleaving the two ran slower, measured cold
             rings = [self.ring(cls[0]) for cls in self.group.classes]
+            d0, unit = self.weights.d0, self.unit
             for ci, (cls, ring) in enumerate(zip(self.group.classes, rings)):
                 rep = cls[0]
                 left, right = self.shifts(rep)
-                transports = [self.transport(hi, rep) for hi in self.group.centralizers[ci]]
+                # Schreier generators centralize rep, so each carries its sector to itself
+                transports = [self._transport(hi, rep, rep) for hi in self.group.centralizers[ci]]
+                # a restricted d0 divides d0
+                scale = d0 // ring.weights.d0
                 for e, monos in sorted(self.degree_monomials(rep).items()):
                     maps, rest = _generator_maps(transports, monos, self.n)
                     basis = _fixed_space(
                         _orbit_invariants(maps, len(monos), self.n), rest, monos, ring, self.n
                     )
-                    degree = Fraction(e, ring.weights.d0)
-                    q = (degree + left, degree + right)
-                    out.append(InvariantBlock(ci, rep, degree, *q, monos, tuple(basis)))
+                    e *= scale
+                    q = e * (unit // d0)
+                    out.append(InvariantBlock(
+                        ci, rep, e, q + left, q + right, d0, unit, monos, tuple(basis)
+                    ))
             self._blocks = out
         return self._blocks
 
@@ -222,9 +262,10 @@ class StateSpace:
 
 def _charge_fault(state: StateSpace, block: InvariantBlock, top: int) -> LgError | None:
     """Why an occupied block does not fit the charge table over [0, top]^2."""
-    a, b = block.q_left, block.q_right
-    if a.denominator == 1 and b.denominator == 1 and 0 <= a <= top and 0 <= b <= top:
+    a, b, unit = block.left, block.right, block.unit
+    if not (a % unit or b % unit) and 0 <= a <= top * unit and 0 <= b <= top * unit:
         return None
+    a, b = block.q_left, block.q_right
     sector = f"invariant class in sector {format_element(state.group.elements[block.rep])}"
     if a.denominator != 1 or b.denominator != 1:
         return NonIntegerCharge(
@@ -253,16 +294,16 @@ def assemble_diamond(state: StateSpace) -> tuple[int, list[list[int]]]:
         fault = _charge_fault(state, block, top)
         if fault is not None:
             raise fault
-        table[int(block.q_left)][int(block.q_right)] += block.dimension
+        table[block.left // block.unit][block.right // block.unit] += block.dimension
     return top, table
 
 
 def invariant_basis(state: StateSpace, bidegree) -> list:
     """Invariant vectors at one exact bidegree, tagged by their block."""
-    a, b = Fraction(bidegree[0]), Fraction(bidegree[1])
+    a, b = (Fraction(x) * state.unit for x in bidegree)
     out = []
     for block in state.blocks():
-        if block.q_left == a and block.q_right == b:
+        if block.left == a and block.right == b:
             out.extend((block, vec) for vec in block.basis)
     return out
 
@@ -341,11 +382,9 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
 
     id_class = group.class_of[group.identity_index]
 
-    def corner(a: Fraction, b: Fraction):
-        return [blk for blk in blocks if blk.q_left == a and blk.q_right == b]
-
     def corner_check(a, b, want_class, want_monomial, label) -> CheckResult:
-        found = corner(Fraction(a), Fraction(b))
+        left, right = a * state.unit, b * state.unit
+        found = [blk for blk in blocks if blk.left == left and blk.right == right]
         dim = sum(blk.dimension for blk in found)
         if dim != 1:
             return CheckResult(
@@ -389,8 +428,8 @@ def verify_theorem(state: StateSpace) -> VerificationReport:
     return VerificationReport(tuple(checks), group.all_sl)
 
 
-def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
-    """Basis of the class of g^{-1} at a degree, carried into the sector of g^{-1}.
+def _inverse_images(state: StateSpace, block_at, g: int, e: int) -> list[dict]:
+    """Basis of the class of g^{-1} at d0 * degree e, carried into the sector of g^{-1}.
 
     The recorded conjugator of g^{-1} carries its class representative to
     g^{-1}, whose sector has the ring of g; its transport is read once.
@@ -399,7 +438,7 @@ def _inverse_images(state: StateSpace, block_at, g: int, degree) -> list[dict]:
     """
     group = state.group
     inv = group.inv[g]
-    partner = block_at.get((group.class_of[inv], degree))
+    partner = block_at.get((group.class_of[inv], e))
     if partner is None or not partner.basis:
         return []
     transport = state.transport(group.conjugator[inv], partner.rep)
@@ -436,7 +475,7 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     Returns (passed, witness); independent of any hypothesis on the group.
     """
     group = state.group
-    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    block_at = {(b.class_index, b.e): b for b in state.blocks()}
     for b in state.blocks():
         if not b.dimension:
             continue
@@ -446,7 +485,7 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
                 f"an invariant of the class of {name} at internal degree "
                 f"{b.degree} is not fixed by the centralizer of {name}"
             )
-        images = _inverse_images(state, block_at, b.rep, b.degree)
+        images = _inverse_images(state, block_at, b.rep, b.e)
         if len(images) != b.dimension:
             return False, (
                 f"class of {name} has dimension {b.dimension} at internal degree "
@@ -479,23 +518,25 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
     any hypothesis on the group.
     """
     group = state.group
-    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    block_at = {(b.class_index, b.e): b for b in state.blocks()}
     done_pairs = set()
+    d0, d = state.weights.d0, state.weights.d
     for b in state.blocks():
         if not b.dimension:
             continue
         ring = state.ring(b.rep)
         inverse_class = group.class_of[group.inv[b.rep]]
-        dual_degree = ring.c_hat - b.degree
-        key = tuple(sorted([(b.class_index, b.degree), (inverse_class, dual_degree)]))
+        # d0 * c_hat of the sector ring, less e
+        dual_e = sum(d0 - 2 * d[i] for i in state.locus(b.rep).i_fixed) - b.e
+        key = tuple(sorted([(b.class_index, b.e), (inverse_class, dual_e)]))
         if key in done_pairs:
             continue
         done_pairs.add(key)
-        images = _inverse_images(state, block_at, b.rep, dual_degree)
+        images = _inverse_images(state, block_at, b.rep, dual_e)
         name = format_element(group.elements[b.rep])
         if len(images) != b.dimension:
             return False, (
-                f"dual block of {name} at internal degree {dual_degree} has "
+                f"dual block of {name} at internal degree {Fraction(dual_e, d0)} has "
                 f"dimension {len(images)}, expected {b.dimension}"
             )
         partners: dict[Monomial, list[tuple[int, CycNum]]] = {}

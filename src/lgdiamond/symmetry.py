@@ -6,9 +6,10 @@ eigenvector of a monomial matrix lives on one sigma-cycle and has
 root-of-unity entries, so group arithmetic and fixed loci need only
 integer phases: an element holds numerators over one denominator, which
 all elements of a closed group share, and fixed loci and transition
-constants hold integers mod 2n at the state's conductor n.  Fractions
-appear only at the edges (ages, determinants, printing) and cyclotomic
-numbers only in restricted coefficients, through phase_unit.
+constants hold integers mod 2n at the state's conductor n.  Ages are
+integer numerators over 2 * den; Fractions appear only in views (age(),
+det_phase(), phase) and cyclotomic numbers only in restricted
+coefficients, through phase_unit.
 """
 
 from __future__ import annotations
@@ -162,12 +163,7 @@ class GroupElement:
         if a.den != b.den:
             den = lcm(a.den, b.den)
             a, b = a.over(den), b.over(den)
-        den, bs, bn = a.den, b.sigma, b.num
-        return GroupElement._make(
-            tuple(bs[s] for s in a.sigma),
-            tuple((x + bn[s]) % den for x, s in zip(a.num, a.sigma)),
-            den,
-        )
+        return GroupElement._make(*_product_key(a, b), a.den)
 
     def inverse(self) -> "GroupElement":
         inv_sigma = [0] * self.nvars
@@ -207,11 +203,13 @@ class GroupElement:
         half = self.den if self.sign() < 0 else 0
         return (2 * sum(self.num) + half) % (2 * self.den) == 0
 
+    def age_num(self) -> int:
+        """The age as an integer numerator over 2 * den."""
+        return sum(2 * total + (k - 1) * self.den for k, total in self._cycle_totals())
+
     def age(self) -> Fraction:
         """Sum of the fractional eigenvalue phases of the monomial matrix."""
-        totals = self._cycle_totals()
-        twice = sum(2 * total + (k - 1) * self.den for k, total in totals)
-        return Fraction(twice, 2 * self.den)
+        return Fraction(self.age_num(), 2 * self.den)
 
     def conductor(self) -> int:
         den = self.den
@@ -233,6 +231,12 @@ class GroupElement:
         return format_element(self)
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, through one gcd."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def format_element(g: GroupElement) -> str:
     if g.is_identity:
         return "id"
@@ -241,7 +245,7 @@ def format_element(g: GroupElement) -> str:
         if len(cyc) > 1:
             parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
     if any(g.num):
-        parts.append("diag(" + ", ".join(str(a) for a in g.phase) + ")")
+        parts.append("diag(" + ", ".join(_ratio(a, g.den) for a in g.num) + ")")
     return "*".join(parts)
 
 
@@ -328,7 +332,8 @@ class FiniteGroup:
 
     The elements share one denominator den, and index maps each element's
     (sigma, numerators) to its position; index_of lifts an element from
-    outside to den first.  Products and conjugates are composed on demand.
+    outside to den first.  Products and conjugates are looked up there by
+    their (sigma, numerators), built on demand without a GroupElement.
     generators indexes the closure generators, without repeats or the
     identity.  Classes are orbits of one walk under conjugation by them,
     begun at each smallest unclassified index, so each is led by its
@@ -394,16 +399,31 @@ class FiniteGroup:
 
     def product(self, a: int, b: int) -> int:
         """Index of elements[a] * elements[b]."""
-        ab = self.elements[a].compose(self.elements[b])
-        return self.index[(ab.sigma, ab.num)]
+        return self.index[_product_key(self.elements[a], self.elements[b])]
 
     def conjugate(self, h: int, g: int) -> int:
-        """Index of h * g * h^{-1}."""
-        hgh = self.elements[h].compose(self.elements[g]).compose(self.elements[self.inv[h]])
-        return self.index[(hgh.sigma, hgh.num)]
+        """Index of h * g * h^{-1}, keyed in one pass over the three elements."""
+        x, y, z = self.elements[h], self.elements[g], self.elements[self.inv[h]]
+        ys, yn, zs, zn, den = y.sigma, y.num, z.sigma, z.num, self.den
+        sigma, num = [], []
+        for s, a in zip(x.sigma, x.num):
+            t = ys[s]
+            sigma.append(zs[t])
+            num.append((a + yn[s] + zn[t]) % den)
+        return self.index[(tuple(sigma), tuple(num))]
 
     def contains(self, g: GroupElement) -> bool:
         return self.index_of(g) is not None
+
+
+def _product_key(a: GroupElement, b: GroupElement):
+    """(sigma, num) of a * b for two elements over one den, without building it."""
+    den, bs, bn = a.den, b.sigma, b.num
+    sigma, num = [], []
+    for s, x in zip(a.sigma, a.num):
+        sigma.append(bs[s])
+        num.append((x + bn[s]) % den)
+    return tuple(sigma), tuple(num)
 
 
 def generate_group(
@@ -416,7 +436,8 @@ def generate_group(
     """Close the generators under composition, validating symmetry of f.
 
     The generators are first written over the least common multiple of
-    their reduced denominators, which every product then shares.
+    their reduced denominators, which every product then shares; an
+    element is built only for a product not seen before.
     """
     nv = f.nvars
     for g in generators:
@@ -431,13 +452,13 @@ def generate_group(
         nxt = []
         for g in frontier:
             for s in gens:
-                h = g.compose(s)
-                slot = (h.sigma, h.num)
+                slot = _product_key(g, s)
                 if slot not in elements:
                     if len(elements) >= cap:
                         raise ClosureCapExceeded(
                             f"group closure exceeded the cap of {cap} elements"
                         )
+                    h = GroupElement._make(*slot, den)
                     elements[slot] = h
                     nxt.append(h)
         frontier = nxt
@@ -567,11 +588,12 @@ def restrict(f: Polynomial, locus: FixedLocus) -> Polynomial:
 
 def restricted_weights(locus: FixedLocus, w: WeightSystem) -> WeightSystem:
     """Inherited weight system on Fix(g) (one weight per fixed cycle)."""
-    q = tuple(w.q[i] for i in locus.i_fixed)
-    if not q:
+    d = [w.d[i] for i in locus.i_fixed]
+    if not d:
         return WeightSystem(1, ())
-    d0 = lcm(*(qk.denominator for qk in q))
-    return WeightSystem(d0, tuple(int(qk * d0) for qk in q))
+    # the lcm of the denominators of d_k / d0 in lowest terms
+    common = gcd(w.d0, *d)
+    return WeightSystem(w.d0 // common, tuple(dk // common for dk in d))
 
 
 def rho_constant(h: GroupElement, locus_g: FixedLocus, locus_conj: FixedLocus) -> int:

@@ -21,7 +21,7 @@ from lgdiamond.cyclotomic import (
 )
 from lgdiamond.errors import NotIsolated
 from lgdiamond.jacobian import grevlex_key
-from lgdiamond.polynomial import Polynomial
+from lgdiamond.polynomial import Polynomial, WeightSystem
 from lgdiamond.symmetry import format_element
 
 
@@ -411,7 +411,8 @@ def action_matrix(state, hi: int, bidegree):
     a, b = Fraction(bidegree[0]), Fraction(bidegree[1])
     labels = []
     for gi in range(state.group.order):
-        ring, (left, right) = state.ring(gi), state.shifts(gi)
+        ring = state.ring(gi)
+        left, right = (Fraction(x, state.unit) for x in state.shifts(gi))
         for mono in ring.basis:
             degree = monomial_degree(ring, mono)
             if (degree + left, degree + right) == (a, b):
@@ -528,6 +529,64 @@ def ref_conductor(a) -> int:
         total = sum(phase[i] for i in cyc) % 1
         n = lcm(n, len(cyc) * total.denominator)
     return n
+
+
+def ref_closure(generators) -> set:
+    """Every (sigma, phase) the generators reach, walked breadth first by ref_compose."""
+    gens = [ref_element(g) for g in generators]
+    nv = len(gens[0][0])
+    identity = (tuple(range(nv)), (Fraction(0),) * nv)
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for s in gens:
+                b = ref_compose(a, s)
+                if b not in seen:
+                    seen.add(b)
+                    grown.append(b)
+        frontier = grown
+    return seen
+
+
+def ref_format(g) -> str:
+    """format_element's text, each phase printed as str(Fraction) from ref_element."""
+    sigma, phase = ref_element(g)
+    if sigma == tuple(range(len(sigma))) and not any(phase):
+        return "id"
+    parts = [
+        "(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in _ref_cycles(sigma) if len(cyc) > 1
+    ]
+    if any(phase):
+        parts.append("diag(" + ", ".join(str(a) for a in phase) + ")")
+    return "*".join(parts)
+
+
+def fraction_charges(state, block):
+    """(degree, q_left, q_right) of a block, in Fractions.
+
+    The degree is read off the block's first monomial with the sector
+    ring's weights q.  The charges add the ages of g and g^-1 (ref_age)
+    and subtract the moved weights: k q for a k-cycle of g whose total
+    phase is not integral, (k - 1) q for one whose total phase is.
+    """
+    a = ref_element(state.group.elements[block.rep])
+    degree = monomial_degree(state.ring(block.rep), block.monomials[0])
+    q = state.weights.q
+    moved = Fraction(0)
+    for cyc in _ref_cycles(a[0]):
+        fixed = sum(a[1][i] for i in cyc) % 1 == 0
+        moved += (len(cyc) - fixed) * q[cyc[0]]
+    return degree, degree + ref_age(a) - moved, degree + ref_age(ref_inverse(a)) - moved
+
+
+def ref_restricted_weights(locus, w) -> WeightSystem:
+    """The weights of Fix(g) over the lcm of the denominators of their Fractions q."""
+    q = [w.q[i] for i in locus.i_fixed]
+    if not q:
+        return WeightSystem(1, ())
+    d0 = lcm(*(qk.denominator for qk in q))
+    return WeightSystem(d0, tuple(int(qk * d0) for qk in q))
 
 
 # -- cyclotomic numbers in Fraction coordinates ---------------------------------

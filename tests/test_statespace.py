@@ -18,6 +18,7 @@ from lgdiamond.cli import parse_job, run
 from lgdiamond.orbits import _fixed_space, _generator_maps, _orbit_invariants
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
+import lgdiamond.jacobian as jacobian
 import lgdiamond.statespace as statespace
 from lgdiamond.statespace import (
     StateSpace,
@@ -34,6 +35,8 @@ from lgdiamond.symmetry import (
     generate_group,
     group_conductor,
     make_jf,
+    restrict,
+    restricted_weights,
     sl_diagonal_symmetries,
 )
 
@@ -43,8 +46,15 @@ from oracles import (
     conductor_by_elements,
     dense_duality_check,
     dense_transpose_check,
+    fraction_charges,
     group_tables,
     orbit_basis,
+    ref_closure,
+    ref_compose,
+    ref_element,
+    ref_format,
+    ref_inverse,
+    ref_restricted_weights,
     reynolds_basis,
     reynolds_invariants,
     trace_dimension,
@@ -54,6 +64,7 @@ MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
 QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 QUARTIC = "x1^4 + x2^4 + x3^4 + x4^4"
 CUBIC = "x1^3 + x2^3 + x3^3"
+SEXTIC = "x1^6 + x2^6 + x3^6 + x4^6 + x5^6 + x6^6"
 
 
 def build_state(text, extra_generators=()):
@@ -324,6 +335,25 @@ def test_non_abelian_mirror_row_three_cycle():
     assert (small_table[1][1], small_table[1][2]) == (49, 5)
     assert (large_table[1][1], large_table[1][2]) == (5, 49)
     assert large_table == small_table[::-1]
+
+
+def test_sextic_mirror_row_small_side():
+    """<J> x| <(1 2 3)> on the Fermat sextic fourfold, the small side of a mirror row.
+
+    (1 2 3) satisfies the parity condition on six variables (fixed
+    dimensions 6 and 4), so SLd x| <(1 2 3)> (order 23,328, too large
+    for tier-1) has this table's rows reversed.
+    """
+    c123 = cycle(6, 0, 1, 2)
+    assert parity_holds([c123.sigma])
+    state = build_state(SEXTIC, [c123])
+    assert state.group.order == 18
+    report = verify_theorem(state)
+    assert len(report.checks) == 6 and report.passed
+    top, h = assemble_diamond(state)
+    assert top == 4
+    assert (h[1][1], h[1][3], h[2][2]) == (182, 3, 784)
+    assert state.total_dimension() == 1158
 
 
 def test_quintic_a3_three_cycle_blocks():
@@ -646,6 +676,55 @@ def test_group_facts_from_generators_and_representatives(name):
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_integer_charges_match_fraction_references(name):
+    """Each block's e and charges, over d0 and the unit, are its Fraction degree and charges."""
+    state = per_class_state(name)
+    for block in state.blocks():
+        degree, left, right = fraction_charges(state, block)
+        assert F(block.e, state.weights.d0) == block.degree == degree
+        assert (F(block.left, state.unit), F(block.right, state.unit)) == (left, right)
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_group_lookups_match_fraction_references(name):
+    """Closure, products and conjugates against (sigma, Fraction phase) arithmetic.
+
+    Every pair is checked in the groups up to order 64.
+    """
+    group = per_class_state(name).group
+    refs = [ref_element(g) for g in group.elements]
+    assert len(set(refs)) == group.order
+    assert set(refs) == ref_closure([group.elements[s] for s in group.generators])
+    if group.order <= 64:
+        index = {r: i for i, r in enumerate(refs)}
+        for h, rh in enumerate(refs):
+            rh_inv = ref_inverse(rh)
+            for g, rg in enumerate(refs):
+                assert group.product(h, g) == index[ref_compose(rh, rg)]
+                assert group.conjugate(h, g) == index[ref_compose(ref_compose(rh, rg), rh_inv)]
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
+def test_listing_weights_and_shared_rings_match_references(name, monkeypatch):
+    """Element text, restricted weights and each representative's shared ring.
+
+    The ring is rebuilt from its own locus with the ring cache emptied,
+    so sharing across loci that restrict f alike returns the same ring.
+    """
+    state = per_class_state(name)
+    for g in state.group.elements:
+        assert format_element(g) == ref_format(g)
+    reps = [cls[0] for cls in state.group.classes]
+    shared = {r: state.ring(r) for r in reps}
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    for r in reps:
+        locus = state.locus(r)
+        w = restricted_weights(locus, state.weights)
+        assert w == ref_restricted_weights(locus, state.weights)
+        assert shared[r] == jacobian.quotient_ring(restrict(state.f, locus), w)
+
+
+@pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_inverse_sector_has_the_ring_of_g(name):
     """g^-1 has the fixed locus of g, in the same coordinates, so the same ring."""
     state = per_class_state(name)
@@ -869,7 +948,8 @@ def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
     """The partner map carries the class representative of g^{-1} onto g^{-1}."""
     state = k3_sld_c4() if name == "k3-sld-c4" else named_state(name)
     group = state.group
-    block_at = {(b.class_index, b.degree): b for b in state.blocks()}
+    block_at = {(b.class_index, b.e): b for b in state.blocks()}
+    d0 = state.weights.d0
     transport = StateSpace.transport
     calls = []
 
@@ -882,11 +962,13 @@ def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
     seen = 0
     for b in state.blocks():
         inv = group.inv[b.rep]
-        # the degrees that transpose and duality ask for
-        for degree in (b.degree, state.ring(b.rep).c_hat - b.degree):
+        # the degrees, times d0, that transpose and duality ask for
+        dual = state.ring(b.rep).c_hat * d0 - b.e
+        assert dual.denominator == 1
+        for e in (b.e, int(dual)):
             calls.clear()
-            images = statespace._inverse_images(state, block_at, b.rep, degree)
-            partner = block_at.get((group.class_of[inv], degree))
+            images = statespace._inverse_images(state, block_at, b.rep, e)
+            partner = block_at.get((group.class_of[inv], e))
             assert len(images) == (partner.dimension if partner else 0)
             assert all(call == (partner.rep, inv) for call in calls)
             seen += len(calls)
@@ -1011,7 +1093,11 @@ def test_checks_match_dense_oracle(name, monkeypatch):
 )
 def test_charge_witness_is_assembly_message(q_left, check, error, monkeypatch):
     block = block_named(MAIN_STATE, "id", F(1))
-    monkeypatch.setattr(block, "q_left", q_left)
+    # the charge is held as an integer over the state's unit; q_left is its view
+    left = q_left * MAIN_STATE.unit
+    assert left.denominator == 1
+    monkeypatch.setattr(block, "left", int(left))
+    assert block.q_left == q_left
     with pytest.raises(error) as raised:
         assemble_diamond(MAIN_STATE)
     checks = {c.name: c for c in verify_theorem(MAIN_STATE).checks}
