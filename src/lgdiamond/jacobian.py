@@ -7,6 +7,15 @@ basis of the Jacobian ideal in graded reverse lexicographic order,
 enumerates the standard monomial basis, grades it, and equips it with
 the residue pairing normalized against the Hessian class, read from
 the few monomials whose residue is nonzero.
+
+Inside, a monomial is one int (polynomial.Slots).  Variable i owns slot
+i of S bits in an exponent vector E, the last variable highest, and the
+top bit of every slot is a guard that stays clear.  A term is keyed by
+its grevlex key (degree << S N) - E, so the order of keys is grevlex, the
+leading term is max(), a product of monomials is + and a quotient -, and
+divisibility, lcm and the coprime test are a few mask operations on E.
+Polynomials are converted only at the edges: the partials go in, the
+reduced basis and normal forms come out.
 """
 
 from __future__ import annotations
@@ -14,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from heapq import heappop, heappush
-from itertools import accumulate
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
 from math import gcd, prod
-from operator import add, le, mul, sub
+from operator import le, mul, sub
 
 from .cyclotomic import CycNum
 from .errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
-from .polynomial import Monomial, Polynomial, WeightSystem, hessian_determinant
+from .polynomial import Monomial, Polynomial, Slots, WeightSystem, hessian_determinant
 
 
 def grevlex_key(mono: Monomial):
@@ -29,152 +38,174 @@ def grevlex_key(mono: Monomial):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(map(min, a, b))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def leading_monomial(p: Polynomial) -> Monomial:
     return max(p.terms, key=grevlex_key)
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    lc = p.terms[leading_monomial(p)]
-    inv = lc.inverse()
-    return Polynomial._make(p.nvars, p.n, {m: c * inv for m, c in p.terms.items()})
-
-
-def normal_form(p: Polynomial, leads) -> Polynomial:
-    """Remainder of p under division by monic elements, smallest terms last.
-
-    leads lists each divisor as (its leading monomial, the element).
+def normal_form(terms: dict[int, CycNum], leads, slots: Slots) -> dict[int, CycNum]:
+    """Remainder of packed terms under division by monic elements (as _monic
+    gives them), largest key first; terms that cancel stay until popped.
     """
-    work = dict(p.terms)
-    remainder: dict[Monomial, CycNum] = {}
-    while work:
-        lm = max(work, key=grevlex_key)
+    mask, guard = slots.mask, slots.guard
+    work = dict(terms)
+    heap = [-k for k in work]
+    heapify(heap)
+    remainder: dict[int, CycNum] = {}
+    while heap:
+        lm = -heappop(heap)
         lc = work.pop(lm)
         if not lc:
             continue
-        for blm, b in leads:
-            if _divides(blm, lm):
-                shift = tuple(x - y for x, y in zip(lm, blm))
-                for m2, c2 in b.terms.items():
-                    if m2 == blm:
-                        continue
-                    mm = _mono_mul(m2, shift)
-                    acc = work.get(mm)
-                    acc = -lc * c2 if acc is None else acc - lc * c2
-                    if acc:
-                        work[mm] = acc
+        e = -lm & mask | guard
+        for e_lead, key, tail in leads:
+            if (e - e_lead) & guard == guard:
+                shift, neg = lm - key, -lc
+                for k, c in tail.items():
+                    k += shift
+                    acc = work.get(k)
+                    if acc is None:
+                        work[k] = neg * c
+                        heappush(heap, -k)
                     else:
-                        work.pop(mm, None)
+                        work[k] = acc - lc * c
                 break
         else:
             remainder[lm] = lc
-    return Polynomial._make(p.nvars, p.n, remainder)
+    return remainder
 
 
-def _s_polynomial(lead_a, lead_b) -> Polynomial:
-    """S-polynomial of two (leading monomial, monic element) pairs."""
-    (la, a), (lb, b) = lead_a, lead_b
-    gamma = _mono_lcm(la, lb)
-    sa = tuple(x - y for x, y in zip(gamma, la))
-    sb = tuple(x - y for x, y in zip(gamma, lb))
-    ta = Polynomial._make(a.nvars, a.n, {_mono_mul(m, sa): c for m, c in a.terms.items()})
-    tb = Polynomial._make(b.nvars, b.n, {_mono_mul(m, sb): c for m, c in b.terms.items()})
-    return ta - tb
+def _monic(terms: dict[int, CycNum], slots: Slots) -> tuple[int, int, dict[int, CycNum]]:
+    """(E of the lead, key of the lead, the other terms) of terms over their lead."""
+    lead = max(terms)
+    inv = terms.pop(lead).inverse()
+    return -lead & slots.mask, lead, {k: c * inv for k, c in terms.items()}
+
+
+def _packed(gb: list[Polynomial], nvars: int, degree: int) -> tuple:
+    """(Slots for degree and gb, gb's monic elements as _monic gives them)."""
+    slots = Slots(nvars, max([degree, *(sum(m) for b in gb for m in b.terms)]))
+    leads = []
+    for b in gb:
+        terms = {slots.key(m): c for m, c in b.terms.items()}
+        lead = max(terms)
+        del terms[lead]
+        leads.append((-lead & slots.mask, lead, terms))
+    return slots, leads
 
 
 def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomial]:
-    """Reduced monic Groebner basis in grevlex order, sorted by leading term.
+    """Reduced monic Groebner basis in grevlex order, sorted by leading term,
+    each element's terms from the leading one down.
+
+    No exponent Buchberger's algorithm meets exceeds the degree of an
+    input or of a pair's lcm, so a pair whose lcm the slots cannot hold
+    restarts it with slots twice as wide.
+    """
+    degree = max((sum(m) for p in polys for m in p.terms), default=0)
+    while True:
+        slots = Slots(nvars, degree)
+        try:
+            reduced = _buchberger(polys, slots, n)
+            break
+        except OverflowError as exc:
+            degree = 2 * exc.args[0]
+    one, mono = CycNum.one(n), slots.mono
+    return [
+        Polynomial._make(nvars, n, {mono(k): c for k, c in chain([(lead, one)], tail.items())})
+        for _, lead, tail in reduced
+    ]
+
+
+def _buchberger(polys: list[Polynomial], slots: Slots, n: int) -> list:
+    """The reduced basis as _monic triples sorted by lead, or OverflowError(degree)
+    for a pair's lcm of a degree the slots cannot hold.
 
     Buchberger's algorithm with the pair update of Gebauer and Moeller
-    (J. Symbolic Comput. 6, 1988): pairs wait in a heap by the grevlex
-    key of their lcm, and each new element prunes the pairs before it
-    joins.  Pairs that the update drops stay in the heap and are
-    skipped when popped.
+    (J. Symbolic Comput. 6, 1988): pairs wait in a heap by the key of
+    their lcm, and each new element prunes the pairs before it joins.
+    Pairs that the update drops stay in the heap and are skipped when
+    popped.
     """
-    leads: list[tuple[Monomial, Polynomial]] = []
-    # elements whose leading monomial no later leading monomial divides
+    leads = [
+        _monic({slots.key(m): c for m, c in p.terms.items()}, slots) for p in polys if p.terms
+    ]
+    guard, top, shift, zero = slots.guard, slots.bits - 1, slots.bits * slots.nvars, _zero(n)
+    # the E of each element's lead, and the elements whose lead no later
+    # lead divides
+    exps = [e for e, _, _ in leads]
+    inputs = len(leads)
     active: list[int] = []
-    # the live pairs (i, j), i < j, with their lcms
-    pairs: dict[tuple[int, int], Monomial] = {}
+    # the live pairs (i, j), i < j, with the E of their lcms
+    pairs: dict[tuple[int, int], int] = {}
     heap: list = []
 
-    def update(b: Polynomial) -> None:
-        t = leading_monomial(b)
-        new = len(leads)
+    def lcm(a: int, b: int) -> int:
+        ge = ((a | guard) - b) & guard  # the guard bits of the slots where a >= b
+        return b ^ (a ^ b) & ge - (ge >> top)
+
+    def update(new: int) -> None:
+        t = exps[new]
         # criterion B: drop an old pair whose lcm t divides, unless the lcm
         # of t with one of its ends is that lcm
         for (i, j), gamma in list(pairs.items()):
-            if (
-                _divides(t, gamma)
-                and _mono_lcm(leads[i][0], t) != gamma
-                and _mono_lcm(leads[j][0], t) != gamma
+            if ((gamma | guard) - t) & guard == guard and gamma not in (
+                lcm(exps[i], t), lcm(exps[j], t)
             ):
                 del pairs[i, j]
-        candidates = [
-            (_mono_lcm(leads[k][0], t), k, _coprime(leads[k][0], t)) for k in active
-        ]
         # criteria M and F: drop a new pair whose lcm another new pair's lcm
-        # divides, keeping one of each lcm; a coprime pair always stays, so it
-        # prunes the others, and is dropped last (Buchberger).  Sorted by lcm
-        # degree, coprime first, a pair comes after each pair whose lcm divides
-        # its own, so testing against the kept pairs is enough
-        candidates.sort(key=lambda c: (sum(c[0]), not c[2]))
-        kept = []
-        for gamma, k, coprime in candidates:
-            if coprime or not any(_divides(other[0], gamma) for other in kept):
-                kept.append((gamma, k, coprime))
-        for gamma, k, coprime in kept:
-            if not coprime:
-                pairs[k, new] = gamma
-                heappush(heap, (grevlex_key(gamma), k, new))
-        active[:] = [k for k in active if not _divides(t, leads[k][0])]
+        # divides, keeping one of each lcm; a coprime pair (its lcm is the
+        # product) always stays, so it prunes the others, and is dropped last
+        # (Buchberger).  Sorted by E, coprime first, a pair comes after each
+        # pair whose lcm divides its own, so testing against the kept pairs
+        # is enough
+        candidates = sorted((gamma := lcm(exps[k], t), gamma != exps[k] + t, k) for k in active)
+        kept: list[int] = []
+        for gamma, shared, k in candidates:
+            gg = gamma | guard
+            if not shared or not any((gg - other) & guard == guard for other in kept):
+                kept.append(gamma)
+                if shared:
+                    deg = sum(slots.exponents(gamma))
+                    if deg >= slots.cap:
+                        raise OverflowError(deg)
+                    pairs[k, new] = gamma
+                    heappush(heap, ((deg << shift) - gamma, k, new))
+        active[:] = [k for k in active if ((exps[k] | guard) - t) & guard != guard]
         active.append(new)
-        leads.append((t, b))
 
-    for p in polys:
-        if not p.is_zero():
-            update(_monic(p))
+    for new in range(inputs):
+        update(new)
     while heap:
-        _, i, j = heappop(heap)
+        key, i, j = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r = normal_form(_s_polynomial(leads[i], leads[j]), leads)
-        if not r.is_zero():
-            update(_monic(r))
-    lms = [lm for lm, _ in leads]
-    # minimalize: drop elements whose leading term another one divides;
-    # of several equal leading terms the lowest-index element stays
-    keep = [
-        i
-        for i in range(len(leads))
-        if not any(
-            _divides(lms[k], lms[i]) and (lms[k] != lms[i] or k < i)
-            for k in range(len(leads))
-        )
+        (_, ki, tail_i), (_, kj, tail_j) = leads[i], leads[j]
+        # the S-polynomial: the monic leads cancel
+        work = {k + key - ki: c for k, c in tail_i.items()}
+        for k, c in tail_j.items():
+            work[k + key - kj] = work.get(k + key - kj, zero) - c
+        r = normal_form(work, leads, slots)
+        if r:
+            leads.append(_monic(r, slots))
+            exps.append(leads[-1][0])
+            update(len(leads) - 1)
+    # minimalize: an active lead that another one divides is an input's
+    # (a remainder's lead no earlier lead divides, and a later one would
+    # have made it inactive); then reduce each tail against the others,
+    # whose leads divide no term of it
+    minimal = sorted(
+        (
+            leads[i]
+            for i in active
+            if i >= inputs
+            or all(k == i or ((exps[i] | guard) - exps[k]) & guard != guard for k in active)
+        ),
+        key=lambda b: b[1],
+    )
+    return [
+        (e, lead, normal_form(tail, minimal[:i] + minimal[i + 1 :], slots))
+        for i, (e, lead, tail) in enumerate(minimal)
     ]
-    minimal = [leads[i] for i in keep]
-    # reduce tails against the other elements; leading terms stay
-    reduced = []
-    for i, (lm, b) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append((lm, normal_form(b, others) if others else b))
-    reduced.sort(key=lambda pair: grevlex_key(pair[0]))
-    return [b for _, b in reduced]
 
 
 def _standard_monomials(
@@ -188,56 +219,53 @@ def _standard_monomials(
     nvars = len(d)
     if not nvars:
         return [((), 1)], {0: 1}
-    bounds = []
-    for i in range(nvars):
-        pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
-        if not pure:
-            raise NotIsolated(
-                f"the Jacobian ideal contains no pure power of variable {i + 1}; "
-                "the critical point is not isolated"
-            )
-        bounds.append(min(pure))
     # a leading monomial divides m exactly when its head (the exponents
     # before its last variable) divides m's prefix there and its last
     # exponent is at most m's; so prefixes grow one variable at a time,
     # each below the smallest last exponent of the leading monomials that
-    # end at that variable with a head dividing the prefix
-    ending: list[list[tuple[Monomial, int]]] = [[] for _ in range(nvars)]
+    # end at that variable with a head dividing the prefix.  Heads and
+    # prefixes are packed (Slots); a pure power's head is 0
+    slots = Slots(nvars, max(map(max, lms), default=0))
+    guard, bits = slots.guard, slots.bits
+    ending: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     for lm in lms:
         last = max((j for j, e in enumerate(lm) if e), default=0)
-        ending[last].append((lm[:last], lm[last]))
-
-    def bound(i: int, prefix: Monomial) -> int:
-        b = bounds[i]
-        for head, e in ending[i]:
-            if e < b and _divides(head, prefix):
-                b = e
-        return b
-
-    prefixes: list[Monomial] = [()]
-    for i in range(nvars - 1):
-        grown = []
-        for prefix in prefixes:
-            # one append at a time: no temporary list beside grown
-            for e in range(bound(i, prefix)):
-                grown.append(prefix + (e,))
-        prefixes = grown
-    # a stair's degrees step by the last weight from its prefix's: +1 at the
-    # first and -1 one stride past the last in a difference array, then
-    # prefix sums along each residue class; over d / gcd(d), so the array
-    # spans the degrees in lowest terms
-    stairs = [(prefix, bound(nvars - 1, prefix)) for prefix in prefixes]
+        ending[last].append((lm[last], sum(e << bits * j for j, e in enumerate(lm[:last]))))
+    bounds = [min((e for e, head in heads if not head), default=None) for heads in ending]
+    if None in bounds:
+        raise NotIsolated(
+            f"the Jacobian ideal contains no pure power of variable {bounds.index(None) + 1}; "
+            "the critical point is not isolated"
+        )
+    # each prefix with its packed exponents and its degree over d / gcd(d)
     g = gcd(*d)
     d = [dk // g for dk in d]
+    prefixes, exps, degrees = [()], [0], [0]
+    for i in range(nvars):
+        bs = []
+        for e in exps:
+            b, eg = bounds[i], e | guard
+            for last, head in ending[i]:
+                if last < b and (eg - head) & guard == guard:
+                    b = last
+            bs.append(b)
+        if i < nvars - 1:
+            unit, di = 1 << bits * i, d[i]
+            prefixes = [p + (x,) for p, b in zip(prefixes, bs) for x in range(b)]
+            exps = [e + x * unit for e, b in zip(exps, bs) for x in range(b)]
+            degrees = [deg + x * di for deg, b in zip(degrees, bs) for x in range(b)]
+    # a stair's degrees step by the last weight from its prefix's: +1 at the
+    # first and -1 one stride past the last in a difference array, then
+    # prefix sums along each residue class
     di = d[-1]
-    starts = [(sum(map(mul, prefix, d)), b) for prefix, b in stairs]
-    diff = [0] * (max(deg + b * di for deg, b in starts) + 1)
-    for deg, b in starts:
+    ends = [deg + b * di for deg, b in zip(degrees, bs)]
+    diff = [0] * (max(ends) + 1)
+    for deg, end in zip(degrees, ends):
         diff[deg] += 1
-        diff[deg + b * di] -= 1
+        diff[end] -= 1
     for r in range(di):
         diff[r::di] = accumulate(diff[r::di])
-    return stairs, {deg * g: c for deg, c in enumerate(diff) if c}
+    return list(zip(prefixes, bs)), {deg * g: c for deg, c in enumerate(diff) if c}
 
 
 @dataclass
@@ -246,7 +274,7 @@ class JacobianRing:
 
     f: Polynomial
     weights: WeightSystem
-    # (leading monomial, element) of each Groebner element, for normal_form
+    # (leading monomial, element) of each Groebner element, terms from the lead down
     leads: tuple[tuple[Monomial, Polynomial], ...]
     # the standard monomials as _standard_monomials' stairs; basis lists them
     stairs: tuple[tuple[Monomial, int], ...]
@@ -255,6 +283,8 @@ class JacobianRing:
     top_monomial: Monomial
     hess_coefficient: CycNum
     mu: int
+    # (Slots, the leads as _monic triples) for normal_form, widened on demand
+    packed: tuple[Slots, list] = field(repr=False, compare=False)
     # {monomial: Res} over every monomial with a nonzero residue, built by
     # socle() on the first pairing, so a ring that never pairs skips it
     support: dict[Monomial, CycNum] | None = field(
@@ -283,18 +313,17 @@ class JacobianRing:
         """The standard monomials in grevlex order, listed on first read."""
         if not self.nvars:
             return ((),)
-        # the grevlex key packed into one int (the total degree, then the exponents
-        # from the last variable on, each below base), not two tuples per monomial
-        base = 1 + max(max(prefix + (b,)) for prefix, b in self.stairs)
-        steps = [base**self.nvars - base**i for i in range(self.nvars)]
+        # sorted by packed keys (Slots); along a stair the key steps by the last variable's
+        slots = self.packed[0]
+        step = slots.key((0,) * (self.nvars - 1) + (1,))
         basis: list[Monomial] = []
         keys: list[int] = []
         for prefix, b in self.stairs:
-            key = sum(map(mul, prefix, steps))
+            key = slots.key(prefix + (0,))
             for e in range(b):
                 basis.append(prefix + (e,))
                 keys.append(key)
-                key += steps[-1]
+                key += step
         # list.sort calls its key once per item, in list order, before it compares
         ordered = iter(keys)
         basis.sort(key=lambda _: next(ordered))
@@ -305,7 +334,14 @@ class JacobianRing:
         return {m: i for i, m in enumerate(self.basis)}
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.leads)
+        """Normal form of p, through the packed leads."""
+        degree = max(map(sum, p.terms), default=0)
+        if degree >= self.packed[0].cap:
+            self.packed = _packed([b for _, b in self.leads], self.nvars, degree)
+        slots, leads = self.packed
+        terms = {slots.key(m): c for m, c in p.terms.items()}
+        nf = normal_form(terms, leads, slots)
+        return Polynomial._make(self.nvars, self.n, {slots.mono(k): c for k, c in nf.items()})
 
     def socle(self) -> dict[Monomial, CycNum]:
         """{monomial: Res} over every monomial whose residue is nonzero.
@@ -327,9 +363,9 @@ class JacobianRing:
             while stack:
                 q = stack.pop()
                 for lm, t in tails:
-                    if not _divides(t, q):
+                    if not all(map(le, t, q)):
                         continue
-                    p = tuple(map(add, map(sub, q, t), lm))
+                    p = tuple(x - y + z for x, y, z in zip(q, t, lm))
                     if p in seen:
                         continue
                     seen.add(p)
@@ -350,7 +386,7 @@ class JacobianRing:
         socle = self.socle().items()
         for m, c in u.items():
             for q, r in socle:
-                if _divides(m, q):
+                if all(map(le, m, q)):
                     k = tuple(map(sub, q, m))
                     acc = out.get(k)
                     out[k] = c * r if acc is None else acc + c * r
@@ -414,25 +450,27 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
         )
     partials = [f.partial_derivative(i) for i in range(f.nvars)]
     gb = groebner_basis(partials, f.nvars, f.n)
-    lms = [leading_monomial(b) for b in gb]
+    lms = [next(iter(b.terms)) for b in gb]
     stairs, graded = _standard_monomials(lms, w.d)
-    leads = tuple(zip(lms, gb))
-    hess = normal_form(hessian_determinant(f), leads)
-    if len(hess.terms) != 1:
+    hess = hessian_determinant(f)
+    slots, leads = packed = _packed(gb, f.nvars, max(map(sum, hess.terms), default=0))
+    nf = normal_form({slots.key(m): c for m, c in hess.terms.items()}, leads, slots)
+    if len(nf) != 1:
         raise NotIsolated(
             "the Hessian class does not span the top graded piece; "
             "the critical point is degenerate"
         )
-    ((top, coeff),) = hess.terms.items()
+    ((top, coeff),) = nf.items()
     ring = JacobianRing(
         f=f,
         weights=w,
-        leads=leads,
+        leads=tuple(zip(lms, gb)),
         stairs=tuple(stairs),
         graded=graded,
-        top_monomial=top,
+        top_monomial=slots.mono(top),
         hess_coefficient=coeff,
         mu=sum(b for _, b in stairs),
+        packed=packed,
     )
     _RING_CACHE[key] = ring
     return ring

@@ -223,33 +223,82 @@ class Polynomial:
         return text.replace("+ -", "- ")
 
 
+# bits per exponent slot while the degrees allow, the top one a guard bit
+_SLOT_BITS = 8
+
+
+class Slots:
+    """Monomials packed into ints, for degrees below cap.
+
+    Variable i owns bits [S i, S i + S) of an exponent vector E, whose top
+    bit (in guard) stays clear, so a | b when ((E_b | guard) - E_a) & guard
+    is guard (Bachmann and Schoenemann, ISSAC 1998).  The key of a monomial
+    is (degree << S nvars) - E: keys order as grevlex, a product of
+    monomials is a sum of keys, and E = -key & mask.
+    """
+
+    __slots__ = ("nvars", "bits", "mask", "guard", "cap")
+
+    def __init__(self, nvars: int, degree: int) -> None:
+        bits = max(_SLOT_BITS, degree.bit_length() + 1)
+        self.nvars, self.bits, self.cap = nvars, bits, 1 << bits - 1
+        self.mask = (1 << bits * nvars) - 1
+        self.guard = self.mask // ((1 << bits) - 1) << bits - 1
+
+    def key(self, mono: Monomial) -> int:
+        e = 0
+        for x in reversed(mono):
+            e = e << self.bits | x
+        return (sum(mono) << self.bits * self.nvars) - e
+
+    def mono(self, key: int) -> Monomial:
+        return self.exponents(-key & self.mask)
+
+    def exponents(self, e: int) -> Monomial:
+        low = (1 << self.bits) - 1
+        return tuple([e >> s & low for s in range(0, self.bits * self.nvars, self.bits)])
+
+
 def hessian_determinant(f: Polynomial) -> Polynomial:
-    """Determinant of the matrix of second partial derivatives."""
+    """Determinant of the matrix of second partial derivatives.
+
+    The second partials come from one pass over f's terms, as packed keys
+    (Slots), and each minor on the last rows is keyed by the bitmask of its
+    columns and expanded along its first row.
+    """
     nv = f.nvars
-    first = [f.partial_derivative(i) for i in range(nv)]
-    h = [[first[i].partial_derivative(j) for j in range(nv)] for i in range(nv)]
-    memo: dict[tuple, Polynomial] = {}
+    slots = Slots(nv, nv * max(map(sum, f.terms), default=0))
+    units = [slots.key(tuple(int(k == i) for k in range(nv))) for i in range(nv)]
+    h = [[{} for _ in range(nv)] for _ in range(nv)]
+    for mono, c in f.terms.items():
+        key = slots.key(mono)
+        for i, ei in enumerate(mono):
+            for j, ej in enumerate(mono):
+                if ei and ej > (i == j):
+                    h[i][j][key - units[i] - units[j]] = c * (ei * (ej - (i == j)))
+    memo: dict[int, dict[int, CycNum]] = {0: {0: CycNum.one(f.n)}}
 
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return Polynomial.constant(1, nv, f.n)
-        key = (rows, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        r = rows[0]
-        acc = Polynomial.zero(nv, f.n)
-        for pos, c in enumerate(cols):
-            entry = h[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
-            piece = entry * sub
-            acc = acc + (piece if pos % 2 == 0 else -piece)
-        memo[key] = acc
-        return acc
+    def minor(cols: int) -> dict[int, CycNum]:
+        got = memo.get(cols)
+        if got is None:
+            got = {}
+            for c, entry in enumerate(h[nv - cols.bit_count()]):
+                if not (cols >> c & 1 and entry):
+                    continue
+                sub = minor(cols ^ 1 << c)
+                # the sign of the column's position among the minor's columns
+                odd = (cols & (1 << c) - 1).bit_count() & 1
+                for k1, c1 in entry.items():
+                    c1 = -c1 if odd else c1
+                    for k2, c2 in sub.items():
+                        k, term = k1 + k2, c1 * c2
+                        acc = got.get(k)
+                        got[k] = term if acc is None else acc + term
+            got = memo[cols] = {k: c for k, c in got.items() if c}
+        return got
 
-    return minor(tuple(range(nv)), tuple(range(nv)))
+    det = minor((1 << nv) - 1)
+    return Polynomial._make(nv, f.n, {slots.mono(k): c for k, c in det.items()})
 
 
 @dataclass(frozen=True)

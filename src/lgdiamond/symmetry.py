@@ -166,13 +166,7 @@ class GroupElement:
         return GroupElement._make(*_product_key(a, b), a.den)
 
     def inverse(self) -> "GroupElement":
-        inv_sigma = [0] * self.nvars
-        for i, s in enumerate(self.sigma):
-            inv_sigma[s] = i
-        den, num = self.den, self.num
-        return GroupElement._make(
-            tuple(inv_sigma), tuple(-num[j] % den for j in inv_sigma), den
-        )
+        return GroupElement._make(*_inverse_key(self), self.den)
 
     def power(self, k: int) -> "GroupElement":
         if k < 0:
@@ -353,7 +347,7 @@ class FiniteGroup:
         self.order = len(self.elements)
         self.nvars = self.elements[0].nvars
         self.identity_index = self.index_of(GroupElement.identity(self.nvars))
-        self.inv = tuple(self.index_of(g.inverse()) for g in self.elements)
+        self.inv = tuple(self.index[_inverse_key(g)] for g in self.elements)
         gens = dict.fromkeys(map(self.index_of, generators))
         self.generators = tuple(s for s in gens if s != self.identity_index)
         class_of = [-1] * self.order
@@ -424,6 +418,15 @@ def _product_key(a: GroupElement, b: GroupElement):
         sigma.append(bs[s])
         num.append((x + bn[s]) % den)
     return tuple(sigma), tuple(num)
+
+
+def _inverse_key(g: GroupElement):
+    """(sigma, num) of g^-1, without building it."""
+    inv_sigma = [0] * g.nvars
+    for i, s in enumerate(g.sigma):
+        inv_sigma[s] = i
+    den, num = g.den, g.num
+    return tuple(inv_sigma), tuple([-num[j] % den for j in inv_sigma])
 
 
 def generate_group(

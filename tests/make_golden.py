@@ -50,11 +50,13 @@ JOBS = {
     "main-sld": (MAIN, "[SLd]"),
 }
 
-# name -> f of a `command = jacobian` job; the last is the milnor-batch anchor
+# name -> f of a `command = jacobian` job; the anchor is the milnor-batch anchor,
+# and the quintic Dwork deformation has a Jacobian ideal that is not monomial
 JACOBIAN_JOBS = {
     "main-jacobian": MAIN,
     "cubes-jacobian": "x1^3 + x2^3",
     "anchor-jacobian": "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5",
+    "quintic-dwork-jacobian": QUINTIC + " + x1*x2*x3*x4*x5",
 }
 
 MODES = {

@@ -7,7 +7,7 @@ from the command line or the public API.
 
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 from operator import add
 
@@ -959,3 +959,23 @@ def buchberger_basis(polys):
         reduced.append(Polynomial(nvars, n, {lg: g[lg], **tail}))
     reduced.sort(key=lambda p: grevlex_key(_lead(p.terms)))
     return reduced
+
+
+def dense_hessian(f: Polynomial) -> Polynomial:
+    """Hessian determinant by the permutation expansion, for N <= 5.
+
+    The dense matrix holds the tuple-keyed second partials of f, and the
+    determinant sums sign(s) * prod_i H[i][s(i)] over all N! permutations
+    with Polynomial arithmetic: no packed key and no minor is shared.
+    """
+    nv = f.nvars
+    assert nv <= 5, "N! products grow too fast past five variables"
+    h = [[f.partial_derivative(i).partial_derivative(j) for j in range(nv)] for i in range(nv)]
+    total = Polynomial.zero(nv, f.n)
+    for perm in permutations(range(nv)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = Polynomial.constant(-1 if inversions % 2 else 1, nv, f.n)
+        for i, j in enumerate(perm):
+            term = term * h[i][j]
+        total = total + term
+    return total

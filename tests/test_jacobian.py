@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lgdiamond import jacobian
+from lgdiamond import jacobian, polynomial
 from lgdiamond._linalg import det
 from lgdiamond.cyclotomic import CycNum, root_of_unity
 from lgdiamond.errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
@@ -221,22 +221,72 @@ def test_sector_groebner_matches_buchberger_oracle():
             assert [b for _, b in ring.leads] == buchberger_basis(partials(ring.f))
 
 
+# exponents a with sum 1/a_i = 1 on N <= 4 variables, so that x1*...*xN has
+# weighted degree 1, leaving out those whose Buchberger oracle takes over 0.1 s
+# once deformed (2, 3, 7, 42 and the other 2, 3 quartics, and 3, 4, 4, 6)
+CALABI_YAU_FERMATS = [
+    (2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 4, 5, 20), (2, 4, 6, 12),
+    (2, 4, 8, 8), (2, 5, 5, 10), (2, 6, 6, 6), (3, 3, 4, 12), (3, 3, 6, 6),
+    (4, 4, 4, 4),
+]
+
+
 def test_groebner_matches_buchberger_property():
-    """Random invertible polynomials with exponents up to 3."""
+    """Random invertible polynomials with exponents up to 6, and Fermat
+    polynomials with sum q = 1 plus psi * x1*...*xN: ideals that are not monomial."""
     hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
     from test_acceptance import random_invertible
 
     @hypothesis.settings(
-        max_examples=30, deadline=None, derandomize=True, database=None
+        max_examples=40, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
-    def check(rng):
-        f = poly(random_invertible(rng, max_exponent=3))
-        assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(
-            partials(f)
-        )
+    @hypothesis.given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(CALABI_YAU_FERMATS),
+        st.fractions(-6, 6, max_denominator=5).filter(bool),
+    )
+    def check(rng, exponents, psi):
+        fermat = " + ".join(f"x{i + 1}^{a}" for i, a in enumerate(exponents))
+        product = "*".join(f"x{i + 1}" for i in range(len(exponents)))
+        for text in (random_invertible(rng, max_exponent=6), f"{fermat} + ({psi})*{product}"):
+            f = parse_polynomial(text, allow_mixed_quadratics=True)[0]
+            assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(
+                partials(f)
+            ), text
 
     check()
+
+
+def test_groebner_widens_narrow_slots(monkeypatch):
+    """A pair lcm past the slots' guard bits restarts Buchberger with wider
+    slots, to the same basis; no exponent wraps into its neighbour."""
+    f = poly(HESSE)
+    expected = buchberger_basis(partials(f))
+    caps = []
+    real = jacobian._buchberger
+    monkeypatch.setattr(
+        jacobian, "_buchberger", lambda p, slots, n: caps.append(slots.cap) or real(p, slots, n)
+    )
+    # three-bit slots hold degrees below 4: the quadratic partials fit, and the
+    # lcm x1^2 * x2^2 of two leads does not
+    monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
+    assert groebner_basis(partials(f), f.nvars, f.n) == expected
+    assert caps[0] == 4 and caps[-1] > 4
+
+
+def test_ring_normal_form_widens_narrow_slots(monkeypatch):
+    """A ring built on narrow slots reads the same Milnor ring, and widens
+    them for a polynomial whose degree they cannot hold."""
+    wide = ring_of(QUARTIC_DWORK)
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
+    narrow = ring_of(QUARTIC_DWORK)
+    assert narrow is not wide and narrow == wide
+    high = poly("x1^9*x2^7 + 3*x3^20 + x1*x2*x3*x4^5")
+    assert narrow.packed[0].cap <= 16
+    assert narrow.normal_form(high) == wide.normal_form(high)
+    assert narrow.packed[0].cap > 20
 
 
 def test_normal_form_idempotent_and_kernel():

@@ -1,17 +1,22 @@
 """Polynomial parsing, arithmetic, calculus, and weight bookkeeping."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from lgdiamond.cyclotomic import CycNum, root_of_unity
 from lgdiamond.errors import MixedQuadraticError, PolySyntaxError
+from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import (
     Polynomial,
+    Slots,
     WeightSystem,
     hessian_determinant,
     parse_polynomial,
 )
+from oracles import dense_hessian
 
 
 def test_parse_chain_plus_fermat_example():
@@ -107,6 +112,51 @@ def test_hessian_degree_is_central_charge():
     assert not hess.is_zero()
     degrees = {sum(e * qk for e, qk in zip(mono, q)) for mono in hess.terms}
     assert degrees == {Fraction(2)}
+
+
+# Dwork deformations, the quartic one with a phase so its conductor is 5, and
+# the milnor-batch anchor (a loop and a chain)
+HESSIAN_CASES = [
+    "x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x1*x2*x3*x4*x5",
+    "x1^4 + x2^4 + x3^4 + x4^4 - 4*e[1/5]*x1*x2*x3*x4",
+    "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5",
+]
+
+
+@pytest.mark.parametrize("text", HESSIAN_CASES)
+def test_hessian_matches_dense_oracle(text):
+    f, _ = parse_polynomial(text)
+    assert hessian_determinant(f) == dense_hessian(f)
+
+
+def test_hessian_matches_dense_oracle_property():
+    """Random invertible polynomials on up to four variables."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_acceptance import random_invertible
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
+    def check(rng):
+        f, _ = parse_polynomial(random_invertible(rng, max_exponent=6))
+        assert hessian_determinant(f) == dense_hessian(f)
+
+    check()
+
+
+def test_packed_keys_order_as_grevlex():
+    """Keys sort as grevlex_key, unpack to their monomials, add as products,
+    and the guard bits decide divisibility, on every monomial of a box."""
+    slots = Slots(3, 9)
+    monos = list(product(range(4), repeat=3))
+    keys = {m: slots.key(m) for m in monos}
+    assert sorted(monos, key=keys.get) == sorted(monos, key=grevlex_key)
+    rng = random.Random(7)
+    for a, b in (rng.sample(monos, 2) for _ in range(200)):
+        assert slots.mono(keys[a]) == a
+        assert slots.mono(keys[a] + keys[b]) == tuple(x + y for x, y in zip(a, b))
+        ea, eb = -keys[a] & slots.mask, -keys[b] & slots.mask
+        divides = ((eb | slots.guard) - ea) & slots.guard == slots.guard
+        assert divides == all(x <= y for x, y in zip(a, b))
 
 
 def test_to_string_round_trip():

@@ -687,7 +687,8 @@ def test_integer_charges_match_fraction_references(name):
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_group_lookups_match_fraction_references(name):
-    """Closure, products and conjugates against (sigma, Fraction phase) arithmetic.
+    """Closure, inverses, products and conjugates against (sigma, Fraction
+    phase) arithmetic.
 
     Every pair is checked in the groups up to order 64.
     """
@@ -695,8 +696,9 @@ def test_group_lookups_match_fraction_references(name):
     refs = [ref_element(g) for g in group.elements]
     assert len(set(refs)) == group.order
     assert set(refs) == ref_closure([group.elements[s] for s in group.generators])
+    index = {r: i for i, r in enumerate(refs)}
+    assert list(group.inv) == [index[ref_inverse(r)] for r in refs]
     if group.order <= 64:
-        index = {r: i for i, r in enumerate(refs)}
         for h, rh in enumerate(refs):
             rh_inv = ref_inverse(rh)
             for g, rg in enumerate(refs):
