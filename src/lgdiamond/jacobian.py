@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import gcd, prod
-from operator import le, mul, sub
+from operator import le, mul
 
 from .cyclotomic import CycNum
 from .errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
@@ -376,18 +376,30 @@ class JacobianRing:
             self.support = found
         return self.support
 
+    @cached_property
+    def packed_socle(self) -> tuple[Slots, list[tuple[int, CycNum]]]:
+        """Slots that hold every socle monomial, and its packed E and Res per monomial."""
+        socle = self.socle()
+        slots = Slots(self.nvars, max(map(sum, socle)))
+        return slots, [(-slots.key(q) & slots.mask, r) for q, r in socle.items()]
+
     def dual(self, u: dict) -> dict[Monomial, CycNum]:
         """The functional <u, .> as {k: sum of u_m Res(m k)} over the socle.
 
         Each term u_m pairs only with the cofactors q/m of the socle
-        monomials q that m divides.
+        monomials q that m divides, tested on packed exponents (Slots).  A
+        monomial of degree past every socle monomial's divides none.
         """
         out: dict[Monomial, CycNum] = {}
-        socle = self.socle().items()
+        slots, socle = self.packed_socle
+        guard, mask = slots.guard, slots.mask
         for m, c in u.items():
-            for q, r in socle:
-                if all(map(le, m, q)):
-                    k = tuple(map(sub, q, m))
+            if sum(m) >= slots.cap:
+                continue
+            e = -slots.key(m) & mask
+            for eq, r in socle:
+                if ((eq | guard) - e) & guard == guard:
+                    k = slots.exponents(eq - e)
                     acc = out.get(k)
                     out[k] = c * r if acc is None else acc + c * r
         return out

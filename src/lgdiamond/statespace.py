@@ -19,9 +19,13 @@ Phases are integers mod 2n, where n is the state's conductor: steps of
 stays exact at odd n.  Transports, transition constants and orbit values
 are such integers, and a CycNum is built (by phase_unit) only for a
 basis vector or a normal-form input.  Centralizer generators come from
-the class walk by Schreier's lemma, not a scan of the group.  Each block
-walks the orbits of those that keep its monomials in it, and the others
-cut that basis (orbits.py).  A basis vector is held as its support, and
+the class walk by Schreier's lemma, not a scan of the group.  When j_f
+is in the group, its phase on a degree block (t_J - 2n e/d0, t_J that of
+rho_{J,g}) settles the block at once: nonzero means no invariants.  In
+the other blocks the generators whose rows keep every coordinate act by
+characters, which mark the monomials where invariants vanish; the orbits
+of those that keep the other monomials in the block are walked, and the
+rest cut that basis (orbits.py).  A basis vector is held as its support, and
 the symmetry checks walk supports only: partner bases are carried by one
 transport per block.  Both checks reduce with the sparse elimination of
 orbits.py; duality certifies a full-rank Gram matrix by eliminating its
@@ -39,9 +43,7 @@ from ._linalg import det, rref  # noqa: F401
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
 from .jacobian import JacobianRing, _integer_degree, quotient_ring
-from .orbits import (
-    _add, _carry, _echelon, _fixed_space, _generator_maps, _image, _orbit_invariants, _reduce,
-)
+from .orbits import _add, _carry, _class_bases, _echelon, _fixes, _image, _reduce
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
     FiniteGroup,
@@ -225,20 +227,23 @@ class StateSpace:
         if self._blocks is None:
             out = []
             # every ring before any block: interleaving the two ran slower, measured cold
-            rings = [self.ring(cls[0]) for cls in self.group.classes]
+            group = self.group
+            rings = [self.ring(cls[0]) for cls in group.classes]
             d0, unit = self.weights.d0, self.unit
-            for ci, (cls, ring) in enumerate(zip(self.group.classes, rings)):
+            jf = group.index_of(make_jf(self.weights))
+            for ci, (cls, ring) in enumerate(zip(group.classes, rings)):
                 rep = cls[0]
                 left, right = self.shifts(rep)
+                locus = self.locus(rep)
+                t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
+                degrees = sorted(self.degree_monomials(rep).items())
                 # Schreier generators centralize rep, so each carries its sector to itself
-                transports = [self._transport(hi, rep, rep) for hi in self.group.centralizers[ci]]
+                bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
+                    self._transport(hi, rep, rep) for hi in group.centralizers[ci]
+                ])
                 # a restricted d0 divides d0
                 scale = d0 // ring.weights.d0
-                for e, monos in sorted(self.degree_monomials(rep).items()):
-                    maps, rest = _generator_maps(transports, monos, self.n)
-                    basis = _fixed_space(
-                        _orbit_invariants(maps, len(monos), self.n), rest, monos, ring, self.n
-                    )
+                for (e, monos), basis in zip(degrees, bases):
                     e *= scale
                     q = e * (unit // d0)
                     out.append(InvariantBlock(
@@ -451,15 +456,13 @@ def _inverse_images(state: StateSpace, block_at, g: int, e: int) -> list[dict]:
 def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
     """Whether the centralizer generators of the block's class fix its basis.
 
-    Each basis vector is carried by each generator's transport and must
-    come back to itself.
+    A generator acting by a character must be 0 on each basis vector's
+    support; each other one must carry every basis vector back to itself.
     """
     ring = state.ring(block.rep)
     return all(
-        _carry(vec, block.monomials, state.transport(hi, block.rep), ring, state.n)
-        == block.terms(vec)
+        _fixes(state.transport(hi, block.rep), block.basis, block.monomials, ring, state.n)
         for hi in state.group.centralizers[block.class_index]
-        for vec in block.basis
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from ._linalg import smith_normal_form
@@ -130,20 +131,7 @@ class GroupElement:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Sigma-cycles (fixed points included), each from its minimal index."""
-        seen = [False] * self.nvars
-        out = []
-        for start in range(self.nvars):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.sigma[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.sigma[v]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return _cycles(self.sigma)
 
     def sign(self) -> int:
         return -1 if (self.nvars - len(self.cycles())) % 2 else 1
@@ -231,16 +219,39 @@ def _ratio(p: int, q: int) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
+@lru_cache(maxsize=1024)
+def _cycles(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """GroupElement.cycles, by permutation: a group has few."""
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        v = sigma[start]
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = sigma[v]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _cycle_text(sigma: tuple[int, ...]) -> str:
+    """The cycles of sigma that move something, as format_element prints them."""
+    return "*".join(
+        "(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in _cycles(sigma) if len(cyc) > 1
+    )
+
+
 def format_element(g: GroupElement) -> str:
-    if g.is_identity:
-        return "id"
-    parts = []
-    for cyc in g.cycles():
-        if len(cyc) > 1:
-            parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-    if any(g.num):
-        parts.append("diag(" + ", ".join(_ratio(a, g.den) for a in g.num) + ")")
-    return "*".join(parts)
+    cycles = _cycle_text(g.sigma)
+    if not any(g.num):
+        return cycles or "id"
+    diag = "diag(" + ", ".join(_ratio(a, g.den) for a in g.num) + ")"
+    return f"{cycles}*{diag}" if cycles else diag
 
 
 def is_symmetry(f: Polynomial, g: GroupElement) -> bool:
@@ -420,13 +431,20 @@ def _product_key(a: GroupElement, b: GroupElement):
     return tuple(sigma), tuple(num)
 
 
+@lru_cache(maxsize=1024)
+def _inverse_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation, by permutation: a group has few."""
+    inv_sigma = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv_sigma[s] = i
+    return tuple(inv_sigma)
+
+
 def _inverse_key(g: GroupElement):
     """(sigma, num) of g^-1, without building it."""
-    inv_sigma = [0] * g.nvars
-    for i, s in enumerate(g.sigma):
-        inv_sigma[s] = i
+    inv_sigma = _inverse_sigma(g.sigma)
     den, num = g.den, g.num
-    return tuple(inv_sigma), tuple([-num[j] % den for j in inv_sigma])
+    return inv_sigma, tuple([-num[j] % den for j in inv_sigma])
 
 
 def generate_group(

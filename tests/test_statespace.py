@@ -14,8 +14,8 @@ from lgdiamond.errors import (
     PreconditionFailed,
 )
 from lgdiamond._linalg import mat_mul
-from lgdiamond.cli import parse_job, run
-from lgdiamond.orbits import _fixed_space, _generator_maps, _orbit_invariants
+from lgdiamond.cli import _resolve_generators, parse_job, run
+from lgdiamond.orbits import _fixed_space, _generator_maps, _image, _jf_phase, _orbit_invariants
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 import lgdiamond.jacobian as jacobian
@@ -40,6 +40,7 @@ from lgdiamond.symmetry import (
     sl_diagonal_symmetries,
 )
 
+from make_golden import JOBS as GOLDEN_JOBS, job_text
 from oracles import (
     action_matrix,
     all_sl_by_elements,
@@ -338,22 +339,26 @@ def test_non_abelian_mirror_row_three_cycle():
 
 
 def test_sextic_mirror_row_small_side():
-    """<J> x| <(1 2 3)> on the Fermat sextic fourfold, the small side of a mirror row.
+    """<J> x| S on the Fermat sextic fourfold, the small sides of two mirror rows.
 
-    (1 2 3) satisfies the parity condition on six variables (fixed
-    dimensions 6 and 4), so SLd x| <(1 2 3)> (order 23,328, too large
-    for tier-1) has this table's rows reversed.
+    S = <(1 2 3)> and S = <(1 2 3)(4 5 6)> satisfy the parity condition on
+    six variables (fixed dimensions 6 and 4, and 6 and 2), so SLd x| S
+    (order 23,328, too large for tier-1) has this table's rows reversed.
     """
-    c123 = cycle(6, 0, 1, 2)
-    assert parity_holds([c123.sigma])
-    state = build_state(SEXTIC, [c123])
-    assert state.group.order == 18
-    report = verify_theorem(state)
-    assert len(report.checks) == 6 and report.passed
-    top, h = assemble_diamond(state)
-    assert top == 4
-    assert (h[1][1], h[1][3], h[2][2]) == (182, 3, 784)
-    assert state.total_dimension() == 1158
+    rows = [
+        (cycle(6, 0, 1, 2), (182, 3, 784), 1158),
+        (cycle(6, 0, 1, 2).compose(cycle(6, 3, 4, 5)), (144, 1, 624), 918),
+    ]
+    for s, entries, total in rows:
+        assert parity_holds([s.sigma])
+        state = build_state(SEXTIC, [s])
+        assert state.group.order == 18
+        report = verify_theorem(state)
+        assert len(report.checks) == 6 and report.passed
+        top, h = assemble_diamond(state)
+        assert top == 4
+        assert (h[1][1], h[1][3], h[2][2]) == entries
+        assert state.total_dimension() == total
 
 
 def test_quintic_a3_three_cycle_blocks():
@@ -495,14 +500,21 @@ def test_orbit_invariants_unit():
     third = 2
     # cycle 0 -> 1 -> 2 -> 0 with total loop phase 1/3: nothing survives
     dead = [([1, 2, 0], [0, 0, third])]
-    assert _orbit_invariants(dead, 3, n) == []
+    live = [True] * 3
+    assert _orbit_invariants(dead, live, n) == []
     # loop phases 1/3 each, total 1: one invariant line
     alive = [([1, 2, 0], [third] * 3)]
-    basis = _orbit_invariants(alive, 3, n)
+    basis = _orbit_invariants(alive, live, n)
     assert len(basis) == 1
     v = basis[0]
     assert sorted(v) == [0, 1, 2]
     assert v[0] == one and v[1] == omega and v[2] == omega * omega
+    # a character kills monomial 2, so the orbit that reaches it dies; entries
+    # at a dead index are never read
+    assert _orbit_invariants(alive, [True, True, False], n) == []
+    swap = [([1, 0, None], [0, 0, None])]
+    assert _orbit_invariants(swap, [True, True, False], n) == [{0: one, 1: one}]
+    assert _orbit_invariants([], [False, True, False], n) == [{1: one}]
 
 
 class FormRing:
@@ -562,7 +574,7 @@ def test_fixed_space_from_orbit_invariant():
     n = 2
     one, minus = CycNum.one(n), CycNum.rational(-1, n)
     # x - y, the invariant of x <-> y with phase n (-1), is the walk's start
-    (odd,) = _orbit_invariants([([1, 0], [n, n])], 2, n)
+    (odd,) = _orbit_invariants([([1, 0], [n, n])], [True, True], n)
     assert odd == {0: one, 1: minus}
     # x -> u = 2x - y, y -> v = x fixes x - y and nothing else
     forms = {U: {X: 2, Y: -1}, V: {X: 1}}
@@ -810,21 +822,28 @@ def fixed_space_calls(monkeypatch):
             calls.append(basis)
         return basis
 
-    monkeypatch.setattr(statespace, "_fixed_space", spy)
+    monkeypatch.setattr("lgdiamond.orbits._fixed_space", spy)
     return calls
 
 
 def mixed_blocks(state, monkeypatch):
-    """The state's blocks whose generators are partly walked and partly cut."""
-    splits = []
+    """The state's blocks whose generators are partly walked and partly cut.
 
-    def spy(*args):
-        splits.append(_generator_maps(*args))
-        return splits[-1]
+    A generator acting by a character walks its block too: it marks the
+    monomials where every invariant vanishes.  Blocks that j_f settles
+    are never split.
+    """
+    mixed = set()
 
-    monkeypatch.setattr(statespace, "_generator_maps", spy)
-    blocks = state.blocks()
-    return [b for b, (maps, rest) in zip(blocks, splits) if maps and rest]
+    def spy(transports, monomials, n):
+        live, maps, rest = _generator_maps(transports, monomials, n)
+        if 0 < len(rest) < len(transports):
+            # each block holds its monomials, so their ids stay distinct
+            mixed.add(id(monomials))
+        return live, maps, rest
+
+    monkeypatch.setattr("lgdiamond.orbits._generator_maps", spy)
+    return [b for b in state.blocks() if id(b.monomials) in mixed]
 
 
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
@@ -841,11 +860,12 @@ MONOMIAL_FORM_STATES = {
 }
 
 # states with blocks cut by a generator, and how many: normal forms with
-# two terms in the first two, one block monomial in the others
+# two terms in the first two, one block monomial in the others; only a
+# live monomial (one that every character fixes) sends a generator to the cut
 FALLBACK_STATES = {
-    "quartic-reynolds": ((QUARTIC_FALLBACK, [cycle(4, 0, 1)]), 3),
+    "quartic-reynolds": ((QUARTIC_FALLBACK, [cycle(4, 0, 1)]), 1),
     "quartic-fallback": (
-        (QUARTIC_FALLBACK, [cycle(4, 0, 1).compose(cycle(4, 2, 3))]), 6
+        (QUARTIC_FALLBACK, [cycle(4, 0, 1).compose(cycle(4, 2, 3))]), 2
     ),
     **{name: (args, None) for name, args in MONOMIAL_FORM_STATES.items()},
 }
@@ -855,8 +875,8 @@ FALLBACK_STATES = {
 def test_fallback_blocks_match_reynolds_oracle(name, monkeypatch):
     """Blocks with a cut against the projector over the whole centralizer.
 
-    j_f keeps every monomial in its block, so each cut block is mixed:
-    walked by some generators before the others cut it.
+    j_f acts on each block it does not settle as a character, so each cut
+    block is mixed: walked by some generators before the others cut it.
     """
     calls = fixed_space_calls(monkeypatch)
     args, count = FALLBACK_STATES[name]
@@ -888,7 +908,7 @@ def test_reynolds_fallback_blocks(monkeypatch):
     calls = fixed_space_calls(monkeypatch)
     state = build_state(QUARTIC_FALLBACK, [cycle(4, 0, 1)])
     blocks = state.blocks()
-    assert len(calls) == 3
+    assert len(calls) == 1
     for block in blocks:
         assert block.dimension == trace_dimension(state, block)
     # the check carries the cut basis by each generator's transport
@@ -1007,6 +1027,28 @@ def test_transpose_sees_a_block_moved_by_its_centralizer(monkeypatch):
     )
 
 
+def test_transpose_sees_a_character_that_moves_a_vector(monkeypatch):
+    """A generator acting by a character must be 0 on each basis vector's support.
+
+    SLd is diagonal, so every centralizer generator of k3-sld acts on the
+    identity sector by a character, and a monomial outside every orbit
+    vector is one where some character is nonzero.
+    """
+    state = named_state("k3-sld")
+    identity = state.group.class_of[state.group.identity_index]
+    block = next(
+        b for b in state.blocks()
+        if b.class_index == identity and 0 < b.dimension < len(b.monomials)
+    )
+    dead = min(set(range(len(block.monomials))) - {k for vec in block.basis for k in vec})
+    monkeypatch.setattr(block, "basis", ({dead: CycNum.one(state.n)},) + block.basis[1:])
+    assert transpose_check(state) == dense_transpose_check(state) == (
+        False,
+        f"an invariant of the class of id at internal degree {block.degree} is not "
+        "fixed by the centralizer of id",
+    )
+
+
 def test_duality_reports_degenerate_pairing(monkeypatch):
     block = block_named(MAIN_STATE, "id", F(1))
     # the identity block at degree 1 is its own dual; two equal rows
@@ -1107,31 +1149,40 @@ def test_charge_witness_is_assembly_message(q_left, check, error, monkeypatch):
     assert checks[check].witness == str(raised.value)
 
 
-def test_group_structure_property():
-    """Random diagonal and permutation generators on Fermat cubics and quartics."""
-    hypothesis = pytest.importorskip("hypothesis")
+def fermat_generator_sets(hypothesis):
+    """Strategy: a Fermat cubic or quartic, its weights, and random generators.
+
+    One or two diagonal symmetries and one or two coordinate permutations.
+    """
     st = hypothesis.strategies
     fermats = []
     for text in (CUBIC, QUARTIC):
         f, _ = parse_polynomial(text)
-        fermats.append((f, diagonal_symmetries(f).elements()))
+        fermats.append((f, analyze_weights(f)[2], diagonal_symmetries(f).elements()))
 
     @st.composite
     def generator_sets(draw):
-        f, diagonals = draw(st.sampled_from(fermats))
+        f, w, diagonals = draw(st.sampled_from(fermats))
         nv = f.nvars
         phases = draw(st.lists(st.sampled_from(diagonals), min_size=1, max_size=2))
         sigmas = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
         gens = [GroupElement.diagonal(p) for p in phases]
         gens += [GroupElement(tuple(sigma), (F(0),) * nv) for sigma in sigmas]
-        return f, gens
+        return f, w, gens
+
+    return generator_sets()
+
+
+def test_group_structure_property():
+    """Random diagonal and permutation generators on Fermat cubics and quartics."""
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(
         max_examples=20, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(generator_sets())
+    @hypothesis.given(fermat_generator_sets(hypothesis))
     def check(case):
-        f, gens = case
+        f, _, gens = case
         try:
             group = generate_group(gens, f, cap=64)
         except ClosureCapExceeded:
@@ -1142,11 +1193,75 @@ def test_group_structure_property():
     check()
 
 
+def assert_blocks_match_oracles(state):
+    """j_f's block phases against its transport, and each block against the oracles.
+
+    j_f is central, so its transport sends every monomial of a sector to
+    itself; _image of that transport must give each monomial of a degree
+    block the block's phase.  Each basis must equal the orbit walk over
+    the whole centralizer (the projector where an image is not one block
+    monomial) and have the dimension of the character formula.
+    """
+    group, two_n = state.group, 2 * state.n
+    jf = group.index_of(make_jf(state.weights))
+    assert jf is not None
+    settled = 0
+    for cls in group.classes:
+        gpi, t, rows = state.transport(jf, cls[0])
+        assert gpi == cls[0]
+        d0 = state.ring(cls[0]).weights.d0
+        for e, monos in state.degree_monomials(cls[0]).items():
+            phase = _jf_phase(t, e, d0, state.n)
+            assert {_image(rows, t, m, two_n) for m in monos} == {(m, phase) for m in monos}
+            settled += phase != 0
+    for block in state.blocks():
+        expected = orbit_basis(state, block)
+        if expected is None:
+            expected = reynolds_basis(state, block)
+        assert list(block.basis) == expected
+        assert block.dimension == trace_dimension(state, block)
+    return settled
+
+
+def golden_state(name):
+    job = parse_job(job_text(name))
+    w = analyze_weights(job.f)[2]
+    group = generate_group(_resolve_generators(job, job.f, w), job.f)
+    return StateSpace(job.f, w, group, job.names)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_JOBS))
+def test_jf_phase_and_blocks_match_oracles_on_golden_groups(name):
+    state = golden_state(name)
+    settled = assert_blocks_match_oracles(state)
+    # j_f settles some block of every golden group
+    assert settled
+
+
+def test_jf_phase_and_blocks_match_oracles_property():
+    """Random diagonal and permutation groups with j_f on Fermat cubics and quartics."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(
+        max_examples=20, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(fermat_generator_sets(hypothesis))
+    def check(case):
+        f, w, gens = case
+        try:
+            group = generate_group([make_jf(w), *gens], f, cap=128)
+        except ClosureCapExceeded:
+            hypothesis.assume(False)
+        assert_blocks_match_oracles(StateSpace(f, w, group))
+
+    check()
+
+
 def test_quintic_fallback_job_end_to_end(monkeypatch):
     """A quintic whose sector rings once took minutes to build, with verification.
 
     Regression pin: the diamond is what the code computed when its
-    Groebner pairs were still chosen by a scan, in about 147 s; 12 blocks
+    Groebner pairs were still chosen by a scan, in about 147 s; 3 blocks
     are cut by a generator after the others are walked, each of them
     matches the projector, and every check passes.
     """
@@ -1159,9 +1274,9 @@ def test_quintic_fallback_job_end_to_end(monkeypatch):
     checks = report.payload["verification"]["checks"]
     assert len(checks) == 6 and all(c["pass"] for c in checks)
     assert report.ok
-    assert len(calls) == 12
+    assert len(calls) == 3
     state = build_state(f, [cycle(5, 1, 2).compose(cycle(5, 3, 4))])
     mixed = mixed_blocks(state, monkeypatch)
-    assert len(mixed) == 12
+    assert len(mixed) == 3
     for block in mixed:
         assert list(block.basis) == reynolds_basis(state, block)
