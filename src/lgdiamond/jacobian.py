@@ -15,7 +15,8 @@ its grevlex key (degree << S N) - E, so the order of keys is grevlex, the
 leading term is max(), a product of monomials is + and a quotient -, and
 divisibility, lcm and the coprime test are a few mask operations on E.
 Polynomials are converted only at the edges: the partials go in, the
-reduced basis and normal forms come out.
+reduced basis and normal forms come out.  A ring holds one Slots, sized
+from its weights, and its Groebner basis once, as packed monic elements.
 """
 
 from __future__ import annotations
@@ -26,20 +27,11 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import gcd, prod
-from operator import le, mul
+from operator import mul
 
 from .cyclotomic import CycNum
 from .errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
 from .polynomial import Monomial, Polynomial, Slots, WeightSystem, hessian_determinant
-
-
-def grevlex_key(mono: Monomial):
-    """Sort key under which the graded reverse lexicographic order is <."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def leading_monomial(p: Polynomial) -> Monomial:
-    return max(p.terms, key=grevlex_key)
 
 
 def normal_form(terms: dict[int, CycNum], leads, slots: Slots) -> dict[int, CycNum]:
@@ -81,16 +73,17 @@ def _monic(terms: dict[int, CycNum], slots: Slots) -> tuple[int, int, dict[int, 
     return -lead & slots.mask, lead, {k: c * inv for k, c in terms.items()}
 
 
-def _packed(gb: list[Polynomial], nvars: int, degree: int) -> tuple:
-    """(Slots for degree and gb, gb's monic elements as _monic gives them)."""
-    slots = Slots(nvars, max([degree, *(sum(m) for b in gb for m in b.terms)]))
+def _packed(gb: list[Polynomial], slots: Slots) -> list:
+    """gb's monic elements as _monic gives them; OverflowError if a term does not fit."""
     leads = []
     for b in gb:
+        if any(sum(m) >= slots.cap for m in b.terms):
+            raise OverflowError(f"a Groebner term does not fit in {slots.bits}-bit slots")
         terms = {slots.key(m): c for m, c in b.terms.items()}
         lead = max(terms)
         del terms[lead]
         leads.append((-lead & slots.mask, lead, terms))
-    return slots, leads
+    return leads
 
 
 def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomial]:
@@ -270,12 +263,19 @@ def _standard_monomials(
 
 @dataclass
 class JacobianRing:
-    """Graded Milnor algebra of one polynomial with its residue pairing."""
+    """Graded Milnor algebra of one polynomial with its residue pairing.
+
+    Every monomial the ring reduces or pairs has weighted degree at most
+    c_hat, and every Groebner term at most c_hat + max q (a reduced lead
+    is x_i times a standard monomial), so one Slots sized from the weights
+    holds them all.
+    """
 
     f: Polynomial
     weights: WeightSystem
-    # (leading monomial, element) of each Groebner element, terms from the lead down
-    leads: tuple[tuple[Monomial, Polynomial], ...]
+    slots: Slots = field(repr=False, compare=False)
+    # the reduced Groebner basis as _monic triples over slots, sorted by lead
+    groebner: list = field(repr=False, compare=False)
     # the standard monomials as _standard_monomials' stairs; basis lists them
     stairs: tuple[tuple[Monomial, int], ...]
     # {d0 * weighted degree: dimension}, keys in strictly ascending order
@@ -283,15 +283,8 @@ class JacobianRing:
     top_monomial: Monomial
     hess_coefficient: CycNum
     mu: int
-    # (Slots, the leads as _monic triples) for normal_form, widened on demand
-    packed: tuple[Slots, list] = field(repr=False, compare=False)
-    # {monomial: Res} over every monomial with a nonzero residue, built by
-    # socle() on the first pairing, so a ring that never pairs skips it
-    support: dict[Monomial, CycNum] | None = field(
-        default=None, repr=False, compare=False
-    )
     # normal forms of monomials off the standard basis that the group action
-    # or socle() reaches, filled on demand by monomial_form()
+    # reaches, filled on demand by monomial_form()
     forms: dict[Monomial, Polynomial] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -309,12 +302,17 @@ class JacobianRing:
         return self.weights.central_charge
 
     @cached_property
+    def top_degree(self) -> int:
+        """d0 * c_hat, the degree of the top monomial."""
+        return _integer_degree(self.top_monomial, self.weights)
+
+    @cached_property
     def basis(self) -> tuple[Monomial, ...]:
         """The standard monomials in grevlex order, listed on first read."""
         if not self.nvars:
             return ((),)
         # sorted by packed keys (Slots); along a stair the key steps by the last variable's
-        slots = self.packed[0]
+        slots = self.slots
         step = slots.key((0,) * (self.nvars - 1) + (1,))
         basis: list[Monomial] = []
         keys: list[int] = []
@@ -334,17 +332,15 @@ class JacobianRing:
         return {m: i for i, m in enumerate(self.basis)}
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Normal form of p, through the packed leads."""
-        degree = max(map(sum, p.terms), default=0)
-        if degree >= self.packed[0].cap:
-            self.packed = _packed([b for _, b in self.leads], self.nvars, degree)
-        slots, leads = self.packed
-        terms = {slots.key(m): c for m, c in p.terms.items()}
-        nf = normal_form(terms, leads, slots)
+        """Normal form of p; its terms of degree over c_hat lie in the ideal and drop."""
+        slots, w, top = self.slots, self.weights, self.top_degree
+        terms = {slots.key(m): c for m, c in p.terms.items() if _integer_degree(m, w) <= top}
+        nf = normal_form(terms, self.groebner, slots)
         return Polynomial._make(self.nvars, self.n, {slots.mono(k): c for k, c in nf.items()})
 
-    def socle(self) -> dict[Monomial, CycNum]:
-        """{monomial: Res} over every monomial whose residue is nonzero.
+    @cached_property
+    def socle(self) -> list[tuple[int, CycNum]]:
+        """(E, Res) over every monomial whose residue is nonzero, E packed in slots.
 
         Res(m) is the top coefficient of NF(m) over the Hessian's, so the
         only standard such monomial is the top one.  Any other p = s L, for
@@ -352,52 +348,48 @@ class JacobianRing:
         over the element's tail terms c_t t, so some s t below p in grevlex
         has a nonzero residue too.  Hence a search up from the top finds
         them all: each kept q and tail monomial t dividing q give the
-        candidate q L / t, whose residue takes one normal form.
+        candidate q L / t, of key q + L - t, whose residue takes one normal
+        form.
         """
-        if self.support is None:
-            top = self.top_monomial
-            found = {top: CycNum.one(self.n) / self.hess_coefficient}
-            tails = [(lm, t) for lm, b in self.leads for t in b.terms if t != lm]
-            seen = {top}
-            stack = [top]
-            while stack:
-                q = stack.pop()
-                for lm, t in tails:
-                    if not all(map(le, t, q)):
-                        continue
-                    p = tuple(x - y + z for x, y, z in zip(q, t, lm))
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    c = self.monomial_form(p).terms.get(top)
-                    if c is not None:
-                        found[p] = c / self.hess_coefficient
-                        stack.append(p)
-            self.support = found
-        return self.support
-
-    @cached_property
-    def packed_socle(self) -> tuple[Slots, list[tuple[int, CycNum]]]:
-        """Slots that hold every socle monomial, and its packed E and Res per monomial."""
-        socle = self.socle()
-        slots = Slots(self.nvars, max(map(sum, socle)))
-        return slots, [(-slots.key(q) & slots.mask, r) for q, r in socle.items()]
+        slots, gb = self.slots, self.groebner
+        guard, mask = slots.guard, slots.mask
+        top = slots.key(self.top_monomial)
+        one = CycNum.one(self.n)
+        # (E of t, key of L less key of t) per tail term t of an element with lead L
+        tails = [(-t & mask, lead - t) for _, lead, tail in gb for t in tail]
+        found = {top: one / self.hess_coefficient}
+        seen = {top}
+        stack = [top]
+        while stack:
+            q = stack.pop()
+            eq = -q & mask | guard
+            for e_t, shift in tails:
+                p = q + shift
+                if (eq - e_t) & guard != guard or p in seen:
+                    continue
+                seen.add(p)
+                c = normal_form({p: one}, gb, slots).get(top)
+                if c is not None:
+                    found[p] = c / self.hess_coefficient
+                    stack.append(p)
+        return [(-k & mask, r) for k, r in found.items()]
 
     def dual(self, u: dict) -> dict[Monomial, CycNum]:
         """The functional <u, .> as {k: sum of u_m Res(m k)} over the socle.
 
         Each term u_m pairs only with the cofactors q/m of the socle
         monomials q that m divides, tested on packed exponents (Slots).  A
-        monomial of degree past every socle monomial's divides none.
+        monomial of a degree the slots cannot hold divides none, as every
+        socle monomial has degree c_hat.
         """
         out: dict[Monomial, CycNum] = {}
-        slots, socle = self.packed_socle
+        slots = self.slots
         guard, mask = slots.guard, slots.mask
         for m, c in u.items():
             if sum(m) >= slots.cap:
                 continue
             e = -slots.key(m) & mask
-            for eq, r in socle:
+            for eq, r in self.socle:
                 if ((eq | guard) - e) & guard == guard:
                     k = slots.exponents(eq - e)
                     acc = out.get(k)
@@ -464,25 +456,29 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     gb = groebner_basis(partials, f.nvars, f.n)
     lms = [next(iter(b.terms)) for b in gb]
     stairs, graded = _standard_monomials(lms, w.d)
+    # d0 * c_hat; a Groebner term has degree at most c_hat + max q, so at
+    # most this many factors
+    top = len(w.d) * w.d0 - 2 * sum(w.d)
+    slots = Slots(f.nvars, (top + max(w.d, default=0)) // min(w.d, default=1))
+    groebner = _packed(gb, slots)
     hess = hessian_determinant(f)
-    slots, leads = packed = _packed(gb, f.nvars, max(map(sum, hess.terms), default=0))
-    nf = normal_form({slots.key(m): c for m, c in hess.terms.items()}, leads, slots)
+    nf = normal_form({slots.key(m): c for m, c in hess.terms.items()}, groebner, slots)
     if len(nf) != 1:
         raise NotIsolated(
             "the Hessian class does not span the top graded piece; "
             "the critical point is degenerate"
         )
-    ((top, coeff),) = nf.items()
+    ((top_key, coeff),) = nf.items()
     ring = JacobianRing(
         f=f,
         weights=w,
-        leads=tuple(zip(lms, gb)),
+        slots=slots,
+        groebner=groebner,
         stairs=tuple(stairs),
         graded=graded,
-        top_monomial=slots.mono(top),
+        top_monomial=slots.mono(top_key),
         hess_coefficient=coeff,
         mu=sum(b for _, b in stairs),
-        packed=packed,
     )
     _RING_CACHE[key] = ring
     return ring

@@ -138,8 +138,8 @@ def _jf_phase(t_j: int, e: int, d0: int, n: int) -> int:
 
     j_f scales y_c by e[q_c], and its transport pulls y_c back by the
     inverse, so a monomial of weighted degree e/d0 gains -2n e/d0 on top
-    of t_j, the phase of rho_{J,g}.  n is a multiple of the ring's d0
-    whenever j_f is in the group.
+    of t_j, the phase of rho_{J,g}.  That is an integer whenever j_f is in
+    the group, as n is then a multiple of every q_c's denominator.
     """
     two_n = 2 * n
     return (t_j - two_n * e // d0) % two_n

@@ -10,9 +10,10 @@ conjugacy class and internal degree, assembles the charge table (the
 diamond), and mechanically verifies its structural properties.  Loci and
 rings (up to coordinates) and charge shifts are class functions, built on
 first read; blocks() reads only those of class representatives, and loci
-that restrict f alike share one ring.  Charges are integers over the
-state's unit = lcm(d0, 2 * den), which every age, moved weight and
-internal degree divides into.
+that restrict f alike share one ring.  Every sector ring is graded over
+the job's d0 (restricted_weights), so degrees need no conversion, and
+charges are integers over the state's unit = lcm(d0, 2 * den), which
+every age, moved weight and internal degree divides into.
 
 Phases are integers mod 2n, where n is the state's conductor: steps of
 1/(2n), so that the 1/2 a transition constant gains from an odd matching
@@ -241,10 +242,7 @@ class StateSpace:
                 bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
                     self._transport(hi, rep, rep) for hi in group.centralizers[ci]
                 ])
-                # a restricted d0 divides d0
-                scale = d0 // ring.weights.d0
                 for (e, monos), basis in zip(degrees, bases):
-                    e *= scale
                     q = e * (unit // d0)
                     out.append(InvariantBlock(
                         ci, rep, e, q + left, q + right, d0, unit, monos, tuple(basis)
@@ -523,14 +521,13 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
     group = state.group
     block_at = {(b.class_index, b.e): b for b in state.blocks()}
     done_pairs = set()
-    d0, d = state.weights.d0, state.weights.d
+    d0 = state.weights.d0
     for b in state.blocks():
         if not b.dimension:
             continue
         ring = state.ring(b.rep)
         inverse_class = group.class_of[group.inv[b.rep]]
-        # d0 * c_hat of the sector ring, less e
-        dual_e = sum(d0 - 2 * d[i] for i in state.locus(b.rep).i_fixed) - b.e
+        dual_e = ring.top_degree - b.e
         key = tuple(sorted([(b.class_index, b.e), (inverse_class, dual_e)]))
         if key in done_pairs:
             continue

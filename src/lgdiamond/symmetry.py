@@ -608,13 +608,8 @@ def restrict(f: Polynomial, locus: FixedLocus) -> Polynomial:
 
 
 def restricted_weights(locus: FixedLocus, w: WeightSystem) -> WeightSystem:
-    """Inherited weight system on Fix(g) (one weight per fixed cycle)."""
-    d = [w.d[i] for i in locus.i_fixed]
-    if not d:
-        return WeightSystem(1, ())
-    # the lcm of the denominators of d_k / d0 in lowest terms
-    common = gcd(w.d0, *d)
-    return WeightSystem(w.d0 // common, tuple(dk // common for dk in d))
+    """Inherited weight system on Fix(g) (one weight per fixed cycle), over w's d0."""
+    return WeightSystem(w.d0, tuple(w.d[i] for i in locus.i_fixed))
 
 
 def rho_constant(h: GroupElement, locus_g: FixedLocus, locus_conj: FixedLocus) -> int:

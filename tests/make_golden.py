@@ -37,6 +37,8 @@ JOBS = {
     "quintic-jf": (QUINTIC, "[jf]"),
     "quintic-a3": (QUINTIC, "[jf, perm(1 2 3)]"),
     "quintic-s3": (QUINTIC, "[jf, perm(1 2), perm(2 3)]"),
+    # the Klein four-group carries some terms at a nonzero phase (orbits._carry)
+    "quintic-v4": (QUINTIC, "[jf, perm(1 2)*perm(3 4), perm(1 3)*perm(2 4)]"),
     "quartic-twisted": (QUARTIC, "[jf, perm(1 2)*diag(1/4, 3/4, 0, 0), perm(3 4)]"),
     "quartic-xyzw-c4": (QUARTIC + " + x1*x2*x3*x4", "[jf, perm(1 2 3 4)]"),
     "quartic-xyzw-sld": (QUARTIC + " + x1*x2*x3*x4", "[SLd]"),

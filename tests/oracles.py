@@ -20,7 +20,6 @@ from lgdiamond.cyclotomic import (
     root_of_unity,
 )
 from lgdiamond.errors import NotIsolated
-from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import Polynomial, WeightSystem
 from lgdiamond.symmetry import format_element
 
@@ -581,12 +580,10 @@ def fraction_charges(state, block):
 
 
 def ref_restricted_weights(locus, w) -> WeightSystem:
-    """The weights of Fix(g) over the lcm of the denominators of their Fractions q."""
+    """The weights of Fix(g) over w's d0, read from their Fractions q."""
     q = [w.q[i] for i in locus.i_fixed]
-    if not q:
-        return WeightSystem(1, ())
-    d0 = lcm(*(qk.denominator for qk in q))
-    return WeightSystem(d0, tuple(int(qk * d0) for qk in q))
+    assert all((qk * w.d0).denominator == 1 for qk in q)
+    return WeightSystem(w.d0, tuple(int(qk * w.d0) for qk in q))
 
 
 # -- cyclotomic numbers in Fraction coordinates ---------------------------------
@@ -860,6 +857,29 @@ def poincare_dense(w) -> dict[int, int]:
     return {e: c for e, c in enumerate(quotient) if c}
 
 
+def grevlex_key(mono):
+    """Sort key under which the graded reverse lexicographic order is <."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def leading_monomial(p: Polynomial):
+    return max(p.terms, key=grevlex_key)
+
+
+def ring_groebner(ring) -> list:
+    """A ring's Groebner basis as Polynomials, its packed terms unpacked by ring.slots."""
+    one, mono = CycNum.one(ring.n), ring.slots.mono
+    return [
+        Polynomial(ring.nvars, ring.n, {mono(lead): one, **{mono(k): c for k, c in tail.items()}})
+        for _, lead, tail in ring.groebner
+    ]
+
+
+def ring_socle(ring) -> dict:
+    """{monomial: Res} of a ring's socle, its packed exponents unpacked by ring.slots."""
+    return {ring.slots.exponents(e): r for e, r in ring.socle}
+
+
 def standard_monomials_box(lms, nvars: int):
     """Standard monomials by testing every monomial of the bounding box.
 
@@ -914,6 +934,11 @@ def _reduce_terms(terms, basis):
         else:
             rem[mono] = c
     return rem
+
+
+def reduced_by(p: Polynomial, basis) -> Polynomial:
+    """Full remainder of p under division by a monic basis of Polynomials."""
+    return Polynomial(p.nvars, p.n, _reduce_terms(p.terms, [g.terms for g in basis]))
 
 
 def buchberger_basis(polys):

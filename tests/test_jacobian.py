@@ -15,9 +15,7 @@ from lgdiamond.errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
 from lgdiamond.jacobian import (
     _integer_degree,
     _standard_monomials,
-    grevlex_key,
     groebner_basis,
-    leading_monomial,
     milnor_number,
     normal_form,
     poincare_dimensions,
@@ -36,9 +34,14 @@ from lgdiamond.symmetry import (
 from oracles import (
     brute_socle,
     buchberger_basis,
+    grevlex_key,
+    leading_monomial,
     monomials_of_degree,
     pairwise_residue,
     poincare_dense,
+    reduced_by,
+    ring_groebner,
+    ring_socle,
     standard_monomials_box,
 )
 
@@ -182,7 +185,7 @@ def test_hesse_swap_sector_leading_monomials_match_sympy():
             continue
         assert all(c.is_rational() for c in ring.f.terms.values())
         expected = sympy_reduced_basis(ring.f)
-        basis = [b for _, b in ring.leads]
+        basis = ring_groebner(ring)
         got = [leading_monomial(b) for b in basis]
         assert got == [leading_monomial(b) for b in expected]
         assert basis == expected
@@ -218,7 +221,7 @@ def test_sector_groebner_matches_buchberger_oracle():
     rings += sector_rings(*QUARTIC_FALLBACK)
     for ring in rings:
         if ring.nvars:
-            assert [b for _, b in ring.leads] == buchberger_basis(partials(ring.f))
+            assert ring_groebner(ring) == buchberger_basis(partials(ring.f))
 
 
 # exponents a with sum 1/a_i = 1 on N <= 4 variables, so that x1*...*xN has
@@ -275,18 +278,42 @@ def test_groebner_widens_narrow_slots(monkeypatch):
     assert caps[0] == 4 and caps[-1] > 4
 
 
-def test_ring_normal_form_widens_narrow_slots(monkeypatch):
-    """A ring built on narrow slots reads the same Milnor ring, and widens
-    them for a polynomial whose degree they cannot hold."""
+def test_ring_normal_form_on_slots_sized_from_the_weights(monkeypatch):
+    """A ring built on slots no wider than its weights need reads the same
+    Milnor ring, and keeps them for a polynomial of higher degree: the terms
+    of degree over c_hat lie in the ideal."""
     wide = ring_of(QUARTIC_DWORK)
     monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
     narrow = ring_of(QUARTIC_DWORK)
     assert narrow is not wide and narrow == wide
+    assert ring_groebner(narrow) == ring_groebner(wide)
+    slots = narrow.slots
+    # degree c_hat + 1/4 = 9/4 has at most 9 factors, below the cap of 16
+    assert slots.cap == 16 < wide.slots.cap
     high = poly("x1^9*x2^7 + 3*x3^20 + x1*x2*x3*x4^5")
-    assert narrow.packed[0].cap <= 16
-    assert narrow.normal_form(high) == wide.normal_form(high)
-    assert narrow.packed[0].cap > 20
+    nf = narrow.normal_form(high)
+    assert nf == wide.normal_form(high) == wide.normal_form(poly("x1*x2*x3*x4^5"))
+    assert not nf.is_zero()
+    assert narrow.slots is slots and slots.cap == 16
+    assert narrow.normal_form(poly("x1^9*x2^7 + 3*x3^20")).is_zero()
+
+
+def test_ring_slots_wider_than_the_default():
+    """x1^2 + x2^90 has mu = 89, and a monomial of degree c_hat + 1/2 =
+    133/90 has up to 133 factors, so its ring needs 9-bit slots.  Normal
+    forms match plain Buchberger reduction; the terms over c_hat drop, one
+    of them past every slot, and the top monomial x2^88 stays."""
+    ring = ring_of("x1^2 + x2^90")
+    assert ring.mu == 89 and ring.top_monomial == (0, 88)
+    assert ring.slots.bits == 9 > polynomial._SLOT_BITS
+    basis = buchberger_basis(partials(ring.f))
+    assert ring_groebner(ring) == basis
+    for text in ("x2^88 + 3*x1*x2^43 + x2^5", "x2^89", "x1^3*x2^60 + 2*x2^300", "x2^88 + x2^300"):
+        p = poly(text, ["x1", "x2"])
+        assert ring.normal_form(p) == reduced_by(p, basis), text
+    assert ring.normal_form(poly("x2^89 + x2^300", ["x1", "x2"])).is_zero()
+    assert ring_socle(ring) == brute_socle(ring) == {(0, 88): 1 / ring.hess_coefficient}
 
 
 def test_normal_form_idempotent_and_kernel():
@@ -426,7 +453,7 @@ STAIRCASES = [
 
 
 def assert_staircase_matches_box(ring):
-    lms = [leading_monomial(b) for _, b in ring.leads]
+    lms = [leading_monomial(b) for b in ring_groebner(ring)]
     stairs, graded = _standard_monomials(lms, ring.weights.d)
     box = standard_monomials_box(lms, ring.nvars)
     assert tuple(stairs) == ring.stairs
@@ -656,7 +683,7 @@ def test_residue_off_the_standard_basis():
     assert (2, 0) not in ring.basis_index
     x1 = {(1, 0): CycNum.one(1)}
     assert ring.residue(x1, x1) == CycNum.rational(F(-1, 8), 1)
-    assert ring.socle() == {
+    assert ring_socle(ring) == {
         (0, 2): CycNum.rational(F(1, 24), 1), (2, 0): CycNum.rational(F(-1, 8), 1)
     }
 
@@ -669,7 +696,7 @@ def test_socle_matches_brute_force():
     rings = {id(r): r for r in rings if r.mu <= 3000}
     assert len(rings) > 20
     for key, ring in rings.items():
-        assert ring.socle() == (known[key] if key in known else brute_socle(ring))
+        assert ring_socle(ring) == (known[key] if key in known else brute_socle(ring))
 
 
 def test_residue_matches_pairwise_oracle():

@@ -8,7 +8,6 @@ import pytest
 
 from lgdiamond.cyclotomic import CycNum, root_of_unity
 from lgdiamond.errors import MixedQuadraticError, PolySyntaxError
-from lgdiamond.jacobian import grevlex_key
 from lgdiamond.polynomial import (
     Polynomial,
     Slots,
@@ -16,7 +15,7 @@ from lgdiamond.polynomial import (
     hessian_determinant,
     parse_polynomial,
 )
-from oracles import dense_hessian
+from oracles import dense_hessian, grevlex_key
 
 
 def test_parse_chain_plus_fermat_example():

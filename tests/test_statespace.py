@@ -15,7 +15,14 @@ from lgdiamond.errors import (
 )
 from lgdiamond._linalg import mat_mul
 from lgdiamond.cli import _resolve_generators, parse_job, run
-from lgdiamond.orbits import _fixed_space, _generator_maps, _image, _jf_phase, _orbit_invariants
+from lgdiamond.orbits import (
+    _carry,
+    _fixed_space,
+    _generator_maps,
+    _image,
+    _jf_phase,
+    _orbit_invariants,
+)
 from lgdiamond.polynomial import Polynomial, parse_polynomial
 from lgdiamond.quasihom import analyze_weights
 import lgdiamond.jacobian as jacobian
@@ -1236,6 +1243,33 @@ def test_jf_phase_and_blocks_match_oracles_on_golden_groups(name):
     settled = assert_blocks_match_oracles(state)
     # j_f settles some block of every golden group
     assert settled
+
+
+def test_carry_scales_non_unit_coefficients_at_nonzero_phases():
+    """_carry of a non-unit multiple of every basis vector, through the
+    transport of each element of <j_f> x V4 on the quintic, against the
+    images of its monomials by apply_to_monomial (the route of
+    dense_inverse_images); some terms are carried at a nonzero phase."""
+    state = golden_state("quintic-v4")
+    n, two_n = state.n, 2 * state.n
+    c = CycNum.rational(2, n) - root_of_unity(F(1, n), n)
+    zero = CycNum.zero(n)
+    phased = 0
+    for block in state.blocks():
+        for vec in block.basis:
+            scaled = {k: c * x for k, x in vec.items()}
+            for hi in range(state.group.order):
+                transport = state.transport(hi, block.rep)
+                gpi, t, rows = transport
+                expected = {}
+                for k, x in scaled.items():
+                    phased += _image(rows, t, block.monomials[k], two_n)[1] != 0
+                    _, image = state.apply_to_monomial(hi, block.rep, block.monomials[k])
+                    for m, y in image.terms.items():
+                        expected[m] = expected.get(m, zero) + x * y
+                got = _carry(scaled, block.monomials, transport, state.ring(gpi), n)
+                assert got == {m: y for m, y in expected.items() if y}
+    assert phased
 
 
 def test_jf_phase_and_blocks_match_oracles_property():

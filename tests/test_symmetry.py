@@ -552,10 +552,12 @@ def test_restricted_weights():
     locus = fixed_locus(MAIN_JF.power(6), 12)
     w = restricted_weights(locus, MAIN_W)
     assert w.q == (F(1, 2), F(1, 6))
-    assert w.d0 == 6
-    assert w.d == (3, 1)
+    # the job's d0, so that every sector ring grades in one unit
+    assert w.d0 == MAIN_W.d0 == 144
+    assert w.d == (72, 24)
     empty = restricted_weights(fixed_locus(MAIN_JF, 12), MAIN_W)
     assert empty.q == ()
+    assert empty.d0 == 144
 
 
 # -- transition constants -----------------------------------------------------
