@@ -14,9 +14,9 @@ top bit of every slot is a guard that stays clear.  A term is keyed by
 its grevlex key (degree << S N) - E, so the order of keys is grevlex, the
 leading term is max(), a product of monomials is + and a quotient -, and
 divisibility, lcm and the coprime test are a few mask operations on E.
-Polynomials are converted only at the edges: the partials go in, the
-reduced basis and normal forms come out.  A ring holds one Slots, sized
-from its weights, and its Groebner basis once, as packed monic elements.
+Polynomials are converted only at the edges: the partials go in and
+normal forms come out.  A ring sizes one Slots from its weights, and its
+Groebner basis is built, kept and read on it, as packed monic elements.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 
@@ -73,51 +73,27 @@ def _monic(terms: dict[int, CycNum], slots: Slots) -> tuple[int, int, dict[int, 
     return -lead & slots.mask, lead, {k: c * inv for k, c in terms.items()}
 
 
-def _packed(gb: list[Polynomial], slots: Slots) -> list:
-    """gb's monic elements as _monic gives them; OverflowError if a term does not fit."""
-    leads = []
-    for b in gb:
-        if any(sum(m) >= slots.cap for m in b.terms):
-            raise OverflowError(f"a Groebner term does not fit in {slots.bits}-bit slots")
-        terms = {slots.key(m): c for m, c in b.terms.items()}
-        lead = max(terms)
-        del terms[lead]
-        leads.append((-lead & slots.mask, lead, terms))
-    return leads
-
-
-def groebner_basis(polys: list[Polynomial], nvars: int, n: int) -> list[Polynomial]:
-    """Reduced monic Groebner basis in grevlex order, sorted by leading term,
-    each element's terms from the leading one down.
-
-    No exponent Buchberger's algorithm meets exceeds the degree of an
-    input or of a pair's lcm, so a pair whose lcm the slots cannot hold
-    restarts it with slots twice as wide.
-    """
-    degree = max((sum(m) for p in polys for m in p.terms), default=0)
-    while True:
-        slots = Slots(nvars, degree)
-        try:
-            reduced = _buchberger(polys, slots, n)
-            break
-        except OverflowError as exc:
-            degree = 2 * exc.args[0]
-    one, mono = CycNum.one(n), slots.mono
-    return [
-        Polynomial._make(nvars, n, {mono(k): c for k, c in chain([(lead, one)], tail.items())})
-        for _, lead, tail in reduced
-    ]
-
-
-def _buchberger(polys: list[Polynomial], slots: Slots, n: int) -> list:
-    """The reduced basis as _monic triples sorted by lead, or OverflowError(degree)
-    for a pair's lcm of a degree the slots cannot hold.
+def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
+    """The reduced monic Groebner basis of polys in grevlex order, as _monic
+    triples over slots sorted by lead.
 
     Buchberger's algorithm with the pair update of Gebauer and Moeller
     (J. Symbolic Comput. 6, 1988): pairs wait in a heap by the key of
     their lcm, and each new element prunes the pairs before it joins.
     Pairs that the update drops stay in the heap and are skipped when
-    popped.
+    popped.  Grevlex orders by degree first, so no term the algorithm
+    meets has a larger degree than an input or a pair's lcm.
+
+    A pair whose lcm the slots cannot hold is left out.  On the partials
+    of f and the slots quotient_ring sizes, which hold every monomial of
+    weighted degree up to c_hat + max q, that is exact.  Jac(f) is
+    weighted homogeneous, so the pairs up to a weighted degree give every
+    element of the reduced basis up to that degree.  For an isolated f,
+    Jac(f) holds every monomial of degree over c_hat, and each monomial
+    past c_hat + max q has a divisor of degree in (c_hat, c_hat + max q],
+    so no reduced lead lies past it.  For a non-isolated f, the truncated
+    leads lie in the full lead ideal, so they lack the pure power that the
+    full basis lacks, and _standard_monomials still raises NotIsolated.
     """
     leads = [
         _monic({slots.key(m): c for m, c in p.terms.items()}, slots) for p in polys if p.terms
@@ -157,10 +133,7 @@ def _buchberger(polys: list[Polynomial], slots: Slots, n: int) -> list:
             gg = gamma | guard
             if not shared or not any((gg - other) & guard == guard for other in kept):
                 kept.append(gamma)
-                if shared:
-                    deg = sum(slots.exponents(gamma))
-                    if deg >= slots.cap:
-                        raise OverflowError(deg)
+                if shared and (deg := sum(slots.exponents(gamma))) < slots.cap:
                     pairs[k, new] = gamma
                     heappush(heap, ((deg << shift) - gamma, k, new))
         active[:] = [k for k in active if ((exps[k] | guard) - t) & guard != guard]
@@ -202,12 +175,12 @@ def _buchberger(polys: list[Polynomial], slots: Slots, n: int) -> list:
 
 
 def _standard_monomials(
-    lms: list[Monomial], d: tuple[int, ...]
+    leads: list[int], d: tuple[int, ...], slots: Slots
 ) -> tuple[list[tuple[Monomial, int]], dict[int, int]]:
-    """Monomials outside the leading-term ideal as stairs (prefix, b), each
-    for the prefix + (e,) with e < b (for 1 if there are no variables), and
-    their grading {d0 * weighted degree: count} for the weights d, keys
-    ascending.  NotIsolated if there are infinitely many.
+    """Monomials outside the ideal of the leads (E packed in slots) as stairs
+    (prefix, b), each for the prefix + (e,) with e < b (for 1 if there are
+    no variables), and their grading {d0 * weighted degree: count} for the
+    weights d, keys ascending.  NotIsolated if there are infinitely many.
     """
     nvars = len(d)
     if not nvars:
@@ -218,12 +191,12 @@ def _standard_monomials(
     # each below the smallest last exponent of the leading monomials that
     # end at that variable with a head dividing the prefix.  Heads and
     # prefixes are packed (Slots); a pure power's head is 0
-    slots = Slots(nvars, max(map(max, lms), default=0))
     guard, bits = slots.guard, slots.bits
     ending: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    for lm in lms:
-        last = max((j for j, e in enumerate(lm) if e), default=0)
-        ending[last].append((lm[last], sum(e << bits * j for j, e in enumerate(lm[:last]))))
+    for e in leads:
+        # the highest set bit lies in the last variable's slot
+        shift = max(e.bit_length() - 1, 0) // bits * bits
+        ending[shift // bits].append((e >> shift, e & (1 << shift) - 1))
     bounds = [min((e for e, head in heads if not head), default=None) for heads in ending]
     if None in bounds:
         raise NotIsolated(
@@ -452,15 +425,14 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
             f"the weights give Milnor number {milnor_number(w)}, "
             f"over the bound {MAX_MILNOR}"
         )
-    partials = [f.partial_derivative(i) for i in range(f.nvars)]
-    gb = groebner_basis(partials, f.nvars, f.n)
-    lms = [next(iter(b.terms)) for b in gb]
-    stairs, graded = _standard_monomials(lms, w.d)
-    # d0 * c_hat; a Groebner term has degree at most c_hat + max q, so at
-    # most this many factors
+    # d0 * c_hat; a reduced Groebner term has degree at most c_hat + max q,
+    # and so has a partial, as no weight exceeds 1/2, so at most this many
+    # factors
     top = len(w.d) * w.d0 - 2 * sum(w.d)
     slots = Slots(f.nvars, (top + max(w.d, default=0)) // min(w.d, default=1))
-    groebner = _packed(gb, slots)
+    partials = [f.partial_derivative(i) for i in range(f.nvars)]
+    groebner = groebner_basis(partials, slots, f.n)
+    stairs, graded = _standard_monomials([e for e, _, _ in groebner], w.d, slots)
     hess = hessian_determinant(f)
     nf = normal_form({slots.key(m): c for m, c in hess.terms.items()}, groebner, slots)
     if len(nf) != 1:

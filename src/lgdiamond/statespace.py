@@ -217,11 +217,16 @@ class StateSpace:
     # -- invariants ---------------------------------------------------------
 
     def degree_monomials(self, gi: int) -> dict[int, tuple[Monomial, ...]]:
-        """Standard monomials of the sector ring of g, by d0 times their degree."""
+        """Standard monomials of the sector ring of g, by d0 times their degree,
+        in grevlex order.  Along a stair the degree steps by the last weight."""
         ring = self.ring(gi)
+        if not ring.nvars:
+            return {0: ring.basis}
+        step = ring.weights.d[-1]
+        start = {prefix: _integer_degree(prefix, ring.weights) for prefix, _ in ring.stairs}
         split: dict[int, list[Monomial]] = {}
         for mono in ring.basis:
-            split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
+            split.setdefault(start[mono[:-1]] + mono[-1] * step, []).append(mono)
         return {d: tuple(ms) for d, ms in split.items()}
 
     def blocks(self) -> list[InvariantBlock]:

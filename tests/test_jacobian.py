@@ -15,7 +15,6 @@ from lgdiamond.errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
 from lgdiamond.jacobian import (
     _integer_degree,
     _standard_monomials,
-    groebner_basis,
     milnor_number,
     normal_form,
     poincare_dimensions,
@@ -102,15 +101,13 @@ def test_leading_monomial():
 
 
 def test_groebner_monic_fermat():
-    polys = [poly("3*x1^2", ["x1", "x2"]), poly("3*x2^2", ["x1", "x2"])]
-    gb = groebner_basis(polys, 2, 1)
+    gb = ring_groebner(ring_of("x1^3 + x2^3"))
     assert [sorted(b.terms) for b in gb] == [[(0, 2)], [(2, 0)]]
     assert all(c == CycNum.one(1) for b in gb for c in b.terms.values())
 
 
 def test_groebner_chain_example():
-    f = poly("x1^3 + x1*x2^2")
-    gb = groebner_basis([f.partial_derivative(0), f.partial_derivative(1)], 2, 1)
+    gb = ring_groebner(ring_of("x1^3 + x1*x2^2"))
     lms = [leading_monomial(b) for b in gb]
     assert lms == [(1, 1), (2, 0), (0, 3)]
     # x1^2 carries the tail x2^2/3
@@ -171,7 +168,7 @@ def sympy_reduced_basis(f: Polynomial) -> list[Polynomial]:
 @pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN, QUARTIC_DWORK])
 def test_leading_monomials_match_sympy(text):
     f = poly(text)
-    gb = groebner_basis(partials(f), f.nvars, f.n)
+    gb = ring_groebner(ring_of(text))
     expected = sympy_reduced_basis(f)
     assert [leading_monomial(b) for b in gb] == [leading_monomial(b) for b in expected]
     # the whole monic reduced basis, rational coefficients included
@@ -212,8 +209,7 @@ def sector_rings_of(state):
 
 @pytest.mark.parametrize("text", [*SHARED_LEADS, HESSE, MAIN])
 def test_groebner_matches_buchberger_oracle(text):
-    f = poly(text)
-    assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(partials(f))
+    assert ring_groebner(ring_of(text)) == buchberger_basis(partials(poly(text)))
 
 
 def test_sector_groebner_matches_buchberger_oracle():
@@ -236,7 +232,9 @@ CALABI_YAU_FERMATS = [
 
 def test_groebner_matches_buchberger_property():
     """Random invertible polynomials with exponents up to 6, and Fermat
-    polynomials with sum q = 1 plus psi * x1*...*xN: ideals that are not monomial."""
+    polynomials with sum q = 1 plus psi * x1*...*xN: ideals that are not monomial.
+    Where the oracle's leads lack a pure power, f is not isolated, and the
+    ring names the first variable without one."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from test_acceptance import random_invertible
@@ -254,28 +252,79 @@ def test_groebner_matches_buchberger_property():
         product = "*".join(f"x{i + 1}" for i in range(len(exponents)))
         for text in (random_invertible(rng, max_exponent=6), f"{fermat} + ({psi})*{product}"):
             f = parse_polynomial(text, allow_mixed_quadratics=True)[0]
-            assert groebner_basis(partials(f), f.nvars, f.n) == buchberger_basis(
-                partials(f)
-            ), text
+            w = analyze_weights(f)[2]
+            basis = buchberger_basis(partials(f))
+            missing = first_without_pure_power(basis)
+            if missing is None:
+                assert ring_groebner(quotient_ring(f, w)) == basis, text
+            else:
+                with pytest.raises(NotIsolated, match=f"no pure power of variable {missing};"):
+                    quotient_ring(f, w)
 
     check()
 
 
-def test_groebner_widens_narrow_slots(monkeypatch):
-    """A pair lcm past the slots' guard bits restarts Buchberger with wider
-    slots, to the same basis; no exponent wraps into its neighbour."""
-    f = poly(HESSE)
-    expected = buchberger_basis(partials(f))
-    caps = []
-    real = jacobian._buchberger
-    monkeypatch.setattr(
-        jacobian, "_buchberger", lambda p, slots, n: caps.append(slots.cap) or real(p, slots, n)
+def first_without_pure_power(basis):
+    """The first variable (from 1) that no leading monomial is a pure power of."""
+    lms = [leading_monomial(b) for b in basis]
+    powers = {i for lm in lms for i, e in enumerate(lm) if e == sum(lm)}
+    return next((i + 1 for i in range(len(lms[0])) if i not in powers), None)
+
+
+@pytest.mark.parametrize(
+    "text, variable",
+    [
+        ("x1^2 + x2^2 + 2*x1*x2", 2),
+        ("x1^2 + x2^2 - 2*x1*x2", 2),
+        ("x1^3 + x2^3 + x3^3 - 3*x1*x2*x3", 3),
+        ("x1^4 + x2^4 + x3^4 + x4^4 + 4*x1*x2*x3*x4", 4),
+        ("x1^4 + x2^4 + x3^4 + x4^4 - 4*x1*x2*x3*x4", 4),
+    ],
+)
+def test_singular_members_are_not_isolated(text, variable):
+    """The singular members of the Fermat pencils: the slots hold no more
+    than an isolated ring needs, and the truncated leads still lack the
+    pure power that the full basis lacks."""
+    f = parse_polynomial(text, allow_mixed_quadratics=True)[0]
+    assert first_without_pure_power(buchberger_basis(partials(f))) == variable
+    message = (
+        f"the Jacobian ideal contains no pure power of variable {variable}; "
+        "the critical point is not isolated"
     )
-    # three-bit slots hold degrees below 4: the quadratic partials fit, and the
-    # lcm x1^2 * x2^2 of two leads does not
+    with pytest.raises(NotIsolated) as excinfo:
+        quotient_ring(f, analyze_weights(f)[2])
+    assert str(excinfo.value) == message
+
+
+def test_groebner_leaves_out_pairs_past_the_slots(monkeypatch):
+    """On three-bit slots (cap 4) the ring of x1^3 + x1*x2^2 leaves out the
+    pair of x1*x2 and x2^3, whose lcm x1*x2^3 has degree 4, and reads the
+    same basis as plain Buchberger and as the default slots; no exponent
+    wraps into its neighbour."""
+    text = "x1^3 + x1*x2^2"
+    expected = buchberger_basis(partials(poly(text)))
+    # the pairs that groebner_basis pushes, as (key, i, j); normal_form pushes ints
+    pairs = []
+    real = jacobian.heappush
+    monkeypatch.setattr(
+        jacobian,
+        "heappush",
+        lambda h, x: (isinstance(x, tuple) and pairs.append(x[1:])) or real(h, x),
+    )
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    wide = ring_of(text)
+    assert pairs == [(0, 1), (1, 2)]
+    pairs.clear()
+    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
-    assert groebner_basis(partials(f), f.nvars, f.n) == expected
-    assert caps[0] == 4 and caps[-1] > 4
+    narrow = ring_of(text)
+    slots = narrow.slots
+    assert slots.cap == 4 < wide.slots.cap
+    assert pairs == [(0, 1)]
+    assert ring_groebner(narrow) == ring_groebner(wide) == expected
+    keys = [k for _, lead, tail in narrow.groebner for k in (lead, *tail)]
+    assert all(-k & slots.mask & slots.guard == 0 for k in keys)
+    assert all(sum(slots.mono(k)) == (k + slots.mask) >> slots.bits * slots.nvars for k in keys)
 
 
 def test_ring_normal_form_on_slots_sized_from_the_weights(monkeypatch):
@@ -454,7 +503,8 @@ STAIRCASES = [
 
 def assert_staircase_matches_box(ring):
     lms = [leading_monomial(b) for b in ring_groebner(ring)]
-    stairs, graded = _standard_monomials(lms, ring.weights.d)
+    leads = [e for e, _, _ in ring.groebner]
+    stairs, graded = _standard_monomials(leads, ring.weights.d, ring.slots)
     box = standard_monomials_box(lms, ring.nvars)
     assert tuple(stairs) == ring.stairs
     # the basis is listed from the stairs on first read
@@ -475,7 +525,7 @@ def test_standard_monomials_match_box_on_sectors():
         assert_staircase_matches_box(ring)
     zero = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert_staircase_matches_box(zero)
-    assert _standard_monomials([], ()) == ([((), 1)], {0: 1})
+    assert _standard_monomials([], (), zero.slots) == ([((), 1)], {0: 1})
 
 
 # -- weight series oracle -----------------------------------------------------
