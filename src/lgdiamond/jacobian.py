@@ -77,12 +77,13 @@ def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
     """The reduced monic Groebner basis of polys in grevlex order, as _monic
     triples over slots sorted by lead.
 
-    Buchberger's algorithm with the pair update of Gebauer and Moeller
+    Buchberger's algorithm with criteria M and F of Gebauer and Moeller
     (J. Symbolic Comput. 6, 1988): pairs wait in a heap by the key of
-    their lcm, and each new element prunes the pairs before it joins.
-    Pairs that the update drops stay in the heap and are skipped when
-    popped.  Grevlex orders by degree first, so no term the algorithm
-    meets has a larger degree than an input or a pair's lcm.
+    their lcm, and each new element picks its pairs with the active ones.
+    Their criterion B, which prunes older pairs, only drops pairs, so it
+    is left out and every pair pushed is reduced.  Grevlex orders by
+    degree first, so no term the algorithm meets has a larger degree than
+    an input or a pair's lcm.
 
     A pair whose lcm the slots cannot hold is left out.  On the partials
     of f and the slots quotient_ring sizes, which hold every monomial of
@@ -104,8 +105,7 @@ def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
     exps = [e for e, _, _ in leads]
     inputs = len(leads)
     active: list[int] = []
-    # the live pairs (i, j), i < j, with the E of their lcms
-    pairs: dict[tuple[int, int], int] = {}
+    # the pairs (key of their lcm, i, j), i < j
     heap: list = []
 
     def lcm(a: int, b: int) -> int:
@@ -114,13 +114,6 @@ def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
 
     def update(new: int) -> None:
         t = exps[new]
-        # criterion B: drop an old pair whose lcm t divides, unless the lcm
-        # of t with one of its ends is that lcm
-        for (i, j), gamma in list(pairs.items()):
-            if ((gamma | guard) - t) & guard == guard and gamma not in (
-                lcm(exps[i], t), lcm(exps[j], t)
-            ):
-                del pairs[i, j]
         # criteria M and F: drop a new pair whose lcm another new pair's lcm
         # divides, keeping one of each lcm; a coprime pair (its lcm is the
         # product) always stays, so it prunes the others, and is dropped last
@@ -134,7 +127,6 @@ def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
             if not shared or not any((gg - other) & guard == guard for other in kept):
                 kept.append(gamma)
                 if shared and (deg := sum(slots.exponents(gamma))) < slots.cap:
-                    pairs[k, new] = gamma
                     heappush(heap, ((deg << shift) - gamma, k, new))
         active[:] = [k for k in active if ((exps[k] | guard) - t) & guard != guard]
         active.append(new)
@@ -143,8 +135,6 @@ def groebner_basis(polys: list[Polynomial], slots: Slots, n: int) -> list:
         update(new)
     while heap:
         key, i, j = heappop(heap)
-        if pairs.pop((i, j), None) is None:
-            continue
         (_, ki, tail_i), (_, kj, tail_j) = leads[i], leads[j]
         # the S-polynomial: the monic leads cancel
         work = {k + key - ki: c for k, c in tail_i.items()}
@@ -249,7 +239,8 @@ class JacobianRing:
     slots: Slots = field(repr=False, compare=False)
     # the reduced Groebner basis as _monic triples over slots, sorted by lead
     groebner: list = field(repr=False, compare=False)
-    # the standard monomials as _standard_monomials' stairs; basis lists them
+    # the standard monomials as _standard_monomials' stairs, which
+    # graded_basis lists by degree on first read
     stairs: tuple[tuple[Monomial, int], ...]
     # {d0 * weighted degree: dimension}, keys in strictly ascending order
     graded: dict[int, int]
@@ -280,29 +271,29 @@ class JacobianRing:
         return _integer_degree(self.top_monomial, self.weights)
 
     @cached_property
-    def basis(self) -> tuple[Monomial, ...]:
-        """The standard monomials in grevlex order, listed on first read."""
+    def graded_basis(self) -> dict[int, tuple[Monomial, ...]]:
+        """The standard monomials by d0 times their degree, keys as in graded,
+        each degree's in grevlex order; listed on first read."""
         if not self.nvars:
-            return ((),)
-        # sorted by packed keys (Slots); along a stair the key steps by the last variable's
-        slots = self.slots
-        step = slots.key((0,) * (self.nvars - 1) + (1,))
-        basis: list[Monomial] = []
-        keys: list[int] = []
+            return {0: ((),)}
+        # along a stair the packed key (Slots) steps by the last variable's,
+        # and the degree by its weight
+        slots, w = self.slots, self.weights
+        step, di = slots.key((0,) * (self.nvars - 1) + (1,)), w.d[-1]
+        split: dict[int, list] = {e: [] for e in self.graded}
         for prefix, b in self.stairs:
-            key = slots.key(prefix + (0,))
-            for e in range(b):
-                basis.append(prefix + (e,))
-                keys.append(key)
+            key, e = slots.key(prefix + (0,)), _integer_degree(prefix, w)
+            for x in range(b):
+                split[e].append((key, prefix + (x,)))
                 key += step
-        # list.sort calls its key once per item, in list order, before it compares
-        ordered = iter(keys)
-        basis.sort(key=lambda _: next(ordered))
-        return tuple(basis)
+                e += di
+        # keys are distinct, so sorting never compares the monomials
+        return {e: tuple([m for _, m in sorted(ms)]) for e, ms in split.items()}
 
     @cached_property
-    def basis_index(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis)}
+    def standard(self) -> frozenset[Monomial]:
+        """The standard monomials, for membership tests."""
+        return frozenset(m for ms in self.graded_basis.values() for m in ms)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Normal form of p; its terms of degree over c_hat lie in the ideal and drop."""
@@ -368,22 +359,6 @@ class JacobianRing:
                     acc = out.get(k)
                     out[k] = c * r if acc is None else acc + c * r
         return out
-
-    def residue(self, u: dict, v: dict) -> CycNum:
-        """Pairing <u, v>: sum of u_m v_m' Res(m m') over their terms.
-
-        u and v are term dicts {monomial: CycNum} at the ring's conductor,
-        such as Polynomial.terms, of any degrees: terms whose degrees do
-        not sum to c_hat pair to zero.  Res(m) is the top coefficient of
-        NF(m) against the Hessian, so that <1, hessian class> = 1.
-        """
-        # most pairings are zero: they share one zero per conductor
-        total = _zero(self.n)
-        for k, a in self.dual(u).items():
-            c = v.get(k)
-            if c is not None:
-                total = total + a * c
-        return total
 
     def monomial_form(self, mono: Monomial) -> Polynomial:
         """Normal form of one monomial, computed once per monomial and ring."""

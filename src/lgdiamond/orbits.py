@@ -191,7 +191,7 @@ def _carry(vec, monomials, transport, ring, n: int) -> dict:
             scaled = c * phase_unit(phase, n)
         else:
             scaled = phase_unit((unit + phase) % two_n, n)
-        if target in ring.basis_index:
+        if target in ring.standard:
             terms = ((target, scaled),)
         else:
             terms = ((m, scaled * x) for m, x in ring.monomial_form(target).terms.items())

@@ -43,7 +43,7 @@ from math import lcm
 from ._linalg import det, rref  # noqa: F401
 from .cyclotomic import CycNum, phase_unit
 from .errors import LgError, NonIntegerCharge, PreconditionFailed
-from .jacobian import JacobianRing, _integer_degree, quotient_ring
+from .jacobian import JacobianRing, quotient_ring
 from .orbits import _add, _carry, _class_bases, _echelon, _fixes, _image, _reduce
 from .polynomial import Monomial, Polynomial, WeightSystem
 from .symmetry import (
@@ -210,24 +210,11 @@ class StateSpace:
         target, phase = _image(rows, t, mono, 2 * self.n)
         ring = self.ring(gpi)
         poly = Polynomial(len(rows), self.n, {target: phase_unit(phase, self.n)})
-        if target in ring.basis_index:
+        if target in ring.standard:
             return gpi, poly
         return gpi, ring.normal_form(poly)
 
     # -- invariants ---------------------------------------------------------
-
-    def degree_monomials(self, gi: int) -> dict[int, tuple[Monomial, ...]]:
-        """Standard monomials of the sector ring of g, by d0 times their degree,
-        in grevlex order.  Along a stair the degree steps by the last weight."""
-        ring = self.ring(gi)
-        if not ring.nvars:
-            return {0: ring.basis}
-        step = ring.weights.d[-1]
-        start = {prefix: _integer_degree(prefix, ring.weights) for prefix, _ in ring.stairs}
-        split: dict[int, list[Monomial]] = {}
-        for mono in ring.basis:
-            split.setdefault(start[mono[:-1]] + mono[-1] * step, []).append(mono)
-        return {d: tuple(ms) for d, ms in split.items()}
 
     def blocks(self) -> list[InvariantBlock]:
         if self._blocks is None:
@@ -242,7 +229,7 @@ class StateSpace:
                 left, right = self.shifts(rep)
                 locus = self.locus(rep)
                 t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
-                degrees = sorted(self.degree_monomials(rep).items())
+                degrees = ring.graded_basis.items()
                 # Schreier generators centralize rep, so each carries its sector to itself
                 bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
                     self._transport(hi, rep, rep) for hi in group.centralizers[ci]

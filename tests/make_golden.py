@@ -26,6 +26,8 @@ QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 CUBIC = "x1^3 + x2^3 + x3^3"
 HESSE = "x1^3 + x2^3 + x3^3 + x1*x2*x3"
 MAIN = "x1^2*x2 + x2^2 + x2*x3^6 + x4^6 + x1*x3^9"
+# the milnor-batch anchor: a loop and a chain
+ANCHOR = "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5"
 
 # name -> (f, group); the mirror quintic is pinned in test_statespace.py
 JOBS = {
@@ -52,13 +54,21 @@ JOBS = {
     "main-sld": (MAIN, "[SLd]"),
 }
 
-# name -> f of a `command = jacobian` job; the anchor is the milnor-batch anchor,
-# and the quintic Dwork deformation has a Jacobian ideal that is not monomial
+# name -> f of a `command = jacobian` job; the quintic Dwork deformation has a
+# Jacobian ideal that is not monomial
 JACOBIAN_JOBS = {
     "main-jacobian": MAIN,
     "cubes-jacobian": "x1^3 + x2^3",
-    "anchor-jacobian": "x1^6*x2 + x2^5*x1 + x3^5*x4 + x4^3*x5 + x5^5",
+    "anchor-jacobian": ANCHOR,
     "quintic-dwork-jacobian": QUINTIC + " + x1*x2*x3*x4*x5",
+}
+
+# name -> (command, f) of the analyze and symmetries jobs, one for each
+# branch of their text reports
+COMMAND_JOBS = {
+    "anchor-analyze": ("analyze", ANCHOR),
+    "main-analyze": ("analyze", MAIN),
+    "quintic-symmetries": ("symmetries", QUINTIC),
 }
 
 MODES = {
@@ -67,7 +77,8 @@ MODES = {
     "json": ["--format", "json"],
     "json-noverify": ["--format", "json", "--no-verify"],
 }
-# a jacobian job verifies nothing, so it runs without --no-verify only
+# a jacobian, analyze or symmetries job verifies nothing, so it runs without
+# --no-verify only
 JACOBIAN_MODES = ("text", "json")
 
 
@@ -78,6 +89,9 @@ def job_path(name: str) -> Path:
 def job_text(name: str) -> str:
     if name in JACOBIAN_JOBS:
         return f"f = {JACOBIAN_JOBS[name]}\ncommand = jacobian\n"
+    if name in COMMAND_JOBS:
+        command, f = COMMAND_JOBS[name]
+        return f"f = {f}\ncommand = {command}\n"
     f, group = JOBS[name]
     return f"f = {f}\ngroup = {group}\n"
 
@@ -87,7 +101,7 @@ def golden_runs():
     for name in JOBS:
         for mode in MODES:
             yield name, mode
-    for name in JACOBIAN_JOBS:
+    for name in [*JACOBIAN_JOBS, *COMMAND_JOBS]:
         for mode in JACOBIAN_MODES:
             yield name, mode
 

@@ -33,7 +33,7 @@ def trace_dimension(state, block) -> int:
     integer, which no genuine group action allows.
     """
     zero = CycNum.zero(state.n)
-    standard = state.ring(block.rep).basis_index
+    standard = state.ring(block.rep).standard
     centralizer = state.centralizer(block.rep)
     total = zero
     for hi in centralizer:
@@ -301,6 +301,20 @@ def dense_transpose_check(state):
     )
 
 
+def residue(ring, u: dict, v: dict) -> CycNum:
+    """<u, v>: sum of u_m v_m' Res(m m') over their terms, from ring.dual.
+
+    u and v are term dicts {monomial: CycNum} at the ring's conductor, of
+    any degrees: terms whose degrees do not sum to c_hat pair to zero.
+    """
+    total = CycNum.zero(ring.n)
+    for k, a in ring.dual(u).items():
+        c = v.get(k)
+        if c is not None:
+            total = total + a * c
+    return total
+
+
 def pairwise_residue(ring, u: dict, v: dict, residues: dict):
     """<u, v> over every term pair: sum of u_m v_m' Res(m m').
 
@@ -412,7 +426,7 @@ def action_matrix(state, hi: int, bidegree):
     for gi in range(state.group.order):
         ring = state.ring(gi)
         left, right = (Fraction(x, state.unit) for x in state.shifts(gi))
-        for mono in ring.basis:
+        for mono in ring_basis(ring):
             degree = monomial_degree(ring, mono)
             if (degree + left, degree + right) == (a, b):
                 labels.append((gi, mono))
@@ -878,6 +892,13 @@ def ring_groebner(ring) -> list:
 def ring_socle(ring) -> dict:
     """{monomial: Res} of a ring's socle, its packed exponents unpacked by ring.slots."""
     return {ring.slots.exponents(e): r for e, r in ring.socle}
+
+
+def ring_basis(ring) -> tuple:
+    """A ring's standard monomials, all degrees of its graded_basis, by packed key."""
+    return tuple(
+        sorted((m for monos in ring.graded_basis.values() for m in monos), key=ring.slots.key)
+    )
 
 
 def standard_monomials_box(lms, nvars: int):

@@ -236,7 +236,7 @@ def _reynolds_blocks_idempotent(state: StateSpace) -> None:
     zero = CycNum.zero(state.n)
     for cls in state.group.classes:
         rep = cls[0]
-        for monos in state.degree_monomials(rep).values():
+        for monos in state.ring(rep).graded_basis.values():
             columns = averaging_columns(state, rep, monos)
             for j in range(len(monos)):
                 acc: dict[int, CycNum] = {}

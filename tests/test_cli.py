@@ -413,7 +413,7 @@ def test_cli_import_freezes_the_heap_and_later_rings_are_collected(monkeypatch):
     monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     f, _ = parse_polynomial("x1^3 + x2^5")
     ring = jacobian.quotient_ring(f, analyze_weights(f)[2])
-    assert ring.basis_index  # listed, so the ring holds all it can
+    assert ring.standard  # listed, so the ring holds all it can
     ref = weakref.ref(ring)
     del ring
     jacobian._RING_CACHE.clear()

@@ -1,6 +1,7 @@
 """Tests for the Milnor algebra machinery: Groebner bases, grading, residues."""
 
 import functools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -39,6 +40,8 @@ from oracles import (
     pairwise_residue,
     poincare_dense,
     reduced_by,
+    residue,
+    ring_basis,
     ring_groebner,
     ring_socle,
     standard_monomials_box,
@@ -242,6 +245,9 @@ def test_groebner_matches_buchberger_property():
     @hypothesis.settings(
         max_examples=40, deadline=None, derandomize=True, database=None
     )
+    # the quartic + 4 x1x2x3x4 lacks a pure power of x4, which no draw of the
+    # 40 gives, so every run takes the NotIsolated branch at least once
+    @hypothesis.example(random.Random(0), (4, 4, 4, 4), Fraction(4))
     @hypothesis.given(
         st.randoms(use_true_random=False),
         st.sampled_from(CALABI_YAU_FERMATS),
@@ -387,7 +393,7 @@ def test_normal_form_idempotent_and_kernel():
 def test_two_cubes():
     ring = ring_of("x1^3 + x2^3")
     assert ring.mu == 4
-    assert ring.basis == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert ring_basis(ring) == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert ring.graded == keyed(ring.weights, {F(0): 1, F(1, 3): 2, F(2, 3): 1})
     assert ring.top_monomial == (1, 1)
 
@@ -439,10 +445,10 @@ def test_cone_not_isolated():
 def test_zero_polynomial_ring():
     ring = quotient_ring(Polynomial.zero(0, 1), WeightSystem(1, ()))
     assert ring.mu == 1
-    assert ring.basis == ((),)
+    assert ring_basis(ring) == ((),)
     assert ring.graded == {F(0): 1}
     one = Polynomial.constant(1, 0, 1)
-    assert ring.residue(one.terms, one.terms) == CycNum.one(1)
+    assert residue(ring, one.terms, one.terms) == CycNum.one(1)
 
 
 def test_non_homogeneous_rejected():
@@ -476,12 +482,13 @@ def test_jacobian_job_reads_mu_and_grading_from_the_stairs(monkeypatch):
     monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     report = run(parse_job(f"f = {ANCHOR}\ncommand = jacobian"))
     (ring,) = jacobian._RING_CACHE.values()
-    assert "basis" not in ring.__dict__ and "basis_index" not in ring.__dict__
+    assert "graded_basis" not in ring.__dict__ and "standard" not in ring.__dict__
     # the forced listing gives the same mu and grading
-    counts = Counter(_integer_degree(m, ring.weights) for m in ring.basis)
-    assert report.payload["mu"] == ring.mu == len(ring.basis) == 1920
+    basis = ring_basis(ring)
+    counts = Counter(_integer_degree(m, ring.weights) for m in basis)
+    assert report.payload["mu"] == ring.mu == len(basis) == 1920
     assert list(ring.graded.items()) == sorted(counts.items())
-    assert ring.basis_index == {m: i for i, m in enumerate(ring.basis)}
+    assert ring.standard == set(basis)
 
 
 @pytest.mark.parametrize("command", ["jacobian", "diamond"])
@@ -507,11 +514,15 @@ def assert_staircase_matches_box(ring):
     stairs, graded = _standard_monomials(leads, ring.weights.d, ring.slots)
     box = standard_monomials_box(lms, ring.nvars)
     assert tuple(stairs) == ring.stairs
-    # the basis is listed from the stairs on first read
-    assert ring.basis == tuple(box)
+    # the basis is listed from the stairs on first read, by degree, each
+    # degree's in grevlex order (the box's)
+    split = {}
+    for mono in box:
+        split.setdefault(_integer_degree(mono, ring.weights), []).append(mono)
+    degrees = sorted(split)
+    assert list(ring.graded_basis.items()) == [(e, tuple(split[e])) for e in degrees]
     assert ring.mu == sum(b for _, b in stairs) == len(box)
-    counts = Counter(_integer_degree(mono, ring.weights) for mono in box)
-    assert list(graded.items()) == sorted(counts.items())
+    assert list(graded.items()) == [(e, len(split[e])) for e in degrees]
     assert graded == ring.graded
 
 
@@ -649,33 +660,34 @@ def test_poincare_symmetry():
 
 def test_residue_one_variable():
     ring = ring_of("x1^3")
-    assert ring.basis == ((0,), (1,))
+    assert ring_basis(ring) == ((0,), (1,))
     assert ring.top_monomial == (1,)
     assert ring.hess_coefficient == CycNum.rational(6, 1)
     one = Polynomial.constant(1, 1, 1)
     x = Polynomial.monomial((1,), 1, 1, 1)
-    assert ring.residue(x.terms, one.terms) == CycNum.rational(F(1, 6), 1)
+    assert residue(ring, x.terms, one.terms) == CycNum.rational(F(1, 6), 1)
     hessian = Polynomial.monomial(ring.top_monomial, ring.hess_coefficient, 1, 1)
-    assert ring.residue(one.terms, hessian.terms) == CycNum.one(1)
+    assert residue(ring, one.terms, hessian.terms) == CycNum.one(1)
     # degree mismatch pairs to zero
-    assert ring.residue(x.terms, x.terms) == CycNum.zero(1)
+    assert residue(ring, x.terms, x.terms) == CycNum.zero(1)
 
 
 def test_residue_normalization_main():
     ring = ring_of(MAIN)
     one = Polynomial.constant(1, 4, ring.n)
     hessian = Polynomial.monomial(ring.top_monomial, ring.hess_coefficient, 4, ring.n)
-    assert ring.residue(one.terms, hessian.terms) == CycNum.one(ring.n)
+    assert residue(ring, one.terms, hessian.terms) == CycNum.one(ring.n)
 
 
 def test_residue_gram_nondegenerate():
     ring = ring_of(MAIN)
     d0 = ring.weights.d0
-    degree_one = [m for m in ring.basis if _integer_degree(m, ring.weights) == d0]
+    degree_one = [m for m in ring_basis(ring) if _integer_degree(m, ring.weights) == d0]
     assert len(degree_one) == 13
     gram = [
         [
-            ring.residue(
+            residue(
+                ring,
                 Polynomial.monomial(a, 1, 4, ring.n).terms,
                 Polynomial.monomial(b, 1, 4, ring.n).terms,
             )
@@ -689,10 +701,11 @@ def test_residue_gram_nondegenerate():
 def test_residue_gram_small():
     ring = ring_of("x1^3 + x2^3")
     d0 = ring.weights.d0
-    mid = [m for m in ring.basis if 3 * _integer_degree(m, ring.weights) == d0]
+    mid = [m for m in ring_basis(ring) if 3 * _integer_degree(m, ring.weights) == d0]
     gram = [
         [
-            ring.residue(
+            residue(
+                ring,
                 Polynomial.monomial(a, 1, 2, 1).terms, Polynomial.monomial(b, 1, 2, 1).terms
             )
             for b in mid
@@ -730,9 +743,9 @@ def test_residue_off_the_standard_basis():
     # x1^2 reduces to -3 x2^2, so x1 pairs with itself though x1^2 is not standard
     ring = ring_of("x1^2*x2 + x2^3")
     assert ring.top_monomial == (0, 2)
-    assert (2, 0) not in ring.basis_index
+    assert (2, 0) not in ring.standard
     x1 = {(1, 0): CycNum.one(1)}
-    assert ring.residue(x1, x1) == CycNum.rational(F(-1, 8), 1)
+    assert residue(ring, x1, x1) == CycNum.rational(F(-1, 8), 1)
     assert ring_socle(ring) == {
         (0, 2): CycNum.rational(F(1, 24), 1), (2, 0): CycNum.rational(F(-1, 8), 1)
     }
@@ -782,7 +795,7 @@ def test_residue_matches_pairwise_oracle():
         for _ in range(rng.randint(0, 2)):
             noise = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
             (u if rng.random() < 0.5 else v)[noise] = coefficient()
-        assert ring.residue(u, v) == pairwise_residue(ring, u, v, caches[i])
-        assert ring.residue(v, u) == pairwise_residue(ring, v, u, caches[i])
+        assert residue(ring, u, v) == pairwise_residue(ring, u, v, caches[i])
+        assert residue(ring, v, u) == pairwise_residue(ring, v, u, caches[i])
 
     check()
