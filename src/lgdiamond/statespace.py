@@ -10,7 +10,10 @@ conjugacy class and internal degree, assembles the charge table (the
 diamond), and mechanically verifies its structural properties.  Loci and
 rings (up to coordinates) and charge shifts are class functions, built on
 first read; blocks() reads only those of class representatives, and loci
-that restrict f alike share one ring.  Every sector ring is graded over
+that restrict f alike share one ring.  When every generator is diagonal, a
+sector's ring, transports, invariant bases and symmetry checks depend only
+on its fixed coordinates, and are computed once per such set; only the
+charge shifts stay per class.  Every sector ring is graded over
 the job's d0 (restricted_weights), so degrees need no conversion, and
 charges are integers over the state's unit = lcm(d0, 2 * den), which
 every age, moved weight and internal degree divides into.
@@ -120,11 +123,13 @@ class StateSpace:
         self.names = tuple(names) if names else tuple(
             f"x{i + 1}" for i in range(f.nvars)
         )
+        # diagonal generators: G is abelian, with its generators centralizing every class
+        self._diagonal = all(group.elements[s].is_diagonal for s in group.generators)
         self._loci: dict[int, FixedLocus] = {}
-        self._rings: dict[int, JacobianRing] = {}
+        self._rings: dict = {}  # keyed by _key(g), as the transports by (h, _key(g))
         # restrict(f, locus) reads only locus.fixed, so loci equal there share a ring
         self._restricted: dict[tuple, JacobianRing] = {}
-        self._transports: dict[tuple[int, int], tuple] = {}
+        self._transports: dict[tuple, tuple] = {}
         self._blocks: list[InvariantBlock] | None = None
 
     # -- sectors ------------------------------------------------------------
@@ -135,18 +140,26 @@ class StateSpace:
             self._loci[gi] = fixed_locus(self.group.elements[gi], self.n)
         return self._loci[gi]
 
+    def _key(self, gi: int):
+        """Sector g's sharing key: its fixed coordinates in a diagonal group, else g.
+
+        h acts on a diagonal sector by its phases on Fix(g) and their sum off it.
+        """
+        return self.locus(gi).i_fixed if self._diagonal else gi
+
     def ring(self, gi: int) -> JacobianRing:
         """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate."""
-        ring = self._rings.get(gi)
+        key = self._key(gi)
+        ring = self._rings.get(key)
         if ring is None:
             locus = self.locus(gi)
-            key = tuple(locus.fixed.items())
-            ring = self._restricted.get(key)
+            fixed = tuple(locus.fixed.items())
+            ring = self._restricted.get(fixed)
             if ring is None:
                 f = restrict(self.f, locus)
                 ring = quotient_ring(f, restricted_weights(locus, self.weights))
-                self._restricted[key] = ring
-            self._rings[gi] = ring
+                self._restricted[fixed] = ring
+            self._rings[key] = ring
         return ring
 
     def shifts(self, gi: int) -> tuple[int, int]:
@@ -182,9 +195,12 @@ class StateSpace:
         a pair (j, phase) meaning the c-th coordinate of Fix(g) pulls back
         to e[phase/2n] * (j-th coordinate of Fix(g')) under h^{-1}.  h
         carries the fixed cycles of g one-to-one onto those of g'.  Phases
-        are integers mod 2n.
+        are integers mod 2n.  In a diagonal group g' is g, and (t, rows) is
+        computed once per h and fixed set of g (_key).
         """
-        cached = self._transports.get((hi, gi))
+        cached = self._transports.get((hi, self._key(gi)))
+        if self._diagonal:
+            return (gi, *(cached or self._transport(hi, gi, gi))[1:])
         return cached or self._transport(hi, gi, self.group.conjugate(hi, gi))
 
     def _transport(self, hi: int, gi: int, gpi: int):
@@ -199,7 +215,7 @@ class StateSpace:
             rows.append((j, (half[i_c] + a) % two_n))
         t = rho_constant(self.group.elements[hi], lg, lgp)
         result = (gpi, t, tuple(rows))
-        self._transports[(hi, gi)] = result
+        self._transports[(hi, self._key(gi))] = result
         return result
 
     def apply_to_monomial(
@@ -224,20 +240,24 @@ class StateSpace:
             rings = [self.ring(cls[0]) for cls in group.classes]
             d0, unit = self.weights.d0, self.unit
             jf = group.index_of(make_jf(self.weights))
+            shared: dict = {}  # _key(rep) -> [(e, monomials, basis)]
             for ci, (cls, ring) in enumerate(zip(group.classes, rings)):
                 rep = cls[0]
                 left, right = self.shifts(rep)
-                locus = self.locus(rep)
-                t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
-                degrees = ring.graded_basis.items()
-                # Schreier generators centralize rep, so each carries its sector to itself
-                bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
-                    self._transport(hi, rep, rep) for hi in group.centralizers[ci]
-                ])
-                for (e, monos), basis in zip(degrees, bases):
+                key = self._key(rep)
+                if key not in shared:
+                    locus = self.locus(rep)
+                    t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
+                    degrees = ring.graded_basis.items()
+                    # Schreier generators centralize rep, so each carries its sector to itself
+                    bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
+                        self._transport(hi, rep, rep) for hi in group.centralizers[ci]
+                    ])
+                    shared[key] = [(e, monos, tuple(b)) for (e, monos), b in zip(degrees, bases)]
+                for e, monos, basis in shared[key]:
                     q = e * (unit // d0)
                     out.append(InvariantBlock(
-                        ci, rep, e, q + left, q + right, d0, unit, monos, tuple(basis)
+                        ci, rep, e, q + left, q + right, d0, unit, monos, basis
                     ))
             self._blocks = out
         return self._blocks
@@ -469,9 +489,12 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     """
     group = state.group
     block_at = {(b.class_index, b.e): b for b in state.blocks()}
+    done = set()
     for b in state.blocks():
-        if not b.dimension:
+        key = (state._key(b.rep), b.e)
+        if not b.dimension or key in done:
             continue
+        done.add(key)
         name = format_element(group.elements[b.rep])
         if not _fixed_by_generators(state, b):
             return False, (
@@ -518,9 +541,9 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
         if not b.dimension:
             continue
         ring = state.ring(b.rep)
-        inverse_class = group.class_of[group.inv[b.rep]]
+        partner = group.classes[group.class_of[group.inv[b.rep]]][0]
         dual_e = ring.top_degree - b.e
-        key = tuple(sorted([(b.class_index, b.e), (inverse_class, dual_e)]))
+        key = tuple(sorted([(state._key(b.rep), b.e), (state._key(partner), dual_e)]))
         if key in done_pairs:
             continue
         done_pairs.add(key)

@@ -20,8 +20,10 @@ from lgdiamond.cyclotomic import (
     root_of_unity,
 )
 from lgdiamond.errors import NotIsolated
+from lgdiamond.orbits import _class_bases
 from lgdiamond.polynomial import Polynomial, WeightSystem
-from lgdiamond.symmetry import format_element
+from lgdiamond.statespace import InvariantBlock
+from lgdiamond.symmetry import _half_steps, format_element, make_jf, rho_constant
 
 
 def trace_dimension(state, block) -> int:
@@ -93,6 +95,43 @@ def orbit_basis(state, block):
         if alive:
             basis.append(values)
     return basis
+
+
+def per_class_transport(state, hi: int, gi: int):
+    """StateSpace.transport(hi, gi) from the loci of g and hgh^{-1}, uncached."""
+    group, two_n = state.group, 2 * state.n
+    gpi = group.conjugate(hi, gi)
+    hinv = group.elements[group.inv[hi]]
+    half = _half_steps(hinv, state.n)
+    lg, lgp = state.locus(gi), state.locus(gpi)
+    rows = []
+    for i_c in lg.i_fixed:
+        j, a = lgp.fixed[hinv.sigma[i_c]]
+        rows.append((j, (half[i_c] + a) % two_n))
+    return gpi, rho_constant(group.elements[hi], lg, lgp), tuple(rows)
+
+
+def per_class_blocks(state):
+    """StateSpace.blocks() class by class: every class reads its own t_J and transports."""
+    group = state.group
+    d0, unit = state.weights.d0, state.unit
+    jf = group.index_of(make_jf(state.weights))
+    out = []
+    for ci, cls in enumerate(group.classes):
+        rep = cls[0]
+        ring, locus = state.ring(rep), state.locus(rep)
+        left, right = state.shifts(rep)
+        t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
+        degrees = ring.graded_basis.items()
+        bases = _class_bases(degrees, t_j, ring, state.n, lambda: [
+            per_class_transport(state, hi, rep) for hi in group.centralizers[ci]
+        ])
+        for (e, monos), basis in zip(degrees, bases):
+            q = e * (unit // d0)
+            out.append(InvariantBlock(
+                ci, rep, e, q + left, q + right, d0, unit, monos, tuple(basis)
+            ))
+    return out
 
 
 def frac_matrix(a):

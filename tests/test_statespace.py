@@ -57,6 +57,8 @@ from oracles import (
     fraction_charges,
     group_tables,
     orbit_basis,
+    per_class_blocks,
+    per_class_transport,
     ref_closure,
     ref_compose,
     ref_element,
@@ -776,7 +778,11 @@ def test_sector_data_are_class_functions(name):
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
 def test_rings_are_built_at_class_representatives(name):
-    """Blocks and every check build loci and rings only at representatives and their inverses."""
+    """Blocks and every check build loci and rings only at representatives and their inverses.
+
+    A diagonal group keys its rings by fixed set: one ring per fixed set
+    of a representative.
+    """
     # a fresh state, so that no other test has read its rings
     state = {
         "quintic-a3": lambda: build_state(QUINTIC, [QUINTIC_C123]),
@@ -790,7 +796,11 @@ def test_rings_are_built_at_class_representatives(name):
     group = state.group
     reps = {cls[0] for cls in group.classes}
     inverses = {group.inv[r] for r in reps}
-    assert reps <= set(state._rings) <= reps | inverses
+    if all(group.elements[s].is_diagonal for s in group.generators):
+        assert set(state._rings) == {state.locus(r).i_fixed for r in reps}
+        assert {key for _, key in state._transports} <= set(state._rings)
+    else:
+        assert reps <= set(state._rings) <= reps | inverses
     assert reps <= set(state._loci) <= reps | inverses
 
 
@@ -1156,10 +1166,11 @@ def test_charge_witness_is_assembly_message(q_left, check, error, monkeypatch):
     assert checks[check].witness == str(raised.value)
 
 
-def fermat_generator_sets(hypothesis):
+def fermat_generator_sets(hypothesis, permutations=True):
     """Strategy: a Fermat cubic or quartic, its weights, and random generators.
 
-    One or two diagonal symmetries and one or two coordinate permutations.
+    One or two diagonal symmetries and, unless permutations is False, one
+    or two coordinate permutations.
     """
     st = hypothesis.strategies
     fermats = []
@@ -1172,7 +1183,9 @@ def fermat_generator_sets(hypothesis):
         f, w, diagonals = draw(st.sampled_from(fermats))
         nv = f.nvars
         phases = draw(st.lists(st.sampled_from(diagonals), min_size=1, max_size=2))
-        sigmas = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
+        sigmas = []
+        if permutations:
+            sigmas = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
         gens = [GroupElement.diagonal(p) for p in phases]
         gens += [GroupElement(tuple(sigma), (F(0),) * nv) for sigma in sigmas]
         return f, w, gens
@@ -1289,6 +1302,76 @@ def test_jf_phase_and_blocks_match_oracles_property():
         assert_blocks_match_oracles(StateSpace(f, w, group))
 
     check()
+
+
+def assert_sharing_matches_per_class(state):
+    """Blocks and every transport of a diagonal group against the per-class oracles.
+
+    The premise of sharing by fixed set: G is abelian, and every class's
+    Schreier generators are the group's generators.
+    """
+    group = state.group
+    assert all(group.elements[s].is_diagonal for s in group.generators)
+    assert len(group.classes) == group.order
+    assert set(group.centralizers) == {group.generators}
+    assert state.blocks() == per_class_blocks(state)
+    for gi in range(group.order):
+        for hi in range(group.order):
+            assert state.transport(hi, gi) == per_class_transport(state, hi, gi)
+
+
+DIAGONAL_GOLDEN = [
+    "cubic-diag", "cubic-jf", "cubic-sld", "k3-sld",
+    "main-jf", "main-sld", "quartic-xyzw-sld", "quintic-jf",
+]
+
+
+@pytest.mark.parametrize("name", DIAGONAL_GOLDEN)
+def test_sharing_by_fixed_set_matches_per_class_oracles(name):
+    assert_sharing_matches_per_class(golden_state(name))
+
+
+def test_sharing_by_fixed_set_matches_per_class_oracles_property():
+    """Random diagonal groups with j_f on Fermat cubics and quartics."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(
+        max_examples=10, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(fermat_generator_sets(hypothesis, permutations=False))
+    def check(case):
+        f, w, gens = case
+        try:
+            group = generate_group([make_jf(w), *gens], f, cap=64)
+        except ClosureCapExceeded:
+            hypothesis.assume(False)
+        assert_sharing_matches_per_class(StateSpace(f, w, group))
+
+    check()
+
+
+def class_bases_calls(monkeypatch):
+    """One entry per _class_bases run from now on."""
+    calls, real = [], statespace._class_bases
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(statespace, "_class_bases", spy)
+    return calls
+
+
+def test_diagonal_groups_build_bases_once_per_fixed_set(monkeypatch):
+    """K3 SLd: 64 classes and 12 fixed sets; a permutation generator keeps one run per class."""
+    calls = class_bases_calls(monkeypatch)
+    state = build_state(QUARTIC, diagonal_generators(QUARTIC, sl=True))
+    assert verify_theorem(state).passed
+    assert (len(state.group.classes), len(calls)) == (64, 12)
+    calls.clear()
+    state = build_state(QUINTIC, [QUINTIC_C123])
+    assert verify_theorem(state).passed
+    assert len(calls) == len(state.group.classes)
 
 
 def test_quintic_fallback_job_end_to_end(monkeypatch):
