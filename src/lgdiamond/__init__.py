@@ -18,59 +18,56 @@ The usual pipeline:
     >>> state = StateSpace(f, w, group, names)
     >>> assemble_diamond(state)[1]
     [[1, 1], [1, 1]]
+
+Importing the package imports none of its modules: each name below is
+imported from its module on first access, so code that uses only the
+Milnor layer (polynomials, weights, Jacobian rings) never compiles the
+group and state-space modules.
 """
 
-from .errors import (
-    LgError,
-    MissingJ,
-    NonIntegerCharge,
-    NotInSL,
-    NotIsolated,
-    PreconditionFailed,
-)
-from .jacobian import milnor_number, poincare_dimensions, quotient_ring
-from .polynomial import Polynomial, WeightSystem, parse_polynomial
-from .quasihom import analyze_weights, classify_invertible, transpose_polynomial
-from .statespace import (
-    StateSpace,
-    assemble_diamond,
-    duality_check,
-    invariant_basis,
-    transpose_check,
-    verify_theorem,
-)
-from .symmetry import (
-    GroupElement,
-    diagonal_symmetries,
-    generate_group,
-    make_jf,
-)
+from importlib import import_module
 
-__all__ = [
-    "GroupElement",
-    "LgError",
-    "MissingJ",
-    "NonIntegerCharge",
-    "NotInSL",
-    "NotIsolated",
-    "Polynomial",
-    "PreconditionFailed",
-    "StateSpace",
-    "WeightSystem",
-    "analyze_weights",
-    "assemble_diamond",
-    "classify_invertible",
-    "diagonal_symmetries",
-    "duality_check",
-    "generate_group",
-    "invariant_basis",
-    "make_jf",
-    "milnor_number",
-    "parse_polynomial",
-    "poincare_dimensions",
-    "quotient_ring",
-    "transpose_check",
-    "transpose_polynomial",
-    "verify_theorem",
-]
+# each public name and the module that defines it
+_SOURCE = {
+    "GroupElement": "symmetry",
+    "LgError": "errors",
+    "MissingJ": "errors",
+    "NonIntegerCharge": "errors",
+    "NotInSL": "errors",
+    "NotIsolated": "errors",
+    "Polynomial": "polynomial",
+    "PreconditionFailed": "errors",
+    "StateSpace": "statespace",
+    "WeightSystem": "polynomial",
+    "analyze_weights": "quasihom",
+    "assemble_diamond": "statespace",
+    "classify_invertible": "quasihom",
+    "diagonal_symmetries": "symmetry",
+    "duality_check": "statespace",
+    "generate_group": "symmetry",
+    "invariant_basis": "statespace",
+    "make_jf": "symmetry",
+    "milnor_number": "jacobian",
+    "parse_polynomial": "polynomial",
+    "poincare_dimensions": "jacobian",
+    "quotient_ring": "jacobian",
+    "transpose_check": "statespace",
+    "transpose_polynomial": "quasihom",
+    "verify_theorem": "statespace",
+}
+
+__all__ = list(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -22,6 +22,18 @@ subgroup) expand to generator sets and cannot appear inside products.
 
 Reports render as text or JSON carrying identical numeric content; the
 JSON form is versioned and round-trips through the standard parser.
+
+Importing this module imports only the Milnor layer (`errors`,
+`cyclotomic`, `polynomial`, `quasihom`, `jacobian`), all that `analyze`
+and `jacobian` run, and ends with `gc.freeze()`.  The group layer loads
+as soon as `parse_job` has read the command: `symmetries` loads
+`symmetry` and `_linalg`, and `diamond` also `orbits` and `statespace`.
+`run` loads the same, for a Job built without `parse_job`.  A load that
+imports anything before the first job has run ends with `gc.freeze()`
+too; a later load freezes nothing, so the rings and other objects of a
+caller that runs several jobs stay collectable.  A group-layer name read
+from this module before then (`cli.generate_group`) loads its module on
+that first access.
 """
 
 from __future__ import annotations
@@ -31,24 +43,65 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 from .errors import JobSyntaxError, LgError, PreconditionFailed
 from .jacobian import poincare_dimensions, quotient_ring
-from .polynomial import Polynomial, WeightSystem, parse_polynomial
+from .polynomial import Polynomial, WeightSystem, _ratio, parse_polynomial
 from .quasihom import analyze_weights, classify_invertible, require_variables
-from .statespace import StateSpace, assemble_diamond, verify_theorem
-from .symmetry import (
-    GroupElement,
-    _ratio,
-    diagonal_symmetries,
-    format_element,
-    generate_group,
-    make_jf,
-    sl_diagonal_symmetries,
-)
 
 COMMANDS = ("analyze", "symmetries", "jacobian", "diamond")
+
+# The group layer, which `analyze` and `jacobian` never run: the names this
+# module takes from each of its modules, and the modules each command runs.
+# `statespace` imports `symmetry`, `orbits` and `_linalg`; `symmetry`
+# imports `_linalg`.
+_GROUP_LAYER = {
+    "symmetry": (
+        "GroupElement",
+        "diagonal_symmetries",
+        "format_element",
+        "generate_group",
+        "make_jf",
+        "sl_diagonal_symmetries",
+    ),
+    "statespace": ("StateSpace", "assemble_diamond", "verify_theorem"),
+}
+_COMMAND_LAYER = {"symmetries": ("symmetry",), "diamond": ("symmetry", "statespace")}
+# set by the first `run`; from then on a load freezes nothing
+_ran = False
+
+
+def _load(modules) -> None:
+    """Import group-layer modules and bind the names this module takes.
+
+    Idempotent.  A name that is already bound, by an earlier load or by a
+    caller that replaced it (a tracer's wrapper), is kept.  What a load
+    imports lives as long as the process, so it is frozen as the import
+    of this module is, but only before the first job has run: after that
+    the heap holds the caller's work too, and a freeze would keep its
+    cycles from the collector for good.
+    """
+    scope = globals()
+    unbound = [
+        (m, name) for m in modules for name in _GROUP_LAYER[m] if name not in scope
+    ]
+    if not unbound:
+        return
+    for module, name in unbound:
+        scope[name] = getattr(import_module(f".{module}", __package__), name)
+    if not _ran:
+        gc.freeze()
+
+
+def __getattr__(name: str):
+    """A group-layer name resolves on first access, by loading its module."""
+    for module, names in _GROUP_LAYER.items():
+        if name in names:
+            _load((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # atoms: ("jf",) | ("diag", phases) | ("perm", cycle) | ("Gd",) | ("SLd",)
 GenAtom = tuple
@@ -291,6 +344,7 @@ def parse_job(text: str) -> Job:
                 clean, cmd_off, f"unknown command {command!r}; expected one of "
                 + "|".join(COMMANDS)
             )
+    _load(_COMMAND_LAYER.get(command, ()))
 
     return Job(f=f, names=tuple(names), generators=generators, command=command)
 
@@ -437,6 +491,9 @@ def _run_diamond(job: Job, w: WeightSystem) -> tuple[dict, bool]:
 
 def run(job: Job) -> Report:
     """Execute a parsed job and return its structured report."""
+    global _ran
+    _load(_COMMAND_LAYER.get(job.command, ()))
+    _ran = True
     f = job.f
     graph, _, w = analyze_weights(f)
     payload: dict = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CycNum, root_of_unity
 from .errors import MixedQuadraticError, PolySyntaxError
@@ -299,6 +299,12 @@ def hessian_determinant(f: Polynomial) -> Polynomial:
 
     det = minor((1 << nv) - 1)
     return Polynomial._make(nv, f.n, {slots.mono(k): c for k, c in det.items()})
+
+
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, through one gcd."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 @dataclass(frozen=True)

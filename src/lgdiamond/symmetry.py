@@ -30,7 +30,7 @@ from .errors import (
     NotASymmetry,
     NotInSL,
 )
-from .polynomial import Polynomial, WeightSystem
+from .polynomial import Polynomial, WeightSystem, _ratio
 
 _ZERO = Fraction(0)
 
@@ -211,12 +211,6 @@ class GroupElement:
 
     def __str__(self) -> str:
         return format_element(self)
-
-
-def _ratio(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, through one gcd."""
-    g = gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 @lru_cache(maxsize=1024)
