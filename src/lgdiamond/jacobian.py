@@ -369,7 +369,6 @@ class JacobianRing:
         return nf
 
 
-_RING_CACHE: dict[tuple, JacobianRing] = {}
 # largest Milnor number quotient_ring builds; memory grows with mu (223 MiB at 10^6)
 MAX_MILNOR = 10**7
 _zero = lru_cache(maxsize=None)(CycNum.zero)
@@ -382,12 +381,10 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
     in zero variables yields the one-dimensional algebra C.  Raises
     NotIsolated when the critical point of f is not isolated, and
     MilnorBoundExceeded, before any Groebner work, when the weights give
-    a Milnor number over MAX_MILNOR.
+    a Milnor number over MAX_MILNOR.  Every call builds a new ring and
+    keeps no reference to it; a caller that reads a ring twice holds it
+    (StateSpace.ring).
     """
-    key = (f.key(), w)
-    cached = _RING_CACHE.get(key)
-    if cached is not None:
-        return cached
     for mono in f.terms:
         deg = _integer_degree(mono, w)
         if deg != w.d0:
@@ -427,7 +424,6 @@ def quotient_ring(f: Polynomial, w: WeightSystem) -> JacobianRing:
         hess_coefficient=coeff,
         mu=sum(b for _, b in stairs),
     )
-    _RING_CACHE[key] = ring
     return ring
 
 

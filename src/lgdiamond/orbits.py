@@ -43,11 +43,11 @@ def _image(rows, t: int, mono: Monomial, two_n: int) -> tuple[Monomial, int]:
 def _characters(transport, monomials, two_n: int):
     """Phases mod 2n by which a transport scales each monomial, or None.
 
-    A transport (g', t, rows) whose rows keep every coordinate (j == c)
+    A transport (t, rows) whose rows keep every coordinate (j == c)
     sends a monomial to itself times e[chi/2n], chi = t + sum of e_c a_c:
     it acts by a character.  None when some row moves a coordinate.
     """
-    _, t, rows = transport
+    t, rows = transport
     if any(j != c for c, (j, _) in enumerate(rows)):
         return None
     coeffs = [a for _, a in rows]
@@ -55,7 +55,7 @@ def _characters(transport, monomials, two_n: int):
 
 
 def _generator_maps(transports, monomials, n: int):
-    """Split a block's generator transports (g', t, rows) into (live, maps, rest).
+    """Split a block's generator transports (t, rows) into (live, maps, rest).
 
     Each transport that acts by a character (_characters) scales every
     monomial, so an invariant vanishes wherever a character is nonzero:
@@ -79,7 +79,7 @@ def _generator_maps(transports, monomials, n: int):
         return live, maps, rest
     index_of = {m: k for k, m in enumerate(monomials)}
     for transport in moving:
-        _, t, rows = transport
+        t, rows = transport
         perm, phases = [0] * count, [0] * count
         for k, m in enumerate(monomials):
             if not live[k]:
@@ -171,15 +171,15 @@ def _class_bases(degrees, t_j, ring, n: int, generators):
 
 
 def _carry(vec, monomials, transport, ring, n: int) -> dict:
-    """A vector {k: coefficient of monomials[k]} carried by a transport (g', t, rows).
+    """A vector {k: coefficient of monomials[k]} carried by a transport (t, rows) of h.
 
     Returns {monomial: nonzero CycNum} over the standard monomials of
-    ring, the ring of sector g'.  A coefficient is kept at a phase of 0,
-    as under the identity; a unit coefficient times another phase is one
-    phase_unit of the summed phase; a target off the standard basis is
-    replaced by its normal form.
+    ring, the ring of the target sector hgh^{-1}.  A coefficient is kept
+    at a phase of 0, as under the identity; a unit coefficient times
+    another phase is one phase_unit of the summed phase; a target off the
+    standard basis is replaced by its normal form.
     """
-    _, t, rows = transport
+    t, rows = transport
     two_n = 2 * n
     units = unit_phases(n)
     out = {}

@@ -247,13 +247,10 @@ def classify_invertible(f: Polynomial, graph: SingularityGraph) -> Classificatio
     return Classification(tuple(atoms), None)
 
 
-def transpose_polynomial(e: ExponentMatrix, coeffs=None) -> TransposeResult:
+def transpose_polynomial(e: ExponentMatrix) -> TransposeResult:
     """Polynomial built from the columns of E, with its weight solution."""
     nv = len(e.rows)
-    terms = {}
-    for i in range(nv):
-        mono = tuple(e.rows[j][i] for j in range(nv))
-        terms[mono] = 1 if coeffs is None else coeffs[i]
+    terms = {tuple(e.rows[j][i] for j in range(nv)): 1 for i in range(nv)}
     ft = Polynomial(nv, 1, terms)
     d0, d = fraction_free_solve(list(zip(*e.rows)))
     if not d0:

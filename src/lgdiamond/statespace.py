@@ -9,11 +9,13 @@ invariants form the state space.  This module computes the invariants per
 conjugacy class and internal degree, assembles the charge table (the
 diamond), and mechanically verifies its structural properties.  Loci and
 rings (up to coordinates) and charge shifts are class functions, built on
-first read; blocks() reads only those of class representatives, and loci
-that restrict f alike share one ring.  When every generator is diagonal, a
-sector's ring, transports, invariant bases and symmetry checks depend only
-on its fixed coordinates, and are computed once per such set; only the
-charge shifts stay per class.  Every sector ring is graded over
+first read; blocks() reads only those of class representatives, and
+sectors that restrict f to equal polynomials over equal weights share one
+ring.  The state alone holds the rings and transports it builds, so they
+go when it goes.  When every generator is diagonal, a sector's ring,
+transports, invariant bases and symmetry checks depend only on its fixed
+coordinates, and are computed once per such set; only the charge shifts
+stay per class.  Every sector ring is graded over
 the job's d0 (restricted_weights), so degrees need no conversion, and
 charges are integers over the state's unit = lcm(d0, 2 * den), which
 every age, moved weight and internal degree divides into.
@@ -127,8 +129,8 @@ class StateSpace:
         self._diagonal = all(group.elements[s].is_diagonal for s in group.generators)
         self._loci: dict[int, FixedLocus] = {}
         self._rings: dict = {}  # keyed by _key(g), as the transports by (h, _key(g))
-        # restrict(f, locus) reads only locus.fixed, so loci equal there share a ring
-        self._restricted: dict[tuple, JacobianRing] = {}
+        # the rings by value: (restricted f).key() and the restricted weights
+        self._quotients: dict[tuple, JacobianRing] = {}
         self._transports: dict[tuple, tuple] = {}
         self._blocks: list[InvariantBlock] | None = None
 
@@ -148,17 +150,20 @@ class StateSpace:
         return self.locus(gi).i_fixed if self._diagonal else gi
 
     def ring(self, gi: int) -> JacobianRing:
-        """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate."""
+        """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate.
+
+        Sectors whose restrictions of f are equal (Polynomial.key) over
+        equal weights share one ring.
+        """
         key = self._key(gi)
         ring = self._rings.get(key)
         if ring is None:
             locus = self.locus(gi)
-            fixed = tuple(locus.fixed.items())
-            ring = self._restricted.get(fixed)
+            f, w = restrict(self.f, locus), restricted_weights(locus, self.weights)
+            value = (f.key(), w)
+            ring = self._quotients.get(value)
             if ring is None:
-                f = restrict(self.f, locus)
-                ring = quotient_ring(f, restricted_weights(locus, self.weights))
-                self._restricted[fixed] = ring
+                ring = self._quotients[value] = quotient_ring(f, w)
             self._rings[key] = ring
         return ring
 
@@ -187,42 +192,40 @@ class StateSpace:
             return list(range(group.order))
         return [h for h in range(group.order) if group.conjugate(h, gi) == gi]
 
-    def transport(self, hi: int, gi: int):
-        """Coordinate data of h mapping sector g into sector hgh^{-1}.
+    def transport(self, hi: int, gi: int) -> tuple[int, tuple]:
+        """Coordinate data of h mapping sector g into sector g' = hgh^{-1}.
 
-        Returns (g', t, rows): the target sector index, the phase of the
-        transition constant rho_{h,g} = e[t/2n], and per fixed cycle c of g
-        a pair (j, phase) meaning the c-th coordinate of Fix(g) pulls back
-        to e[phase/2n] * (j-th coordinate of Fix(g')) under h^{-1}.  h
-        carries the fixed cycles of g one-to-one onto those of g'.  Phases
-        are integers mod 2n.  In a diagonal group g' is g, and (t, rows) is
-        computed once per h and fixed set of g (_key).
+        Returns (t, rows): the phase of the transition constant rho_{h,g}
+        = e[t/2n], and per fixed cycle c of g a pair (j, phase) meaning the
+        c-th coordinate of Fix(g) pulls back to e[phase/2n] * (j-th
+        coordinate of Fix(g')) under h^{-1}.  h carries the fixed cycles of
+        g one-to-one onto those of g'.  Phases are integers mod 2n.
+        Computed once per h and _key(g): in a diagonal group g' is g, and
+        (t, rows) depends only on the fixed set of g.
         """
-        cached = self._transports.get((hi, self._key(gi)))
-        if self._diagonal:
-            return (gi, *(cached or self._transport(hi, gi, gi))[1:])
-        return cached or self._transport(hi, gi, self.group.conjugate(hi, gi))
-
-    def _transport(self, hi: int, gi: int, gpi: int):
-        """transport(hi, gi) computed for its known target gpi = hgh^{-1}, and cached."""
-        hinv = self.group.elements[self.group.inv[hi]]
-        half = _half_steps(hinv, self.n)
-        lg, lgp = self.locus(gi), self.locus(gpi)
-        two_n = 2 * self.n
-        rows = []
-        for i_c in lg.i_fixed:
-            j, a = lgp.fixed[hinv.sigma[i_c]]
-            rows.append((j, (half[i_c] + a) % two_n))
-        t = rho_constant(self.group.elements[hi], lg, lgp)
-        result = (gpi, t, tuple(rows))
-        self._transports[(hi, self._key(gi))] = result
-        return result
+        key = (hi, self._key(gi))
+        cached = self._transports.get(key)
+        if cached is None:
+            group = self.group
+            gpi = gi if self._diagonal else group.conjugate(hi, gi)
+            hinv = group.elements[group.inv[hi]]
+            half = _half_steps(hinv, self.n)
+            lg, lgp = self.locus(gi), self.locus(gpi)
+            two_n = 2 * self.n
+            rows = []
+            for i_c in lg.i_fixed:
+                j, a = lgp.fixed[hinv.sigma[i_c]]
+                rows.append((j, (half[i_c] + a) % two_n))
+            t = rho_constant(group.elements[hi], lg, lgp)
+            cached = self._transports[key] = (t, tuple(rows))
+        return cached
 
     def apply_to_monomial(
         self, hi: int, gi: int, mono: Monomial
     ) -> tuple[int, Polynomial]:
         """Image of the class of a sector monomial under h, in normal form."""
-        gpi, t, rows = self.transport(hi, gi)
+        gpi = self.group.conjugate(hi, gi)
+        t, rows = self.transport(hi, gi)
         target, phase = _image(rows, t, mono, 2 * self.n)
         ring = self.ring(gpi)
         poly = Polynomial(len(rows), self.n, {target: phase_unit(phase, self.n)})
@@ -251,7 +254,7 @@ class StateSpace:
                     degrees = ring.graded_basis.items()
                     # Schreier generators centralize rep, so each carries its sector to itself
                     bases = _class_bases(degrees, t_j, ring, self.n, lambda: [
-                        self._transport(hi, rep, rep) for hi in group.centralizers[ci]
+                        self.transport(hi, rep) for hi in group.centralizers[ci]
                     ])
                     shared[key] = [(e, monos, tuple(b)) for (e, monos), b in zip(degrees, bases)]
                 for e, monos, basis in shared[key]:

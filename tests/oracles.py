@@ -39,7 +39,7 @@ def trace_dimension(state, block) -> int:
     centralizer = state.centralizer(block.rep)
     total = zero
     for hi in centralizer:
-        _, _, rows = state.transport(hi, block.rep)
+        _, rows = state.transport(hi, block.rep)
         for mono in block.monomials:
             target = [0] * len(mono)
             for (j, _), e in zip(rows, mono):
@@ -108,7 +108,7 @@ def per_class_transport(state, hi: int, gi: int):
     for i_c in lg.i_fixed:
         j, a = lgp.fixed[hinv.sigma[i_c]]
         rows.append((j, (half[i_c] + a) % two_n))
-    return gpi, rho_constant(group.elements[hi], lg, lgp), tuple(rows)
+    return rho_constant(group.elements[hi], lg, lgp), tuple(rows)
 
 
 def per_class_blocks(state):

@@ -14,8 +14,9 @@ from lgdiamond.cyclotomic import (
     unit_phases,
 )
 from lgdiamond.errors import ConductorMismatch
-from lgdiamond.jacobian import quotient_ring
 from lgdiamond.polynomial import Polynomial, WeightSystem
+from lgdiamond.statespace import StateSpace
+from lgdiamond.symmetry import GroupElement, generate_group, restrict
 from oracles import (
     ref_cyc,
     ref_cyc_add,
@@ -197,14 +198,24 @@ def test_keys_are_canonical():
 
 
 def test_equal_polynomials_share_a_ring():
-    """Polynomial.key() reads coefficient keys, so equal values hit the ring cache."""
+    """Polynomial.key() reads coefficient keys, so sectors of a state that
+    restrict f to equal values share one ring."""
     w = root_of_unity(F(1, 3))
     first = Polynomial(2, 3, {(3, 0): CycNum(3, [F(2, 4), 0]), (0, 3): w})
     second = Polynomial(2, 3, {(0, 3): phase_unit(5, 3) * phase_unit(3, 3), (3, 0): F(1, 2)})
     assert list(first.terms) != list(second.terms)
     assert first.key() == second.key()
-    weights = WeightSystem(3, (1, 1))
-    assert quotient_ring(first, weights) is quotient_ring(second, weights)
+    # Fix(g3) is (x1, x2) and Fix(g2) is (x1, x3): f restricts to first on
+    # one and to second, terms in its order, on the other
+    f = Polynomial(3, 3, {(0, 0, 3): second.terms[(0, 3)], (3, 0, 0): F(1, 2), (0, 3, 0): w})
+    g3, g2 = (GroupElement((0, 1, 2), phases) for phases in ((0, 0, F(1, 3)), (0, F(1, 3), 0)))
+    group = generate_group([g3, g2], f)
+    state = StateSpace(f, WeightSystem(3, (1, 1, 1)), group)
+    a, b = group.index_of(g3), group.index_of(g2)
+    for gi, poly in ((a, first), (b, second)):
+        assert list(restrict(state.f, state.locus(gi)).terms) == list(poly.terms)
+    assert state._key(a) != state._key(b)
+    assert state.ring(a) is state.ring(b)
 
 
 def test_arithmetic_matches_fraction_reference():

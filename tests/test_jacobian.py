@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lgdiamond import jacobian, polynomial
+from lgdiamond import cli, jacobian, polynomial
 from lgdiamond._linalg import det
 from lgdiamond.cyclotomic import CycNum, root_of_unity
 from lgdiamond.errors import MilnorBoundExceeded, NonHomogeneous, NotIsolated
@@ -317,11 +317,9 @@ def test_groebner_leaves_out_pairs_past_the_slots(monkeypatch):
         "heappush",
         lambda h, x: (isinstance(x, tuple) and pairs.append(x[1:])) or real(h, x),
     )
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     wide = ring_of(text)
     assert pairs == [(0, 1), (1, 2)]
     pairs.clear()
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
     narrow = ring_of(text)
     slots = narrow.slots
@@ -338,7 +336,6 @@ def test_ring_normal_form_on_slots_sized_from_the_weights(monkeypatch):
     Milnor ring, and keeps them for a polynomial of higher degree: the terms
     of degree over c_hat lie in the ideal."""
     wide = ring_of(QUARTIC_DWORK)
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(polynomial, "_SLOT_BITS", 1)
     narrow = ring_of(QUARTIC_DWORK)
     assert narrow is not wide and narrow == wide
@@ -474,14 +471,11 @@ def test_graded_in_ascending_order():
         assert degrees == list(poincare_dimensions(ring.weights))
 
 
-def test_ring_cache():
-    assert ring_of(MAIN) is ring_of(MAIN)
-
-
 def test_jacobian_job_reads_mu_and_grading_from_the_stairs(monkeypatch):
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
+    build, built = cli.quotient_ring, []
+    monkeypatch.setattr(cli, "quotient_ring", lambda f, w: built.append(build(f, w)) or built[-1])
     report = run(parse_job(f"f = {ANCHOR}\ncommand = jacobian"))
-    (ring,) = jacobian._RING_CACHE.values()
+    (ring,) = built
     assert "graded_basis" not in ring.__dict__ and "standard" not in ring.__dict__
     # the forced listing gives the same mu and grading
     basis = ring_basis(ring)
@@ -493,7 +487,6 @@ def test_jacobian_job_reads_mu_and_grading_from_the_stairs(monkeypatch):
 
 @pytest.mark.parametrize("command", ["jacobian", "diamond"])
 def test_degenerate_hessian_class_is_not_isolated(monkeypatch, command):
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(
         jacobian, "hessian_determinant", lambda f: Polynomial.zero(f.nvars, f.n)
     )
@@ -626,10 +619,8 @@ def test_milnor_bound(monkeypatch):
     # the cubes (mu 8) sit on a bound of 8 and over a bound of 7; weights
     # whose mu is not an integer stay NotIsolated over the bound
     cubes = "x1^3 + x2^3 + x3^3"
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(jacobian, "MAX_MILNOR", 8)
     assert ring_of(cubes).mu == 8
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     monkeypatch.setattr(jacobian, "MAX_MILNOR", 7)
     with pytest.raises(MilnorBoundExceeded, match="Milnor number 8, over the bound 7"):
         ring_of(cubes)

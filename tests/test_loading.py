@@ -74,19 +74,20 @@ def test_group_commands_load_their_layer_at_parse_time():
 def test_a_load_after_a_job_has_run_freezes_nothing():
     out = fresh("""
     import weakref
-    from lgdiamond import jacobian
+    build, built = cli.quotient_ring, []
+    cli.quotient_ring = lambda f, w: built.append(build(f, w)) or built[-1]
     assert cli.run(cli.parse_job(job("jacobian"))).ok
-    (key, ring), = jacobian._RING_CACHE.items()
+    ring, = built
     alive = weakref.ref(ring)
     # a cycle, which reference counts alone never free
     cycle = [ring]
     cycle.append(cycle)
-    del ring
+    del ring, built[:]
     frozen = gc.get_freeze_count()
     cli.parse_job(job("diamond"))
     assert group_loaded() == sorted(GROUP), group_loaded()
     assert gc.get_freeze_count() == frozen
-    del jacobian._RING_CACHE[key], cycle
+    del cycle
     gc.collect()
     print(alive())
     """)
@@ -161,3 +162,15 @@ def test_package_names_resolve_lazily_to_their_definitions():
     assert set(lgdiamond.__all__) <= set(dir(lgdiamond))
     with pytest.raises(AttributeError, match="no_such_name"):
         lgdiamond.no_such_name
+
+
+def test_dropped_reports_leave_no_ring_alive():
+    out = fresh("""
+    from lgdiamond.jacobian import JacobianRing
+    reports = [cli.run(cli.parse_job(job(command))) for command in ("jacobian", "diamond")]
+    assert all(report.ok for report in reports)
+    del reports
+    gc.collect()
+    print(sum(isinstance(o, JacobianRing) for o in gc.get_objects()))
+    """)
+    assert out == "0\n"

@@ -546,8 +546,8 @@ X, Y, U, V = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def fixed_space(n, space, rows, forms, standard=(X, Y)):
-    """_fixed_space from space on the block x, y under one transport (0, 0, rows)."""
-    return _fixed_space(space, [(0, 0, rows)], (X, Y), FormRing(n, standard, forms), n)
+    """_fixed_space from space on the block x, y under one transport (0, rows)."""
+    return _fixed_space(space, [(0, rows)], (X, Y), FormRing(n, standard, forms), n)
 
 
 def units(n):
@@ -728,23 +728,24 @@ def test_group_lookups_match_fraction_references(name):
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
-def test_listing_weights_and_shared_rings_match_references(name, monkeypatch):
+def test_listing_weights_and_shared_rings_match_references(name):
     """Element text, restricted weights and each representative's shared ring.
 
-    The ring is rebuilt from its own locus with the ring cache emptied,
-    so sharing across loci that restrict f alike returns the same ring.
+    quotient_ring keeps nothing, so the ring rebuilt from a
+    representative's own locus is a new one: sharing a ring across
+    sectors that restrict f to equal polynomials gives each the same ring.
     """
     state = per_class_state(name)
     for g in state.group.elements:
         assert format_element(g) == ref_format(g)
     reps = [cls[0] for cls in state.group.classes]
     shared = {r: state.ring(r) for r in reps}
-    monkeypatch.setattr(jacobian, "_RING_CACHE", {})
     for r in reps:
         locus = state.locus(r)
         w = restricted_weights(locus, state.weights)
         assert w == ref_restricted_weights(locus, state.weights)
-        assert shared[r] == jacobian.quotient_ring(restrict(state.f, locus), w)
+        rebuilt = jacobian.quotient_ring(restrict(state.f, locus), w)
+        assert rebuilt == shared[r] and rebuilt is not shared[r]
 
 
 @pytest.mark.parametrize("name", list(PER_CLASS_STATES))
@@ -802,6 +803,23 @@ def test_rings_are_built_at_class_representatives(name):
     else:
         assert reps <= set(state._rings) <= reps | inverses
     assert reps <= set(state._loci) <= reps | inverses
+
+
+@pytest.mark.parametrize("name, keys, rings", [("k3-sld", 12, 4), ("quintic-a3", 15, 3)])
+def test_sectors_that_restrict_f_alike_share_one_ring(name, keys, rings, monkeypatch):
+    """blocks() reads a ring per fixed set of k3-sld and per class of
+    quintic-a3, and builds one per distinct restriction of f."""
+    build, built = statespace.quotient_ring, []
+    monkeypatch.setattr(
+        statespace, "quotient_ring", lambda f, w: built.append(build(f, w)) or built[-1]
+    )
+    state = {
+        "k3-sld": ORBIT_STATES["k3-sld"],
+        "quintic-a3": lambda: build_state(QUINTIC, [QUINTIC_C123]),
+    }[name]()
+    state.blocks()
+    assert len(state._rings) == keys
+    assert len({id(ring) for ring in state._rings.values()}) == len(built) == rings
 
 
 @pytest.mark.parametrize("name", list(ORBIT_STATES))
@@ -993,9 +1011,8 @@ def test_inverse_images_land_in_inverse_sector(name, monkeypatch):
     calls = []
 
     def spy(self, hi, gi):
-        result = transport(self, hi, gi)
-        calls.append((gi, result[0]))
-        return result
+        calls.append((gi, group.conjugate(hi, gi)))
+        return transport(self, hi, gi)
 
     monkeypatch.setattr(StateSpace, "transport", spy)
     seen = 0
@@ -1227,8 +1244,8 @@ def assert_blocks_match_oracles(state):
     assert jf is not None
     settled = 0
     for cls in group.classes:
-        gpi, t, rows = state.transport(jf, cls[0])
-        assert gpi == cls[0]
+        t, rows = state.transport(jf, cls[0])
+        assert group.conjugate(jf, cls[0]) == cls[0]
         d0 = state.ring(cls[0]).weights.d0
         for e, monos in state.ring(cls[0]).graded_basis.items():
             phase = _jf_phase(t, e, d0, state.n)
@@ -1273,7 +1290,8 @@ def test_carry_scales_non_unit_coefficients_at_nonzero_phases():
             scaled = {k: c * x for k, x in vec.items()}
             for hi in range(state.group.order):
                 transport = state.transport(hi, block.rep)
-                gpi, t, rows = transport
+                t, rows = transport
+                gpi = state.group.conjugate(hi, block.rep)
                 expected = {}
                 for k, x in scaled.items():
                     phased += _image(rows, t, block.monomials[k], two_n)[1] != 0
