@@ -105,7 +105,9 @@ def _new(n: int, num: tuple[int, ...], den: int) -> "CycNum":
 
 
 def _scale(x: "CycNum", p: int, q: int) -> "CycNum":
-    """x * p/q for q > 0."""
+    """x * p/q for q > 0; x itself when p/q is 1."""
+    if p == q:
+        return x
     return _new(x.n, tuple(a * p for a in x.num), x.den * q)
 
 
@@ -201,10 +203,11 @@ class CycNum:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, add)
+        if other.__class__ is not CycNum or other.n != self.n:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
@@ -212,10 +215,11 @@ class CycNum:
         return _new(self.n, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, sub)
+        if other.__class__ is not CycNum or other.n != self.n:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -224,22 +228,23 @@ class CycNum:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _scale(self, other.numerator, other.denominator)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_rational():
-            return _scale(self, o.num[0], o.den)
-        if self.is_rational():
-            return _scale(o, self.num[0], self.den)
-        b = o.num
+        if other.__class__ is not CycNum or other.n != self.n:
+            if isinstance(other, (int, Fraction)):
+                return _scale(self, other.numerator, other.denominator)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            return _scale(self, b[0], other.den)
+        if not any(a[1:]):
+            return _scale(other, a[0], self.den)
         acc = [0] * (2 * len(b) - 1)
-        for i, a in enumerate(self.num):
-            if a:
+        for i, x in enumerate(a):
+            if x:
                 for k, y in enumerate(b, i):
-                    acc[k] += a * y
-        return _new(self.n, _reduce(acc, self.n), self.den * o.den)
+                    acc[k] += x * y
+        return _new(self.n, _reduce(acc, self.n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -247,7 +252,10 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
-            return CycNum.rational(Fraction(self.den, self.num[0]), self.n)
+            p, zeros = self.num[0], self.num[1:]
+            if p < 0:
+                return _new(self.n, (-self.den,) + zeros, -p)
+            return _new(self.n, (self.den,) + zeros, p)
         # extended Euclid in Q[x] on the numerators:
         # u*num + v*Phi_n = gcd (a nonzero constant)
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
@@ -283,21 +291,24 @@ class CycNum:
             u0, u1 = u1, u2
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is CycNum and other.n == self.n:
+            if any(other.num[1:]):
+                return self * other.inverse()
+            p, q = other.num[0], other.den
+        elif isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
-            if not p:
-                raise ZeroDivisionError("division by zero")
-            return _scale(self, q, p) if p > 0 else _scale(self, -q, -p)
-        o = self._coerce(other)
-        if o is None:
+        else:
+            self._coerce(other)  # raises ConductorMismatch for another conductor
             return NotImplemented
-        return self * o.inverse()
+        if not p:
+            raise ZeroDivisionError("division by zero")
+        return _scale(self, q, p) if p > 0 else _scale(self, -q, -p)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        # the left operand is never a CycNum: its __truediv__ answers first
+        if isinstance(other, (int, Fraction)):
+            return _scale(self.inverse(), other.numerator, other.denominator)
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

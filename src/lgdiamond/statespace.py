@@ -35,7 +35,10 @@ rest cut that basis (orbits.py).  A basis vector is held as its support, and
 the symmetry checks walk supports only: partner bases are carried by one
 transport per block.  Both checks reduce with the sparse elimination of
 orbits.py; duality certifies a full-rank Gram matrix by eliminating its
-dict rows, not by a determinant.
+dict rows, not by a determinant.  A self-inverse class representative is
+its own transpose partner, carried by the identity: when its basis is
+reduced at distinct leads the images reduce to 0, so transpose carries
+nothing for it; any other basis is carried and reduced.
 """
 
 from __future__ import annotations
@@ -479,6 +482,18 @@ def _fixed_by_generators(state: StateSpace, block: InvariantBlock) -> bool:
     )
 
 
+def _reduced_at_distinct_leads(basis) -> bool:
+    """Whether each vector is nonzero at its lead min(vec), no two leads are
+    equal, and no vector holds another vector's lead.
+
+    Such a basis reduces each of its own vectors to 0 (orbits._reduce).
+    """
+    leads = {min(vec) for vec in basis}
+    return len(leads) == len(basis) and all(
+        vec[min(vec)] and len(leads.intersection(vec)) == 1 for vec in basis
+    )
+
+
 def transpose_check(state: StateSpace) -> tuple[bool, str]:
     """Does inverting group elements carry invariants onto invariants?
 
@@ -488,6 +503,11 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
     partner basis into the sector of the inverse element and reduces it
     against the block's own basis (orbits._reduce); with equal dimensions
     that is the same statement as carrying the block onto the partner.
+    A self-inverse representative is its own partner and its conjugator
+    the identity, so the images are its own basis vectors; when that basis
+    is reduced at distinct leads (_reduced_at_distinct_leads) each image
+    reduces to 0, and the carry and the reduction are skipped.  Any other
+    basis, such as one with a repeated vector, is carried and reduced.
     Returns (passed, witness); independent of any hypothesis on the group.
     """
     group = state.group
@@ -498,14 +518,18 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
         if not b.dimension or key in done:
             continue
         done.add(key)
-        name = format_element(group.elements[b.rep])
         if not _fixed_by_generators(state, b):
+            name = format_element(group.elements[b.rep])
             return False, (
                 f"an invariant of the class of {name} at internal degree "
                 f"{b.degree} is not fixed by the centralizer of {name}"
             )
+        # a self-inverse representative is its own partner, carried by the identity
+        if group.inv[b.rep] == b.rep and _reduced_at_distinct_leads(b.basis):
+            continue
         images = _inverse_images(state, block_at, b.rep, b.e)
         if len(images) != b.dimension:
+            name = format_element(group.elements[b.rep])
             return False, (
                 f"class of {name} has dimension {b.dimension} at internal degree "
                 f"{b.degree} but the inverse class has {len(images)}"
@@ -514,6 +538,7 @@ def transpose_check(state: StateSpace) -> tuple[bool, str]:
         by_lead = {min(vec): vec for vec in b.basis}
         for image in images:
             if _reduce({index[m]: c for m, c in image.items()}, by_lead):
+                name = format_element(group.elements[b.rep])
                 return False, (
                     "sector-inversion image of an invariant of the class of "
                     f"{name} at internal degree {b.degree} is not invariant"
@@ -551,8 +576,8 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
             continue
         done_pairs.add(key)
         images = _inverse_images(state, block_at, b.rep, dual_e)
-        name = format_element(group.elements[b.rep])
         if len(images) != b.dimension:
+            name = format_element(group.elements[b.rep])
             return False, (
                 f"dual block of {name} at internal degree {Fraction(dual_e, d0)} has "
                 f"dimension {len(images)}, expected {b.dimension}"
@@ -569,6 +594,7 @@ def duality_check(state: StateSpace) -> tuple[bool, str]:
                     _add(row, j, a * c)
             gram.append(row)
         if len(_echelon(gram)) != len(images):
+            name = format_element(group.elements[b.rep])
             return False, (
                 f"residue pairing between the class of {name} at internal degree "
                 f"{b.degree} and its dual block is degenerate"

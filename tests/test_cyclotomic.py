@@ -116,6 +116,14 @@ def test_rational_detection_and_extraction():
         w.as_fraction()
 
 
+OPERATORS = (
+    lambda x, y: x + y,
+    lambda x, y: x - y,
+    lambda x, y: x * y,
+    lambda x, y: x / y,
+)
+
+
 def test_conductor_mismatch_is_rejected():
     a = root_of_unity(Fraction(1, 3))
     b = root_of_unity(Fraction(1, 4))
@@ -131,6 +139,43 @@ def test_conductor_mismatch_is_rejected():
         a.lift(4)
     with pytest.raises(ConductorMismatch):
         root_of_unity(Fraction(1, 3), 4)
+    # rational and unit operands of another conductor are refused alike, either side
+    for x, y in [(a, CycNum.rational(F(2, 7), 4)), (CycNum.rational(F(-3, 5), 3), b)]:
+        for left in (x, CycNum.one(3), -CycNum.one(3)):
+            for right in (y, CycNum.one(4), -CycNum.one(4)):
+                for op in OPERATORS:
+                    with pytest.raises(ConductorMismatch):
+                        op(left, right)
+                    with pytest.raises(ConductorMismatch):
+                        op(right, left)
+
+
+def test_units_and_rationals_scale_in_one_step():
+    for n in CONDUCTORS:
+        x = root_of_unity(F(1, n), n) * F(3, 4) - 2
+        one = CycNum.one(n)
+        for unit in (1, F(1), one):
+            assert x * unit == x and unit * x == x and x / unit == x
+            assert (x * unit).key() == (unit * x).key() == (x / unit).key() == x.key()
+        for unit in (-1, F(-1), -one):
+            assert (x / unit).key() == (-x).key() == (x * unit).key() == (unit * x).key()
+        assert (one * one).key() == one.key() and ((-one) * (-one)).key() == one.key()
+        assert (one / -one).key() == (-one).key()
+        assert (one + one).key() == CycNum.rational(2, n).key()
+        assert (one - one).key() == CycNum.zero(n).key()
+
+
+def test_other_operand_types_are_refused():
+    """No float or str enters the field: each raises TypeError, either side."""
+    x = root_of_unity(F(1, 5)) + F(1, 2)
+    for other in (0.5, 1.0, "1"):
+        for op in OPERATORS:
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert CycNum.__mul__(x, other) is NotImplemented
+        assert CycNum.__truediv__(x, other) is NotImplemented
 
 
 def test_division_by_zero_raises():
@@ -139,9 +184,11 @@ def test_division_by_zero_raises():
         CycNum.zero(4).inverse()
     with pytest.raises(ZeroDivisionError):
         CycNum.one(4) / 0
-    for zero in (0, F(0), CycNum.zero(5)):
+    for zero in (0, F(0), CycNum.zero(5), -CycNum.zero(5), CycNum.rational(0, 5)):
         with pytest.raises(ZeroDivisionError):
             _ = x / zero
+        with pytest.raises(ZeroDivisionError):
+            _ = CycNum.one(5) / zero
     with pytest.raises(ZeroDivisionError):
         CycNum.zero(5) ** -1
 
@@ -164,6 +211,16 @@ def test_negative_rationals_keep_a_positive_denominator():
         assert y.den > 0
         assert y.key() == (z * (1 / F(q))).key()
         assert y * q == z
+    for n in (1, 5, 12):
+        deg = len(cyclotomic_polynomial(n)) - 1
+        z = root_of_unity(F(1, n), n) - F(1, 4)
+        for q in (F(-2, 3), F(-5), F(-1), F(7, -4)):
+            divisor = CycNum.rational(q, n)
+            inv = divisor.inverse()
+            assert _canonical(inv) and inv.key() == CycNum.rational(1 / q, n).key()
+            assert inv.key() == (n, (-q.denominator,) + (0,) * (deg - 1), -q.numerator)
+            y = z / divisor
+            assert _canonical(y) and y.key() == (z * (1 / q)).key() == (z / q).key()
 
 
 def _canonical(x) -> bool:

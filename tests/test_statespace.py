@@ -1165,6 +1165,73 @@ def test_checks_match_dense_oracle(name, monkeypatch):
     assert not any(t and d for m, t, d in verdicts if m == "repeated")
 
 
+def transpose_reads(state, monkeypatch, skip=True):
+    """Run transpose_check with spies on its carried path.
+
+    Returns (verdict, reads), reads {(rep, e): [images, _reduce calls]}
+    per _inverse_images call.  With skip False no basis counts as reduced
+    at distinct leads, so every block is carried.
+    """
+    images, reduce = statespace._inverse_images, statespace._reduce
+    reads, last = {}, []
+
+    def images_spy(state, block_at, g, e):
+        out = images(state, block_at, g, e)
+        last[:] = [(g, e)]
+        reads[g, e] = [out, 0]
+        return out
+
+    def reduce_spy(row, pivots):
+        reads[last[0]][1] += 1
+        return reduce(row, pivots)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(statespace, "_inverse_images", images_spy)
+        patch.setattr(statespace, "_reduce", reduce_spy)
+        if not skip:
+            patch.setattr(statespace, "_reduced_at_distinct_leads", lambda basis: False)
+        verdict = transpose_check(state)
+    return verdict, reads
+
+
+@pytest.mark.parametrize("name", ["quintic-a3", "k3-sld"])
+def test_transpose_carries_no_self_inverse_block(name, monkeypatch):
+    """A self-inverse representative is its own partner, carried by the identity.
+
+    Its images are its own basis vectors, so transpose reads neither
+    _inverse_images nor _reduce for it; every other block is still carried.
+    """
+    state = named_state(name)
+    group = state.group
+    identity = group.class_of[group.identity_index]
+    carried_verdict, carried = transpose_reads(state, monkeypatch, skip=False)
+    verdict, reads = transpose_reads(state, monkeypatch)
+    assert verdict == carried_verdict == dense_transpose_check(state)
+    assert verdict[0]
+    blocks = {(b.rep, b.e): b for b in state.blocks()}
+    own = {k for k in carried if group.inv[k[0]] == k[0]}
+    assert {k for k in own if blocks[k].class_index == identity}
+    for k in own:
+        block = blocks[k]
+        assert carried[k][0] == [block.terms(vec) for vec in block.basis]
+        assert carried[k][1] == block.dimension
+    assert set(reads) == set(carried) - own and reads
+    for k, (images, reduced) in reads.items():
+        assert images and reduced == len(images) == blocks[k].dimension
+
+
+def test_transpose_carries_a_repeated_identity_vector(monkeypatch):
+    """Duplicate leads are not reduced at distinct leads: the block is carried."""
+    state = named_state("quintic-a3")
+    identity = state.group.class_of[state.group.identity_index]
+    block = mutation_targets(state)[0]
+    assert block.class_index == identity and block.dimension > 1
+    monkeypatch.setattr(block, "basis", repeat_vector(block.basis))
+    verdict, reads = transpose_reads(state, monkeypatch)
+    assert (block.rep, block.e) in reads
+    assert verdict == dense_transpose_check(state)
+
+
 @pytest.mark.parametrize(
     "q_left, check, error",
     [(F(1, 2), "integer-charges", NonIntegerCharge), (F(5), "charge-support", LgError)],
