@@ -12,11 +12,12 @@ rings (up to coordinates) and charge shifts are class functions, built on
 first read; blocks() reads only those of class representatives, and
 sectors that restrict f to equal polynomials over equal weights share one
 ring.  The state alone holds the rings and transports it builds, so they
-go when it goes.  When every generator is diagonal, a sector's ring,
-transports, invariant bases and symmetry checks depend only on its fixed
-coordinates, and are computed once per such set; only the charge shifts
-stay per class.  Every sector ring is graded over
-the job's d0 (restricted_weights), so degrees need no conversion, and
+go when it goes.  When every generator is diagonal, a sector's locus,
+ring, transports, invariant bases, symmetry checks and moved weight
+depend only on its fixed coordinates, read off its numerators, and are
+computed once per such set; only the age stays per element.  Every
+sector ring is graded over the job's d0 (restricted_weights), so
+degrees need no conversion, and
 charges are integers over the state's unit = lcm(d0, 2 * den), which
 every age, moved weight and internal degree divides into.
 
@@ -25,7 +26,8 @@ Phases are integers mod 2n, where n is the state's conductor: steps of
 stays exact at odd n.  Transports, transition constants and orbit values
 are such integers, and a CycNum is built (by phase_unit) only for a
 basis vector or a normal-form input.  Centralizer generators come from
-the class walk by Schreier's lemma, not a scan of the group.  When j_f
+the class walk by Schreier's lemma, or are the generators of an abelian
+group, never from a scan of the group.  When j_f
 is in the group, its phase on a degree block (t_J - 2n e/d0, t_J that of
 rho_{J,g}) settles the block at once: nonzero means no invariants.  In
 the other blocks the generators whose rows keep every coordinate act by
@@ -128,10 +130,11 @@ class StateSpace:
         self.names = tuple(names) if names else tuple(
             f"x{i + 1}" for i in range(f.nvars)
         )
-        # diagonal generators: G is abelian, with its generators centralizing every class
-        self._diagonal = all(group.elements[s].is_diagonal for s in group.generators)
-        self._loci: dict[int, FixedLocus] = {}
-        self._rings: dict = {}  # keyed by _key(g), as the transports by (h, _key(g))
+        self._keys: dict[int, tuple[int, ...]] = {}  # _key(g) of a diagonal group, by g
+        # keyed by _key(g), as the transports by (h, _key(g))
+        self._loci: dict = {}
+        self._moved: dict = {}  # (count, weight times unit) of the moved coordinates
+        self._rings: dict = {}
         # the rings by value: (restricted f).key() and the restricted weights
         self._quotients: dict[tuple, JacobianRing] = {}
         self._transports: dict[tuple, tuple] = {}
@@ -140,17 +143,34 @@ class StateSpace:
     # -- sectors ------------------------------------------------------------
 
     def locus(self, gi: int) -> FixedLocus:
-        """Fixed locus of g at the state's conductor, built on first read."""
-        if gi not in self._loci:
-            self._loci[gi] = fixed_locus(self.group.elements[gi], self.n)
-        return self._loci[gi]
+        """Fixed locus of g at the state's conductor, built on first read of _key(g).
+
+        In a diagonal group it is the locus of the first element read with
+        g's fixed set: i_fixed and fixed are g's own, and so are the moved
+        coordinates, but their thetas may be another element's.
+        """
+        key = self._key(gi)
+        locus = self._loci.get(key)
+        if locus is None:
+            locus = self._loci[key] = fixed_locus(self.group.elements[gi], self.n)
+        return locus
 
     def _key(self, gi: int):
         """Sector g's sharing key: its fixed coordinates in a diagonal group, else g.
 
-        h acts on a diagonal sector by its phases on Fix(g) and their sum off it.
+        The fixed coordinates are those where g's numerator is 0, read once
+        per element.  h acts on a diagonal sector by its phases on Fix(g)
+        and their sum off it: every reader passes the one shared locus as
+        both source and target of rho, which is then that sum whatever
+        the thetas.
         """
-        return self.locus(gi).i_fixed if self._diagonal else gi
+        if not self.group.diagonal:
+            return gi
+        key = self._keys.get(gi)
+        if key is None:
+            num = self.group.elements[gi].num
+            key = self._keys[gi] = tuple(i for i, a in enumerate(num) if not a)
+        return key
 
     def ring(self, gi: int) -> JacobianRing:
         """Milnor ring of f on Fix(g), built on first read; NotIsolated if degenerate.
@@ -174,13 +194,16 @@ class StateSpace:
         """Charges of sector g less internal degree, times unit.
 
         They are the ages of g and g^-1 less the moved weights; the two
-        ages sum to the number of moved coordinates.
+        ages sum to the number of moved coordinates.  The count and weight
+        of those are read once per _key(g), the age per element.
         """
-        w, unit, locus = self.weights, self.unit, self.locus(gi)
-        moved = locus.complement_indices()
-        weight = sum(w.d[k] for k in moved) * (unit // w.d0)
+        unit, key = self.unit, self._key(gi)
+        if key not in self._moved:
+            w, moved = self.weights, self.locus(gi).complement_indices()
+            self._moved[key] = len(moved), sum(w.d[k] for k in moved) * (unit // w.d0)
+        count, weight = self._moved[key]
         age = self.group.elements[gi].age_num() * (unit // (2 * self.group.den))
-        return age - weight, len(moved) * unit - age - weight
+        return age - weight, count * unit - age - weight
 
     # -- group action on sectors ------------------------------------------
 
@@ -210,7 +233,7 @@ class StateSpace:
         cached = self._transports.get(key)
         if cached is None:
             group = self.group
-            gpi = gi if self._diagonal else group.conjugate(hi, gi)
+            gpi = gi if group.diagonal else group.conjugate(hi, gi)
             hinv = group.elements[group.inv[hi]]
             half = _half_steps(hinv, self.n)
             lg, lgp = self.locus(gi), self.locus(gpi)

@@ -341,7 +341,11 @@ class FiniteGroup:
     class c's rep: over members x and generators s, with y = s x s^-1,
     the distinct non-identity conjugator[y]^-1 s conjugator[x] (Schreier's
     lemma; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005).
+    Theory, 2005).  When the generators commute pairwise, one product
+    comparison per pair, the group is abelian and the walk is skipped:
+    each element is its own class, its conjugator the identity and its
+    centralizer generators the generators, exactly what the walk yields.
+    diagonal says that every generator, so every element, is diagonal.
     """
 
     def __init__(self, elements: list[GroupElement], generators) -> None:
@@ -359,6 +363,13 @@ class FiniteGroup:
         conjugator = [self.identity_index] * self.order
         classes: list[tuple[int, ...]] = []
         centralizers: list[tuple[int, ...]] = []
+        gens = [self.elements[s] for s in self.generators]
+        pairs = ((a, b) for k, a in enumerate(gens) for b in gens[:k])
+        if all(_product_key(a, b) == _product_key(b, a) for a, b in pairs):
+            # abelian: prefill what the walk yields, so that it skips every element
+            class_of = list(range(self.order))
+            classes = [(g,) for g in range(self.order)]
+            centralizers = [self.generators] * self.order
         for g in range(self.order):
             if class_of[g] >= 0:
                 continue
@@ -385,7 +396,9 @@ class FiniteGroup:
         self.class_of = tuple(class_of)
         self.conjugator = tuple(conjugator)
         # the determinant is a character, so the generators decide it
-        self.all_sl = all(self.elements[s].is_sl() for s in self.generators)
+        self.all_sl = all(g.is_sl() for g in gens)
+        # diagonal generators: every element is diagonal and G is abelian
+        self.diagonal = all(g.is_diagonal for g in gens)
 
     def index_of(self, g: GroupElement) -> int | None:
         """Position of g, given over any denominator; None when g is not in the group."""
@@ -491,9 +504,12 @@ def group_conductor(group: FiniteGroup, extra: int = 1) -> int:
 
     Generators' phases span all phases and conjugates share eigenvalues, so
     generators and class representatives suffice; orders divide conductors.
+    In a diagonal group the eigenvalue phases are the phases, integer
+    combinations of the generators', so the generators alone suffice.
     """
     n = extra
-    for gi in (*group.generators, *(cls[0] for cls in group.classes)):
+    reps = () if group.diagonal else (cls[0] for cls in group.classes)
+    for gi in (*group.generators, *reps):
         n = lcm(n, group.elements[gi].conductor())
     return n
 

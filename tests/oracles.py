@@ -23,7 +23,13 @@ from lgdiamond.errors import NotIsolated
 from lgdiamond.orbits import _class_bases
 from lgdiamond.polynomial import Polynomial, WeightSystem
 from lgdiamond.statespace import InvariantBlock
-from lgdiamond.symmetry import _half_steps, format_element, make_jf, rho_constant
+from lgdiamond.symmetry import (
+    _half_steps,
+    fixed_locus,
+    format_element,
+    make_jf,
+    rho_constant,
+)
 
 
 def trace_dimension(state, block) -> int:
@@ -97,13 +103,27 @@ def orbit_basis(state, block):
     return basis
 
 
+def own_locus(state, gi: int):
+    """The fixed locus of g itself at the state's conductor, never shared."""
+    return fixed_locus(state.group.elements[gi], state.n)
+
+
+def own_shifts(state, gi: int) -> tuple[int, int]:
+    """StateSpace.shifts(gi) from g's own locus and age, uncached."""
+    w, unit = state.weights, state.unit
+    moved = own_locus(state, gi).complement_indices()
+    weight = sum(w.d[k] for k in moved) * (unit // w.d0)
+    age = state.group.elements[gi].age_num() * (unit // (2 * state.group.den))
+    return age - weight, len(moved) * unit - age - weight
+
+
 def per_class_transport(state, hi: int, gi: int):
-    """StateSpace.transport(hi, gi) from the loci of g and hgh^{-1}, uncached."""
+    """StateSpace.transport(hi, gi) from the own loci of g and hgh^{-1}, uncached."""
     group, two_n = state.group, 2 * state.n
     gpi = group.conjugate(hi, gi)
     hinv = group.elements[group.inv[hi]]
     half = _half_steps(hinv, state.n)
-    lg, lgp = state.locus(gi), state.locus(gpi)
+    lg, lgp = own_locus(state, gi), own_locus(state, gpi)
     rows = []
     for i_c in lg.i_fixed:
         j, a = lgp.fixed[hinv.sigma[i_c]]
@@ -112,15 +132,16 @@ def per_class_transport(state, hi: int, gi: int):
 
 
 def per_class_blocks(state):
-    """StateSpace.blocks() class by class: every class reads its own t_J and transports."""
+    """StateSpace.blocks() class by class: every class reads its own locus,
+    shifts, t_J and transports."""
     group = state.group
     d0, unit = state.weights.d0, state.unit
     jf = group.index_of(make_jf(state.weights))
     out = []
     for ci, cls in enumerate(group.classes):
         rep = cls[0]
-        ring, locus = state.ring(rep), state.locus(rep)
-        left, right = state.shifts(rep)
+        ring, locus = state.ring(rep), own_locus(state, rep)
+        left, right = own_shifts(state, rep)
         t_j = None if jf is None else rho_constant(group.elements[jf], locus, locus)
         degrees = ring.graded_basis.items()
         bases = _class_bases(degrees, t_j, ring, state.n, lambda: [

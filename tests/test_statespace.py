@@ -36,8 +36,10 @@ from lgdiamond.statespace import (
     verify_theorem,
 )
 from lgdiamond.symmetry import (
+    FiniteGroup,
     GroupElement,
     diagonal_symmetries,
+    fixed_locus,
     format_element,
     generate_group,
     group_conductor,
@@ -57,6 +59,7 @@ from oracles import (
     fraction_charges,
     group_tables,
     orbit_basis,
+    own_shifts,
     per_class_blocks,
     per_class_transport,
     ref_closure,
@@ -75,6 +78,7 @@ QUINTIC = "x1^5 + x2^5 + x3^5 + x4^5 + x5^5"
 QUARTIC = "x1^4 + x2^4 + x3^4 + x4^4"
 CUBIC = "x1^3 + x2^3 + x3^3"
 SEXTIC = "x1^6 + x2^6 + x3^6 + x4^6 + x5^6 + x6^6"
+QUADRIC_SEXTICS = "x1^2 + x2^6 + x3^6 + x4^6"
 
 
 def build_state(text, extra_generators=()):
@@ -129,6 +133,12 @@ STRUCTURE_STATES = {
             cycle(4, 2, 3),
         ],
     ),
+    # abelian, with generators that permute coordinates: <J> x V4 and <J, (2 3 4)>
+    "quartic-v4": lambda: build_state(
+        QUARTIC,
+        [cycle(4, 0, 1).compose(cycle(4, 2, 3)), cycle(4, 0, 2).compose(cycle(4, 1, 3))],
+    ),
+    "quadric-sextics-c3": lambda: build_state(QUADRIC_SEXTICS, [cycle(4, 1, 2, 3)]),
 }
 
 
@@ -781,8 +791,8 @@ def test_sector_data_are_class_functions(name):
 def test_rings_are_built_at_class_representatives(name):
     """Blocks and every check build loci and rings only at representatives and their inverses.
 
-    A diagonal group keys its rings by fixed set: one ring per fixed set
-    of a representative.
+    A diagonal group keys its loci and rings by fixed set: one of each
+    per fixed set of a representative.
     """
     # a fresh state, so that no other test has read its rings
     state = {
@@ -798,11 +808,14 @@ def test_rings_are_built_at_class_representatives(name):
     reps = {cls[0] for cls in group.classes}
     inverses = {group.inv[r] for r in reps}
     if all(group.elements[s].is_diagonal for s in group.generators):
+        # read before state.locus, which would build a locus that is missing
+        fixed_sets = {fixed_locus(group.elements[r], state.n).i_fixed for r in reps}
+        assert set(state._loci) == fixed_sets
         assert set(state._rings) == {state.locus(r).i_fixed for r in reps}
         assert {key for _, key in state._transports} <= set(state._rings)
     else:
         assert reps <= set(state._rings) <= reps | inverses
-    assert reps <= set(state._loci) <= reps | inverses
+        assert reps <= set(state._loci) <= reps | inverses
 
 
 @pytest.mark.parametrize("name, keys, rings", [("k3-sld", 12, 4), ("quintic-a3", 15, 3)])
@@ -979,7 +992,9 @@ def sampled_pairs(group, limit=4096):
 
 
 @pytest.mark.parametrize("name", list(STRUCTURE_STATES))
-def test_group_structure_matches_brute_force(name):
+def test_group_structure_matches_brute_force(name, monkeypatch):
+    """The classes against brute force, and the class walk taken exactly when
+    the group is not abelian: an abelian group conjugates nothing."""
     state = named_state(name)
     group = state.group
     tables = group_tables(group)
@@ -987,6 +1002,14 @@ def test_group_structure_matches_brute_force(name):
     centralizers = tables[3]
     for g in range(group.order):
         assert state.centralizer(g) == centralizers[g]
+    abelian = all(len(cls) == 1 for cls in tables[2])
+    conjugate, walked = FiniteGroup.conjugate, []
+    monkeypatch.setattr(
+        FiniteGroup, "conjugate", lambda *args: walked.append(args) or conjugate(*args)
+    )
+    rebuilt = FiniteGroup(list(group.elements), [group.elements[s] for s in group.generators])
+    assert bool(walked) != abelian
+    assert (rebuilt.classes, rebuilt.centralizers) == (group.classes, group.centralizers)
 
 
 # conjugators whose inverses carry a class representative elsewhere, on
@@ -1390,7 +1413,8 @@ def test_jf_phase_and_blocks_match_oracles_property():
 
 
 def assert_sharing_matches_per_class(state):
-    """Blocks and every transport of a diagonal group against the per-class oracles.
+    """Blocks, every transport, locus and shift of a diagonal group against
+    the per-class oracles, which build each element's own locus.
 
     The premise of sharing by fixed set: G is abelian, and every class's
     Schreier generators are the group's generators.
@@ -1403,6 +1427,11 @@ def assert_sharing_matches_per_class(state):
     for gi in range(group.order):
         for hi in range(group.order):
             assert state.transport(hi, gi) == per_class_transport(state, hi, gi)
+    # loci are shared by fixed set: each element's fixed data and shifts are still its own
+    for gi, g in enumerate(group.elements):
+        locus, own = state.locus(gi), fixed_locus(g, state.n)
+        assert (locus.i_fixed, locus.fixed) == (own.i_fixed, own.fixed)
+        assert state.shifts(gi) == own_shifts(state, gi)
 
 
 DIAGONAL_GOLDEN = [
@@ -1482,3 +1511,46 @@ def test_quintic_fallback_job_end_to_end(monkeypatch):
     assert len(mixed) == 3
     for block in mixed:
         assert list(block.basis) == reynolds_basis(state, block)
+
+
+KLEIN_LOOP = "x1^3*x2 + x2^3*x3 + x3^3*x1 + x4^4"
+K3_DIAMOND = [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
+ELLIPTIC_DIAMOND = [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("f, group, order, classes, diamond", [
+    pytest.param(KLEIN_LOOP, "SLd", 28, 28, K3_DIAMOND, id="klein-sld"),
+    pytest.param(KLEIN_LOOP, "jf", 4, 4, K3_DIAMOND, id="klein-jf"),
+    pytest.param(
+        KLEIN_LOOP, "jf, diag(4/7, 2/7, 1/7, 0), perm(1 2 3)", 84, 20, K3_DIAMOND,
+        id="klein-84",
+    ),
+    pytest.param(QUADRIC_SEXTICS, "SLd", 72, 72, K3_DIAMOND, id="quadric-sextics-sld"),
+    pytest.param(QUADRIC_SEXTICS, "jf, perm(2 3 4)", 18, 18, K3_DIAMOND, id="quadric-sextics-c3"),
+    pytest.param(QUARTIC, "jf, perm(1 2 3)", 12, 12, K3_DIAMOND, id="quartic-c3"),
+    pytest.param(
+        QUARTIC, "jf, perm(1 2)*perm(3 4), perm(1 3)*perm(2 4)", 16, 16, K3_DIAMOND,
+        id="quartic-v4",
+    ),
+    pytest.param("x1^2 + x2^3 + x3^6", "SLd", 6, 6, ELLIPTIC_DIAMOND, id="elliptic-236-sld"),
+    pytest.param("x1^2 + x2^4 + x3^4", "jf", 4, 4, ELLIPTIC_DIAMOND, id="elliptic-244-jf"),
+])
+def test_closed_form_diamonds_in_dimension_at_most_two(f, group, order, classes, diamond):
+    """With j_f in G in SL, the state space of (f, G) is the orbifold
+    cohomology of the Calabi-Yau hypersurface {f = 0} / (G / <j_f>)
+    (Chiodo and Ruan, Adv. Math. 227, 2011), whose stringy Hodge numbers
+    are those of a crepant resolution (Batyrev 1999; Yasuda 2004).  In
+    dimension D = 2 that resolution is a K3 surface, with total 24, and
+    in D = 1 an elliptic curve, with total 4.
+
+    A reference, not a regression pin: the diamonds come from geometry.
+    The jobs take the fixed-set path (SLd, <J>), the abelian shortcut
+    with permutations (as many classes as elements), and the class walk
+    (the order-84 group on the Klein loop).
+    """
+    report = run(parse_job(f"f = {f}\ngroup = [{group}]\n"))
+    assert report.payload["group"] == {"order": order, "conjugacy_class_count": classes}
+    assert report.payload["diamond"]["h"] == diamond
+    assert report.payload["total_dimension"] == sum(map(sum, diamond))
+    checks = report.payload["verification"]["checks"]
+    assert len(checks) == 6 and all(c["pass"] for c in checks)
